@@ -17,16 +17,16 @@ same failure set, but differ in how much reconfigurability they assume:
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 from .design import (
     Design,
     InfeasibleDesignError,
     NoIncumbentError,
     PriorPlacement,
+    add_commodity_flow,
     build_design_model,
     extract_design,
     source_side_usage,
@@ -34,17 +34,17 @@ from .design import (
 from .milp import LinearModel, SolveResult, solve
 from .operation import OperationPlan, operate
 from .topology import (
+    REACH_EPS,
     CostModel,
     DemandMatrix,
     FailureScenario,
     SpanKey,
     Topology,
+    alive_routers,
     dead_routers,
     enumerate_failures,
     shortest_path,
 )
-
-_REACH_EPS = 1e-9
 
 
 def _scenario_list(
@@ -53,15 +53,25 @@ def _scenario_list(
     return list(scenarios) if scenarios is not None else enumerate_failures(topology)
 
 
-def _check_solve(result: SolveResult, scenario_hint: str) -> None:
+def _check_solve(result: SolveResult, scenario: FailureScenario | None) -> None:
+    """Raise unless the solve found a placement (``None``: the joint model)."""
+    if result.status == "infeasible" and scenario is not None:
+        raise InfeasibleDesignError(
+            f"no placement can serve {scenario.label()}", scenario
+        )
+    hint = scenario.label() if scenario is not None else "joint model"
     if result.status == "no_solution":
         raise NoIncumbentError(
-            f"time limit expired with no placement found ({scenario_hint})"
+            f"time limit expired with no placement found ({hint})"
         )
     if not result.ok:
-        raise InfeasibleDesignError(
-            f"no feasible placement exists ({scenario_hint})"
-        )
+        raise InfeasibleDesignError(f"no feasible placement exists ({hint})")
+
+
+def _raise_to(counts: dict[str, int], usage: Mapping[str, int]) -> None:
+    """Lift each count to at least the matching usage."""
+    for key, used in usage.items():
+        counts[key] = max(counts[key], used)
 
 
 def _diagnose_infeasible(
@@ -90,30 +100,11 @@ def _design_from_plans(
     ports = {r.id: 0 for r in topology.routers}
     bookkeeping = {n: 0 for n in topology.all_nodes}
     for plan in plans.values():
-        for rid, used in plan.tail_usage().items():
-            tails[rid] = max(tails[rid], used)
-        for rid, used in plan.port_usage().items():
-            ports[rid] = max(ports[rid], used)
-        for node, used in plan.regen_usage().items():
-            reported[node] = max(reported[node], used)
-        for node, used in plan.bookkeeping_usage().items():
-            bookkeeping[node] = max(bookkeeping[node], used)
-    raw = {n: reported[n] + bookkeeping[n] for n in topology.all_nodes}
-    cost_reported = (
-        costs.tail * sum(tails.values())
-        + costs.regen * sum(reported.values())
-        + costs.port * sum(ports.values())
-    )
-    cost_raw = cost_reported + costs.regen * sum(bookkeeping.values())
-    return Design(
-        tails=tails,
-        regens_raw=raw,
-        regens_reported=reported,
-        ports=ports,
-        total_cost_raw=cost_raw,
-        total_cost_reported=cost_reported,
-        solve_status=status,
-    )
+        _raise_to(tails, plan.tail_usage())
+        _raise_to(ports, plan.port_usage())
+        _raise_to(reported, plan.regen_usage())
+        _raise_to(bookkeeping, plan.bookkeeping_usage())
+    return Design.priced(costs, tails, reported, ports, bookkeeping, [status])
 
 
 def design_optimal(
@@ -142,11 +133,49 @@ def design_optimal(
         bad = _diagnose_infeasible(topology, demands, costs, scens)
         hint = bad.label() if bad else "joint model"
         raise InfeasibleDesignError(f"no placement can serve {hint}", bad)
-    _check_solve(result, "joint model")
+    _check_solve(result, None)
     rough = extract_design(dm, result)
     plans = {scen: operate(topology, demands, rough, scen) for scen in scens}
     design = _design_from_plans(topology, costs, plans, result.status)
     return design, plans
+
+
+def _per_scenario_design(
+    topology: Topology,
+    demands: DemandMatrix,
+    costs: CostModel,
+    time_limit: float | None,
+    scenarios: Sequence[FailureScenario] | None,
+    *,
+    accumulate: bool,
+) -> Design:
+    """Solve each scenario on its own and combine the placements.
+
+    With ``accumulate`` each solve gets everything bought so far as a free
+    prior and the purchases are summed; otherwise the solves are independent
+    and the elementwise maximum is kept.
+    """
+    tails = {r.id: 0 for r in topology.routers}
+    regens = {n: 0 for n in topology.all_nodes}
+    ports = {r.id: 0 for r in topology.routers}
+    bookkeeping = {n: 0 for n in topology.all_nodes}
+    statuses: list[str] = []
+    for scen in _scenario_list(topology, scenarios):
+        prior = PriorPlacement(dict(tails), dict(regens), dict(ports)) if accumulate else None
+        dm = build_design_model(topology, demands, [scen], costs, prior)
+        result = solve(dm.model, time_limit)
+        _check_solve(result, scen)
+        part = extract_design(dm, result)
+        statuses.append(result.status)
+        for counts, usage in (
+            (tails, part.tails),
+            (regens, part.regens_reported),
+            (ports, part.ports),
+        ):
+            for key, used in usage.items():
+                counts[key] = counts[key] + used if accumulate else max(counts[key], used)
+        _raise_to(bookkeeping, source_side_usage(dm, result.values))
+    return Design.priced(costs, tails, regens, ports, bookkeeping, statuses)
 
 
 def design_simple(
@@ -162,44 +191,9 @@ def design_simple(
     run concurrently); the final placement takes the maximum of every count
     across scenarios, which over-buys exactly where scenarios disagree.
     """
-    scens = _scenario_list(topology, scenarios)
-    tails: dict[str, int] = {r.id: 0 for r in topology.routers}
-    reported: dict[str, int] = {n: 0 for n in topology.all_nodes}
-    ports: dict[str, int] = {r.id: 0 for r in topology.routers}
-    bookkeeping: dict[str, int] = {n: 0 for n in topology.all_nodes}
-    statuses: list[str] = []
-    for scen in scens:
-        dm = build_design_model(topology, demands, [scen], costs)
-        result = solve(dm.model, per_scenario_time_limit)
-        if result.status == "infeasible":
-            raise InfeasibleDesignError(
-                f"no placement can serve {scen.label()}", scen
-            )
-        _check_solve(result, scen.label())
-        part = extract_design(dm, result)
-        statuses.append(result.status)
-        for rid, v in part.tails.items():
-            tails[rid] = max(tails[rid], v)
-        for n, v in part.regens_reported.items():
-            reported[n] = max(reported[n], v)
-        for rid, v in part.ports.items():
-            ports[rid] = max(ports[rid], v)
-        for n, v in source_side_usage(dm, result.values).items():
-            bookkeeping[n] = max(bookkeeping[n], v)
-    raw = {n: reported[n] + bookkeeping[n] for n in topology.all_nodes}
-    cost_reported = (
-        costs.tail * sum(tails.values())
-        + costs.regen * sum(reported.values())
-        + costs.port * sum(ports.values())
-    )
-    return Design(
-        tails=tails,
-        regens_raw=raw,
-        regens_reported=reported,
-        ports=ports,
-        total_cost_raw=cost_reported + costs.regen * sum(bookkeeping.values()),
-        total_cost_reported=cost_reported,
-        solve_status="optimal" if all(s == "optimal" for s in statuses) else "feasible",
+    return _per_scenario_design(
+        topology, demands, costs, per_scenario_time_limit, scenarios,
+        accumulate=False,
     )
 
 
@@ -212,48 +206,9 @@ def design_greedy(
 ) -> Design:
     """Scenario-by-scenario accumulation: each solve reuses everything bought
     so far for free and buys only the shortfall."""
-    scens = _scenario_list(topology, scenarios)
-    tails: dict[str, int] = defaultdict(int)
-    regens: dict[str, int] = defaultdict(int)
-    ports: dict[str, int] = defaultdict(int)
-    bookkeeping: dict[str, int] = {n: 0 for n in topology.all_nodes}
-    statuses: list[str] = []
-    for scen in scens:
-        prior = PriorPlacement(tails=dict(tails), regens=dict(regens), ports=dict(ports))
-        dm = build_design_model(topology, demands, [scen], costs, prior)
-        result = solve(dm.model, per_scenario_time_limit)
-        if result.status == "infeasible":
-            raise InfeasibleDesignError(
-                f"no placement can serve {scen.label()}", scen
-            )
-        _check_solve(result, scen.label())
-        bought = extract_design(dm, result)
-        statuses.append(result.status)
-        for rid, v in bought.tails.items():
-            tails[rid] += v
-        for n, v in bought.regens_reported.items():
-            regens[n] += v
-        for rid, v in bought.ports.items():
-            ports[rid] += v
-        for n, v in source_side_usage(dm, result.values).items():
-            bookkeeping[n] = max(bookkeeping[n], v)
-    tails_out = {r.id: tails.get(r.id, 0) for r in topology.routers}
-    reported = {n: regens.get(n, 0) for n in topology.all_nodes}
-    ports_out = {r.id: ports.get(r.id, 0) for r in topology.routers}
-    raw = {n: reported[n] + bookkeeping[n] for n in topology.all_nodes}
-    cost_reported = (
-        costs.tail * sum(tails_out.values())
-        + costs.regen * sum(reported.values())
-        + costs.port * sum(ports_out.values())
-    )
-    return Design(
-        tails=tails_out,
-        regens_raw=raw,
-        regens_reported=reported,
-        ports=ports_out,
-        total_cost_raw=cost_reported + costs.regen * sum(bookkeeping.values()),
-        total_cost_reported=cost_reported,
-        solve_status="optimal" if all(s == "optimal" for s in statuses) else "feasible",
+    return _per_scenario_design(
+        topology, demands, costs, per_scenario_time_limit, scenarios,
+        accumulate=True,
     )
 
 
@@ -283,7 +238,7 @@ def _farthest_reach_regens(
 
     Returns None when a single span already exceeds reach.
     """
-    limit = topology.regen_dist + _REACH_EPS
+    limit = topology.regen_dist + REACH_EPS
     pos = [0.0]
     for u, v in zip(walk, walk[1:]):
         span = topology.span_by_key[(u, v) if u <= v else (v, u)]
@@ -292,7 +247,7 @@ def _farthest_reach_regens(
     anchor = 0.0
     for i in range(1, len(walk)):
         if pos[i] - anchor > limit:
-            if pos[i - 1] <= anchor + _REACH_EPS:
+            if pos[i - 1] <= anchor + REACH_EPS:
                 return None  # one span alone is too long
             regens.append(walk[i - 1])
             anchor = pos[i - 1]
@@ -322,7 +277,7 @@ def design_legacy(
     statuses: list[str] = []
     for scen in scens:
         dead = dead_routers(topology, scen)
-        alive = [r for r in topology.routers if r.id not in dead]
+        alive = alive_routers(topology, scen)
         cut = scen.target if scen.kind == "span" else None
 
         surviving: dict[tuple[str, str], int] = defaultdict(int)
@@ -360,36 +315,15 @@ def design_legacy(
         for key in sorted(candidates):
             buy_vars[key] = m.add_variable(f"buy_{key[0]}_{key[1]}", integer=True)
         pairs = sorted(set(surviving) | set(candidates))
+        arcs = [arc for u, v in pairs for arc in ((u, v), (v, u))]
         arc_load: dict[tuple[str, str], dict[str, float]] = defaultdict(dict)
         for s, t, volume in demands.pairs:
-            fvars: dict[tuple[str, str], str] = {}
-            for u, v in pairs:
-                for arc in ((u, v), (v, u)):
-                    fvars[arc] = m.add_variable(f"y_{s}_{t}_{arc[0]}_{arc[1]}")
-            by_in: dict[str, list[str]] = defaultdict(list)
-            by_out: dict[str, list[str]] = defaultdict(list)
-            for (u, v), name in fvars.items():
-                by_out[u].append(name)
-                by_in[v].append(name)
-                arc_load[(u, v)][name] = 1.0
-            for r in alive:
-                if r.node in (s, t):
-                    continue
-                coeffs: dict[str, float] = {}
-                for name in by_in.get(r.id, []):
-                    coeffs[name] = coeffs.get(name, 0.0) + 1.0
-                for name in by_out.get(r.id, []):
-                    coeffs[name] = coeffs.get(name, 0.0) - 1.0
-                if coeffs:
-                    m.add_constraint(coeffs, "==", 0.0)
-            for node, sign in ((s, 1.0), (t, -1.0)):
-                stationed = [r for r in alive if r.node == node]
-                coeffs = {}
-                for r in stationed:
-                    for name in by_out.get(r.id, []):
-                        coeffs[name] = coeffs.get(name, 0.0) + sign
-                    for name in by_in.get(r.id, []):
-                        coeffs[name] = coeffs.get(name, 0.0) - sign
+            fvars, out_src, in_dst = add_commodity_flow(
+                m, f"y_{s}_{t}", arcs, alive, s, t
+            )
+            for arc, name in fvars.items():
+                arc_load[arc][name] = 1.0
+            for coeffs in (out_src, in_dst):
                 if not coeffs:
                     raise InfeasibleDesignError(
                         f"no placement can serve {scen.label()}", scen
@@ -410,11 +344,7 @@ def design_legacy(
             {name: candidates[key][0] for key, name in buy_vars.items()}
         )
         result = solve(m, per_scenario_time_limit)
-        if result.status == "infeasible":
-            raise InfeasibleDesignError(
-                f"no placement can serve {scen.label()}", scen
-            )
-        _check_solve(result, scen.label())
+        _check_solve(result, scen)
         statuses.append(result.status)
         for key, name in buy_vars.items():
             units = int(round(result.values.get(name, 0.0)))
@@ -437,18 +367,4 @@ def design_legacy(
             tails[link.b] += link.units
             for node in link.regens:
                 regens[node] += link.units
-    cost = (
-        costs.tail * sum(tails.values())
-        + costs.regen * sum(regens.values())
-        + costs.port * sum(ports.values())
-    )
-    design = Design(
-        tails=tails,
-        regens_raw=dict(regens),
-        regens_reported=dict(regens),
-        ports=ports,
-        total_cost_raw=cost,
-        total_cost_reported=cost,
-        solve_status="optimal" if all(s == "optimal" for s in statuses) else "feasible",
-    )
-    return design, tuple(owned)
+    return Design.priced(costs, tails, regens, ports, {}, statuses), tuple(owned)

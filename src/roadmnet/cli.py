@@ -25,7 +25,6 @@ from .algorithms import (
 )
 from .design import Design, InfeasibleDesignError, NoIncumbentError
 from .io import (
-    DesignDocument,
     InputFormatError,
     LinkRecord,
     load_design,

@@ -19,7 +19,11 @@ fresh signal, so no regenerator is consumed there; reported totals exclude
 them while raw totals keep them visible.
 
 Routing is a multi-commodity flow over the per-scenario link capacities, with
-colocated routers bridged by port-based intra-node links.
+colocated routers bridged by port-based intra-node links.  That flow is built
+by ``add_commodity_flow``, which the fixed-link baseline (``design_legacy``)
+and transient rating (``evaluate_transient``) share; each caller keeps its own
+rule for the rows at the demand's endpoints.  Every placement, whichever
+algorithm produced it, is priced by ``Design.priced``.
 """
 
 from __future__ import annotations
@@ -34,8 +38,10 @@ from .topology import (
     CostModel,
     DemandMatrix,
     FailureScenario,
+    Router,
     Topology,
-    dead_routers,
+    TopologyError,
+    alive_routers,
     regen_adjacency,
     validate_scenario,
 )
@@ -111,6 +117,39 @@ class Design:
             f"{self.port_count} ports, cost {self.total_cost_reported:g}"
         )
 
+    @classmethod
+    def priced(
+        cls,
+        costs: CostModel,
+        tails: dict[str, int],
+        regens: dict[str, int],
+        ports: dict[str, int],
+        bookkeeping: Mapping[str, int],
+        statuses: Iterable[str],
+    ) -> "Design":
+        """A placement with its costs rolled up.
+
+        ``regens`` counts physical regenerators per node and ``bookkeeping``
+        the source-side launch hops per node, which only the raw totals
+        include.  The design is "optimal" when every solve behind it was.
+        """
+        reported = (
+            costs.tail * sum(tails.values())
+            + costs.regen * sum(regens.values())
+            + costs.port * sum(ports.values())
+        )
+        return cls(
+            tails=tails,
+            regens_raw={n: v + bookkeeping.get(n, 0) for n, v in regens.items()},
+            regens_reported=regens,
+            ports=ports,
+            total_cost_raw=reported + costs.regen * sum(bookkeeping.values()),
+            total_cost_reported=reported,
+            solve_status=(
+                "optimal" if all(s == "optimal" for s in statuses) else "feasible"
+            ),
+        )
+
 
 @dataclass
 class DesignModel:
@@ -155,6 +194,55 @@ def _min_hop_count(
                     nxt.append(v)
         frontier = nxt
     return depth.get(dst)
+
+
+def add_commodity_flow(
+    m: LinearModel,
+    prefix: str,
+    arcs: Iterable[tuple[str, str]],
+    alive: Sequence[Router],
+    src: str,
+    dst: str,
+) -> tuple[dict[tuple[str, str], str], dict[str, float], dict[str, float]]:
+    """Flow of one demand from node ``src`` to node ``dst`` over ``arcs``.
+
+    Adds a variable ``{prefix}_{a}_{b}`` per directed router arc, in the given
+    order, and a conservation row at every live router homed away from both
+    endpoints.  Returns the arc -> variable map plus the net-outflow terms at
+    the source node's live routers and the net-inflow terms at the
+    destination node's; a term map is empty when no live router there touches
+    an arc.  The caller writes the endpoint rows under its own rule.
+    """
+    flows: dict[tuple[str, str], str] = {}
+    by_out: dict[str, list[str]] = defaultdict(list)
+    by_in: dict[str, list[str]] = defaultdict(list)
+    for a, b in arcs:
+        name = m.add_variable(f"{prefix}_{a}_{b}")
+        flows[(a, b)] = name
+        by_out[a].append(name)
+        by_in[b].append(name)
+    for r in alive:
+        if r.node in (src, dst):
+            continue
+        coeffs: dict[str, float] = {}
+        for name in by_in[r.id]:
+            coeffs[name] = coeffs.get(name, 0.0) + 1.0
+        for name in by_out[r.id]:
+            coeffs[name] = coeffs.get(name, 0.0) - 1.0
+        if coeffs:
+            m.add_constraint(coeffs, "==", 0.0, name=f"balance_{prefix}_{r.id}")
+    ends: list[dict[str, float]] = []
+    for node, sign in ((src, 1.0), (dst, -1.0)):
+        coeffs = {}
+        for r in alive:
+            if r.node != node:
+                continue
+            for name in by_out[r.id]:
+                coeffs[name] = coeffs.get(name, 0.0) + sign
+            for name in by_in[r.id]:
+                coeffs[name] = coeffs.get(name, 0.0) - sign
+        ends.append(coeffs)
+    return flows, ends[0], ends[1]
 
 
 def _add_infeasible_row(m: LinearModel, tag: str) -> None:
@@ -240,8 +328,7 @@ def build_design_model(
                 dm.port_vars[r.id] = m.add_variable(f"P_{r.id}", integer=True)
 
     for fi, scen in enumerate(scenarios):
-        dead = dead_routers(topology, scen)
-        alive = [r for r in topology.routers if r.id not in dead]
+        alive = alive_routers(topology, scen)
         adjacency = regen_adjacency(topology, scen)
 
         # Link capacity variables: ordered pairs, external and intra-node.
@@ -401,63 +488,27 @@ def build_design_model(
             m.add_constraint(coeffs, "<=", rhs, name=f"regen_f{fi}_{n}")
 
         # Multi-commodity flow over the per-scenario links.
-        arcs = [
-            (a, b, name)
-            for (fj, a, b), name in dm.cap_vars.items()
-            if fj == fi
-        ] + [
-            (a, b, name)
-            for (fj, a, b), name in dm.intra_vars.items()
-            if fj == fi
-        ]
+        arcs = {(a, b): name for (fj, a, b), name in dm.cap_vars.items() if fj == fi}
+        arcs.update(
+            {(a, b): name for (fj, a, b), name in dm.intra_vars.items() if fj == fi}
+        )
         arc_load: dict[str, dict[str, float]] = defaultdict(dict)
         for s, t, volume in demands.pairs:
-            fvars: dict[tuple[str, str], str] = {}
-            for a, b, _ in arcs:
-                fvars[(a, b)] = m.add_variable(f"Y_f{fi}_{s}_{t}_{a}_{b}")
-            for (ab, name) in fvars.items():
-                cap_name = dm.cap_vars.get((fi, *ab)) or dm.intra_vars[(fi, *ab)]
-                arc_load[cap_name][name] = 1.0
+            fvars, out_src, in_dst = add_commodity_flow(
+                m, f"Y_f{fi}_{s}_{t}", arcs, alive, s, t
+            )
+            for ab, name in fvars.items():
+                arc_load[arcs[ab]][name] = 1.0
                 dm.flow_vars[(fi, (s, t), ab)] = name
-            by_router_in: dict[str, list[str]] = defaultdict(list)
-            by_router_out: dict[str, list[str]] = defaultdict(list)
-            for (a, b), name in fvars.items():
-                by_router_out[a].append(name)
-                by_router_in[b].append(name)
-            for r in alive:
-                if r.node in (s, t):
-                    continue
-                ins = by_router_in.get(r.id, [])
-                outs = by_router_out.get(r.id, [])
-                if not ins and not outs:
-                    continue
-                coeffs = {}
-                for name in ins:
-                    coeffs[name] = coeffs.get(name, 0.0) + 1.0
-                for name in outs:
-                    coeffs[name] = coeffs.get(name, 0.0) - 1.0
-                m.add_constraint(
-                    coeffs, "==", 0.0, name=f"flow_f{fi}_{s}_{t}_{r.id}"
-                )
-            for node, sign, tag in ((s, 1.0, "src"), (t, -1.0, "dst")):
-                stationed = [r for r in alive if r.node == node]
-                if not stationed:
+            for tag, coeffs in (("src", out_src), ("dst", in_dst)):
+                if coeffs:
+                    m.add_constraint(
+                        coeffs, "==", volume, name=f"flow_{tag}_f{fi}_{s}_{t}"
+                    )
+                else:
                     _add_infeasible_row(m, f"f{fi}_{s}_{t}_{tag}")
-                    continue
-                coeffs = {}
-                for r in stationed:
-                    for name in by_router_out.get(r.id, []):
-                        coeffs[name] = coeffs.get(name, 0.0) + sign
-                    for name in by_router_in.get(r.id, []):
-                        coeffs[name] = coeffs.get(name, 0.0) - sign
-                if not coeffs:
-                    _add_infeasible_row(m, f"f{fi}_{s}_{t}_{tag}")
-                    continue
-                m.add_constraint(
-                    coeffs, "==", volume, name=f"flow_{tag}_f{fi}_{s}_{t}"
-                )
         # Total flow on each directed arc fits its capacity.
-        for a, b, cap_name in arcs:
+        for (a, b), cap_name in arcs.items():
             loads = arc_load.get(cap_name)
             if not loads:
                 continue
@@ -507,10 +558,11 @@ def build_design_model(
     return dm
 
 
-def _iround(value: float, what: str) -> int:
+def iround(value: float, what: str) -> int:
+    """``value`` as an int, which a solved integer variable must be."""
     r = round(value)
     if abs(value - r) > 1e-5:
-        raise ValueError(f"{what} is not integral: {value!r}")
+        raise TopologyError(f"{what} is not integral: {value!r}")
     return int(r)
 
 
@@ -525,7 +577,7 @@ def source_side_usage(dm: DesignModel, values: Mapping[str, float]) -> dict[str,
     for fi in range(len(dm.scenarios)):
         per_node: dict[str, int] = defaultdict(int)
         for a, b in dm.links.get(fi, ()):
-            units = _iround(values.get(dm.cap_vars[(fi, a, b)], 0.0), f"cap {a}-{b}")
+            units = iround(values.get(dm.cap_vars[(fi, a, b)], 0.0), f"cap {a}-{b}")
             per_node[dm.topology.home(a)] += units
         for n, used in per_node.items():
             worst[n] = max(worst[n], used)
@@ -539,30 +591,12 @@ def extract_design(dm: DesignModel, result: SolveResult) -> Design:
     if not result.ok:
         raise ValueError(f"cannot extract a design from status {result.status!r}")
     vals = result.values
-    tails = {r.id: _iround(vals[dm.tail_vars[r.id]], f"tails {r.id}") for r in dm.topology.routers}
-    reported = {n: _iround(vals[dm.regen_vars[n]], f"regens {n}") for n in dm.topology.all_nodes}
+    tails = {r.id: iround(vals[dm.tail_vars[r.id]], f"tails {r.id}") for r in dm.topology.routers}
+    reported = {n: iround(vals[dm.regen_vars[n]], f"regens {n}") for n in dm.topology.all_nodes}
     ports = {
-        r.id: (_iround(vals[dm.port_vars[r.id]], f"ports {r.id}") if r.id in dm.port_vars else 0)
+        r.id: (iround(vals[dm.port_vars[r.id]], f"ports {r.id}") if r.id in dm.port_vars else 0)
         for r in dm.topology.routers
     }
-    bookkeeping = source_side_usage(dm, vals)
-    raw = {n: reported[n] + bookkeeping[n] for n in dm.topology.all_nodes}
-    cost_reported = (
-        dm.costs.tail * sum(tails.values())
-        + dm.costs.regen * sum(reported.values())
-        + dm.costs.port * sum(ports.values())
-    )
-    cost_raw = (
-        dm.costs.tail * sum(tails.values())
-        + dm.costs.regen * sum(raw.values())
-        + dm.costs.port * sum(ports.values())
-    )
-    return Design(
-        tails=tails,
-        regens_raw=raw,
-        regens_reported=reported,
-        ports=ports,
-        total_cost_raw=cost_raw,
-        total_cost_reported=cost_reported,
-        solve_status=result.status,
+    return Design.priced(
+        dm.costs, tails, reported, ports, source_side_usage(dm, vals), [result.status]
     )

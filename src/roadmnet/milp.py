@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Mapping, Sequence
 
@@ -95,6 +95,7 @@ class LinearModel:
         self._index: dict[str, int] = {}
         self._constraints: list[Constraint] = []
         self._objective: dict[str, float] = {}
+        self._compiled_cache: _Compiled | None = None
 
     # -- construction ----------------------------------------------------
 
@@ -146,6 +147,7 @@ class LinearModel:
             if var not in self._index:
                 raise ModelError(f"objective references unknown variable {var!r}")
         self._objective = {v: float(c) for v, c in coeffs.items()}
+        self._compiled_cache = None
 
     # -- introspection ---------------------------------------------------
 
@@ -170,7 +172,7 @@ class LinearModel:
     # -- compilation -----------------------------------------------------
 
     def _compiled(self) -> "_Compiled":
-        cache = getattr(self, "_compiled_cache", None)
+        cache = self._compiled_cache
         if cache is None or cache.stamp != (len(self._vars), len(self._constraints)):
             cache = _compile(self)
             self._compiled_cache = cache

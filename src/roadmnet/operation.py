@@ -11,8 +11,6 @@ replanning happens.
 from __future__ import annotations
 
 import csv
-import io as _io
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -22,22 +20,24 @@ from .design import (
     DesignModel,
     InfeasibleDesignError,
     NoIncumbentError,
+    add_commodity_flow,
     build_design_model,
+    iround,
 )
 from .milp import LinearModel, solve
 from .topology import (
+    REACH_EPS,
     CostModel,
     DemandMatrix,
     FailureScenario,
     SpanKey,
     Topology,
     TopologyError,
+    alive_routers,
     dead_routers,
     shortest_path,
     validate_scenario,
 )
-
-_REACH_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def expand_link_path(
     a, b = link
     waypoints = [topology.home(a), *chain, topology.home(b)]
     spans: list[SpanKey] = []
-    limit = topology.regen_dist + _REACH_EPS
+    limit = topology.regen_dist + REACH_EPS
     for u, v in zip(waypoints, waypoints[1:]):
         walk = shortest_path(topology, scenario, u, v)
         if walk is None:
@@ -192,22 +192,18 @@ def extract_plan(dm: DesignModel, values: Mapping[str, float], fi: int) -> Opera
     topology = dm.topology
     scenario = dm.scenarios[fi]
 
-    def iround(name: str) -> int:
-        v = values.get(name, 0.0)
-        r = round(v)
-        if abs(v - r) > 1e-5:
-            raise TopologyError(f"non-integral value for {name}: {v!r}")
-        return int(r)
+    def units_of(name: str) -> int:
+        return iround(values.get(name, 0.0), name)
 
     link_caps: dict[tuple[str, str], int] = {}
     for (fj, a, b), name in dm.cap_vars.items():
         if fj == fi:
-            units = iround(name)
+            units = units_of(name)
             if units:
                 link_caps[(a, b)] = units
     for (fj, a, b), name in dm.intra_vars.items():
         if fj == fi:
-            units = iround(name)
+            units = units_of(name)
             if units:
                 link_caps[(a, b)] = units
 
@@ -225,7 +221,7 @@ def extract_plan(dm: DesignModel, values: Mapping[str, float], fi: int) -> Opera
         if not units:
             continue
         hop_counts = {
-            (u, v): iround(name)
+            (u, v): units_of(name)
             for (fj, link, (u, v)), name in dm.hop_vars.items()
             if fj == fi and link == (a, b)
         }
@@ -336,51 +332,26 @@ def evaluate_transient(
     if offered <= 0:
         return TransientReport(scenario, 0.0, 0.0, 1.0, caps)
 
-    dead = dead_routers(topology, scenario)
-    alive = [r for r in topology.routers if r.id not in dead]
+    alive = alive_routers(topology, scenario)
     m = LinearModel("transient")
     tvar = m.add_variable("served_fraction", ub=1.0) if concurrent else None
     arcs = sorted(caps)
     arc_load: dict[tuple[str, str], dict[str, float]] = defaultdict(dict)
     total_terms: dict[str, float] = {}
     for s, t, volume in demands.pairs:
-        dvar = None
-        if not concurrent:
-            dvar = m.add_variable(f"d_{s}_{t}", ub=volume)
-            total_terms[dvar] = 1.0
-        fvars: dict[tuple[str, str], str] = {}
-        for a, b in arcs:
-            name = m.add_variable(f"y_{s}_{t}_{a}_{b}")
-            fvars[(a, b)] = name
-            arc_load[(a, b)][name] = 1.0
-        by_in: dict[str, list[str]] = defaultdict(list)
-        by_out: dict[str, list[str]] = defaultdict(list)
-        for (a, b), name in fvars.items():
-            by_out[a].append(name)
-            by_in[b].append(name)
-        for r in alive:
-            if r.node in (s, t):
-                continue
-            coeffs: dict[str, float] = {}
-            for name in by_in.get(r.id, []):
-                coeffs[name] = coeffs.get(name, 0.0) + 1.0
-            for name in by_out.get(r.id, []):
-                coeffs[name] = coeffs.get(name, 0.0) - 1.0
-            if coeffs:
-                m.add_constraint(coeffs, "==", 0.0)
-        for node, sign in ((s, 1.0), (t, -1.0)):
-            stationed = [r for r in alive if r.node == node]
-            coeffs = {}
-            for r in stationed:
-                for name in by_out.get(r.id, []):
-                    coeffs[name] = coeffs.get(name, 0.0) + sign
-                for name in by_in.get(r.id, []):
-                    coeffs[name] = coeffs.get(name, 0.0) - sign
-            # With no usable attachment the constraint degenerates to d = 0.
-            if concurrent:
-                coeffs[tvar] = coeffs.get(tvar, 0.0) - volume
-            else:
-                coeffs[dvar] = coeffs.get(dvar, 0.0) - 1.0
+        if concurrent:
+            served, weight = tvar, volume
+        else:
+            served, weight = m.add_variable(f"d_{s}_{t}", ub=volume), 1.0
+            total_terms[served] = 1.0
+        fvars, out_src, in_dst = add_commodity_flow(
+            m, f"y_{s}_{t}", arcs, alive, s, t
+        )
+        for arc, name in fvars.items():
+            arc_load[arc][name] = 1.0
+        # With no usable attachment a row degenerates to served = 0.
+        for coeffs in (out_src, in_dst):
+            coeffs[served] = -weight
             m.add_constraint(coeffs, "==", 0.0)
     for (a, b), loads in arc_load.items():
         m.add_constraint(loads, "<=", float(caps[(a, b)]))
@@ -436,19 +407,3 @@ def write_transient_csv(reports: Sequence[TransientReport], fileobj) -> None:
             [scen.kind, ident, f"{rep.offered:.6f}", f"{rep.delivered:.6f}",
              f"{rep.fraction:.6f}"]
         )
-
-
-def transient_csv(
-    topology: Topology,
-    demands: DemandMatrix,
-    base_plan: OperationPlan,
-    scenarios: Iterable[FailureScenario],
-    *,
-    concurrent: bool = False,
-) -> str:
-    buf = _io.StringIO()
-    write_transient_csv(
-        transient_reports(topology, demands, base_plan, scenarios, concurrent=concurrent),
-        buf,
-    )
-    return buf.getvalue()

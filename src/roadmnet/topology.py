@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping
 
 
 class TopologyError(ValueError):
@@ -22,6 +22,10 @@ class TopologyError(ValueError):
 
 
 SpanKey = tuple[str, str]
+
+# Distance sums of integral mileages are exact in floating point, but general
+# mileages deserve a hair of slack at the reach boundary.
+REACH_EPS = 1e-9
 
 
 def span_key(u: str, v: str) -> SpanKey:
@@ -364,11 +368,6 @@ def shortest_path(
     return reach[dst][1]
 
 
-# Distance sums of integral mileages are exact in floating point, but general
-# mileages deserve a hair of slack at the reach boundary.
-_REACH_EPS = 1e-9
-
-
 def regen_adjacency(
     topology: Topology, scenario: FailureScenario | None = None
 ) -> frozenset[tuple[str, str]]:
@@ -378,7 +377,7 @@ def regen_adjacency(
     ``regen_dist`` (reaching exactly the boundary is allowed).
     """
     dist = shortest_distances(topology, scenario or FailureScenario.no_failure())
-    limit = topology.regen_dist + _REACH_EPS
+    limit = topology.regen_dist + REACH_EPS
     return frozenset(
         (u, v)
         for (u, v), d in dist.items()

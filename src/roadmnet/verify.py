@@ -20,20 +20,20 @@ from .design import Design
 from .milp import LinearModel
 from .operation import OperationPlan
 from .topology import (
+    REACH_EPS,
     CostModel,
     DemandMatrix,
     FailureScenario,
     Topology,
     TopologyError,
+    alive_routers,
     dead_routers,
     regen_adjacency,
-    shortest_distances,
     surviving_spans,
     validate_scenario,
 )
 
 _TOL = 1e-6
-_REACH_EPS = 1e-9
 
 SEARCH_SPACE_LIMIT = 10_000_000
 
@@ -75,7 +75,7 @@ def check_regen_feasible_path(
         raise TopologyError("walk needs at least two nodes")
     alive = {s.key: s for s in surviving_spans(topology, scenario)}
     regen_set = set(regens)
-    limit = topology.regen_dist + _REACH_EPS
+    limit = topology.regen_dist + REACH_EPS
     stretch = 0.0
     for u, v in zip(walk, walk[1:]):
         key = (u, v) if u <= v else (v, u)
@@ -268,7 +268,7 @@ def _demand_directions(
             "oracle supports demands between one node pair only"
         )
     for s, t, volume in pairs:
-        if volume > 1.0 + _REACH_EPS:
+        if volume > 1.0 + REACH_EPS:
             raise OracleError(
                 f"oracle supports volumes up to one unit ({s}->{t} asks {volume:g})"
             )
@@ -287,8 +287,7 @@ def _scenario_frontier(
     operate the scenario with unit link capacities; a placement handles the
     scenario iff it dominates at least one row.
     """
-    dead = dead_routers(topology, scenario)
-    alive = [r for r in topology.routers if r.id not in dead]
+    alive = alive_routers(topology, scenario)
     adjacency = regen_adjacency(topology, scenario)
 
     ext_links: list[tuple[str, str]] = []
@@ -332,7 +331,7 @@ def _scenario_frontier(
                     net[("SRC*", r.id)] = 2
                 if r.node == t:
                     net[(r.id, "DST*")] = 2
-            if _max_flow(net, "SRC*", "DST*") < volume - _REACH_EPS:
+            if _max_flow(net, "SRC*", "DST*") < volume - REACH_EPS:
                 routable = False
                 break
         if not routable:

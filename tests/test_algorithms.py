@@ -91,6 +91,22 @@ def test_legacy_pays_for_rigidity(toy_inputs, toy_designs):
     assert legacy.regens_raw == legacy.regens_reported
 
 
+@pytest.mark.parametrize("name", ["optimal", "simple", "greedy", "legacy"])
+def test_raw_cost_adds_only_bookkeeping_hops(toy_inputs, grid_inputs, toy_designs,
+                                            grid_designs, name):
+    for (_, _, costs), designs in ((toy_inputs, toy_designs), (grid_inputs, grid_designs)):
+        design = designs[name]
+        bookkeeping = sum(design.regens_raw.values()) - sum(design.regens_reported.values())
+        assert design.total_cost_raw - design.total_cost_reported == pytest.approx(
+            costs.regen * bookkeeping
+        )
+        if name == "legacy":
+            assert design.regens_raw == design.regens_reported
+            assert design.total_cost_raw == design.total_cost_reported
+        else:
+            assert bookkeeping > 0
+
+
 def test_legacy_fleet_structure(toy_inputs):
     from roadmnet.verify import check_regen_feasible_path
 

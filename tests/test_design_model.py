@@ -5,15 +5,21 @@ from __future__ import annotations
 import pytest
 
 from roadmnet.design import (
+    Design,
     PriorPlacement,
+    add_commodity_flow,
     build_design_model,
     extract_design,
+    iround,
     source_side_usage,
 )
-from roadmnet.milp import solve, validate_solution
+from roadmnet.milp import LinearModel, solve, validate_solution
 from roadmnet.topology import (
+    CostModel,
     FailureScenario,
+    Router,
     Topology,
+    TopologyError,
     enumerate_failures,
 )
 
@@ -144,6 +150,12 @@ def test_fixed_design_mode_feasible_and_tight(toy):
     assert solve(broken.model).status == "infeasible"
 
 
+def test_iround_rejects_fractional_values():
+    assert iround(2.0000001, "x") == 2
+    with pytest.raises(TopologyError, match="x is not integral"):
+        iround(1.5, "x")
+
+
 def test_source_side_usage_tracks_launch_hops(toy):
     topology, demands, costs = toy
     dm = build_design_model(topology, demands, [NF], costs)
@@ -166,3 +178,55 @@ def test_infeasible_single_router_endpoint():
     down = FailureScenario.router_down("R1")
     dm = build_design_model(lonely, demands, [NF, down], costs)
     assert solve(dm.model).status == "infeasible"
+
+
+# Routers a1 (node A), b1 (node B), c1 and c2 (node C), d1 (node D, no arcs).
+FLOW_ROUTERS = tuple(
+    Router(rid, rid[0].upper()) for rid in ("a1", "b1", "c1", "c2", "d1")
+)
+FLOW_ARCS = (("a1", "c1"), ("c1", "b1"), ("c1", "c2"), ("c2", "b1"), ("b1", "a1"))
+
+
+def test_commodity_flow_balances_only_transit_routers():
+    m = LinearModel()
+    flows, out_src, in_dst = add_commodity_flow(
+        m, "y", FLOW_ARCS, FLOW_ROUTERS, "A", "B"
+    )
+    assert flows == {arc: f"y_{arc[0]}_{arc[1]}" for arc in FLOW_ARCS}
+    assert [v.name for v in m.variables] == list(flows.values())
+    rows = [(dict(c.coeffs), c.sense, c.rhs) for c in m.constraints]
+    assert rows == [
+        ({"y_a1_c1": 1.0, "y_c1_b1": -1.0, "y_c1_c2": -1.0}, "==", 0.0),
+        ({"y_c1_c2": 1.0, "y_c2_b1": -1.0}, "==", 0.0),
+    ]
+    assert out_src == {"y_a1_c1": 1.0, "y_b1_a1": -1.0}
+    assert in_dst == {"y_c1_b1": 1.0, "y_c2_b1": 1.0, "y_b1_a1": -1.0}
+
+
+def test_commodity_flow_endpoint_terms_empty_when_its_router_is_down():
+    m = LinearModel()
+    alive = tuple(r for r in FLOW_ROUTERS if r.id != "a1")
+    _, out_src, in_dst = add_commodity_flow(m, "y", FLOW_ARCS, alive, "A", "B")
+    assert out_src == {}
+    assert in_dst == {"y_c1_b1": 1.0, "y_c2_b1": 1.0, "y_b1_a1": -1.0}
+    assert len(m.constraints) == 2
+
+
+def test_priced_design_rolls_up_costs_and_status():
+    costs = CostModel(tail=2.0, regen=3.0, port=0.5)
+    design = Design.priced(
+        costs,
+        tails={"r1": 1, "r2": 2},
+        regens={"n1": 1, "n2": 0},
+        ports={"r1": 1, "r2": 0},
+        bookkeeping={"n1": 2, "n2": 1},
+        statuses=["optimal", "feasible"],
+    )
+    assert design.total_cost_reported == pytest.approx(2.0 * 3 + 3.0 * 1 + 0.5 * 1)
+    assert design.total_cost_raw - design.total_cost_reported == pytest.approx(3.0 * 3)
+    assert design.regens_raw == {"n1": 3, "n2": 1}
+    assert design.regens_reported == {"n1": 1, "n2": 0}
+    assert design.solve_status == "feasible"
+    again = Design.priced(costs, {}, {}, {}, {}, ["optimal", "optimal"])
+    assert again.solve_status == "optimal"
+    assert again.total_cost_raw == again.total_cost_reported == 0.0

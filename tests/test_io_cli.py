@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -206,6 +207,32 @@ def test_cli_design_rewrites_identically(tmp_path):
     main(["design", fixture_path("toy2x5"), "--out", str(a)])
     main(["design", fixture_path("toy2x5"), "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of the design document `roadmnet design` writes per fixture and
+# algorithm.  The bundled branch-and-bound breaks ties by column index, so a
+# refactor that reorders any model's variables or rows changes these bytes.
+GOLDEN_DOCUMENTS = {
+    ("toy2x5", "optimal"): "acbcc34f555269522f0f25fbd07e06207cd446b721a55c7809154e0ab82eb7d9",
+    ("toy2x5", "simple"): "e2e17791d7102b0c7d753b7076ccd743b347afba4ac6618842f67fff19d39807",
+    ("toy2x5", "greedy"): "ddfbc7bf8e255b9f6fa71f5bf710ecd1fde465fda0a6144e0f62672e18f3b5cf",
+    ("toy2x5", "legacy"): "6f42c321bbc41299e3800198bdac2fe409c2a0ec1c80c46f8e7b4dcd05637967",
+    ("grid3x3_600", "optimal"): "e0430fa56101c853feffbb0750fd4825dceea9080a0caef54a5270f219d11384",
+    ("grid3x3_600", "simple"): "66b30632ced0501ac222c201376a283f28e58cc76416d8631b84ceb6494d09b8",
+    ("grid3x3_600", "greedy"): "fbaad9f383c15bb5d4ea7cb3461c11485cc9ca5ca48d5f2a09ce3dcd5346d592",
+    ("grid3x3_600", "legacy"): "ed8d2959b8081d9f13677a894820cf97a0efc4362496b901cac0d10f9bcf5d5b",
+}
+
+
+@pytest.mark.parametrize("fixture,algorithm", sorted(GOLDEN_DOCUMENTS))
+def test_cli_design_document_matches_golden_hash(tmp_path, capsys, fixture, algorithm):
+    path = tmp_path / "design.json"
+    assert main([
+        "design", fixture_path(fixture), "--algorithm", algorithm,
+        "--out", str(path),
+    ]) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_DOCUMENTS[(fixture, algorithm)]
 
 
 def test_cli_compare(tmp_path, capsys):

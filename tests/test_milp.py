@@ -119,6 +119,18 @@ class TestSolve:
         assert first.values == second.values
         assert first.nodes == second.nodes
 
+    def test_objective_change_after_solve_is_used(self):
+        m = LinearModel()
+        m.add_variable("x")
+        m.add_variable("y")
+        m.add_constraint({"x": 1, "y": 1}, ">=", 3)
+        m.set_objective({"x": 1, "y": 2})
+        assert solve(m).values == pytest.approx({"x": 3.0, "y": 0.0})
+        m.set_objective({"x": 2, "y": 1})
+        res = solve(m)
+        assert res.values == pytest.approx({"x": 0.0, "y": 3.0})
+        assert res.objective_value == pytest.approx(3.0)
+
     def test_time_limit_zero_reports_bound(self):
         m = random_integer_model(7)
         full = solve(m)
