@@ -24,14 +24,15 @@ from typing import Mapping, Sequence
 from .design import (
     Design,
     InfeasibleDesignError,
-    NoIncumbentError,
     PriorPlacement,
     add_commodity_flow,
     build_design_model,
+    check_solve,
     extract_design,
+    iround,
     source_side_usage,
 )
-from .milp import LinearModel, SolveResult, solve
+from .milp import LinearModel, solve
 from .operation import OperationPlan, operate
 from .topology import (
     REACH_EPS,
@@ -51,21 +52,6 @@ def _scenario_list(
     topology: Topology, scenarios: Sequence[FailureScenario] | None
 ) -> list[FailureScenario]:
     return list(scenarios) if scenarios is not None else enumerate_failures(topology)
-
-
-def _check_solve(result: SolveResult, scenario: FailureScenario | None) -> None:
-    """Raise unless the solve found a placement (``None``: the joint model)."""
-    if result.status == "infeasible" and scenario is not None:
-        raise InfeasibleDesignError(
-            f"no placement can serve {scenario.label()}", scenario
-        )
-    hint = scenario.label() if scenario is not None else "joint model"
-    if result.status == "no_solution":
-        raise NoIncumbentError(
-            f"time limit expired with no placement found ({hint})"
-        )
-    if not result.ok:
-        raise InfeasibleDesignError(f"no feasible placement exists ({hint})")
 
 
 def _raise_to(counts: dict[str, int], usage: Mapping[str, int]) -> None:
@@ -133,7 +119,7 @@ def design_optimal(
         bad = _diagnose_infeasible(topology, demands, costs, scens)
         hint = bad.label() if bad else "joint model"
         raise InfeasibleDesignError(f"no placement can serve {hint}", bad)
-    _check_solve(result, None)
+    check_solve(result, None)
     rough = extract_design(dm, result)
     plans = {scen: operate(topology, demands, rough, scen) for scen in scens}
     design = _design_from_plans(topology, costs, plans, result.status)
@@ -164,7 +150,7 @@ def _per_scenario_design(
         prior = PriorPlacement(dict(tails), dict(regens), dict(ports)) if accumulate else None
         dm = build_design_model(topology, demands, [scen], costs, prior)
         result = solve(dm.model, time_limit)
-        _check_solve(result, scen)
+        check_solve(result, scen)
         part = extract_design(dm, result)
         statuses.append(result.status)
         for counts, usage in (
@@ -344,10 +330,10 @@ def design_legacy(
             {name: candidates[key][0] for key, name in buy_vars.items()}
         )
         result = solve(m, per_scenario_time_limit)
-        _check_solve(result, scen)
+        check_solve(result, scen)
         statuses.append(result.status)
         for key, name in buy_vars.items():
-            units = int(round(result.values.get(name, 0.0)))
+            units = iround(result.values.get(name, 0.0), name)
             if units > 0:
                 proto = candidates[key][1]
                 owned.append(

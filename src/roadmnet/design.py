@@ -24,6 +24,14 @@ by ``add_commodity_flow``, which the fixed-link baseline (``design_legacy``)
 and transient rating (``evaluate_transient``) share; each caller keeps its own
 rule for the rows at the demand's endpoints.  Every placement, whichever
 algorithm produced it, is priced by ``Design.priced``.
+
+The built ``DesignModel`` keeps the shared placement variables once and one
+``ScenarioBlock`` per failure state holding that state's capacity, hop and
+flow variables, so every row of a scenario, and every reader of its solution
+(``source_side_usage``, ``operation.extract_plan``), touches only its own
+block.  The tail, port and regen budget rows follow one rule: usage fits what
+is bought plus the prior when sizing, or the fixed design plus the prior when
+operating.
 """
 
 from __future__ import annotations
@@ -62,6 +70,24 @@ class InfeasibleDesignError(RuntimeError):
 
 class NoIncumbentError(RuntimeError):
     """The time limit expired before any feasible placement was found."""
+
+
+def check_solve(
+    result: SolveResult, scenario: FailureScenario | None, what: str = "placement"
+) -> None:
+    """Raise unless the solve found a ``what`` (``None``: the joint model).
+
+    An infeasible solve of one scenario raises ``InfeasibleDesignError``
+    naming it, a time-out without an incumbent ``NoIncumbentError``, and any
+    other failed status ``InfeasibleDesignError``.
+    """
+    if result.status == "infeasible" and scenario is not None:
+        raise InfeasibleDesignError(f"no {what} can serve {scenario.label()}", scenario)
+    hint = scenario.label() if scenario is not None else "joint model"
+    if result.status == "no_solution":
+        raise NoIncumbentError(f"time limit expired with no {what} found ({hint})")
+    if not result.ok:
+        raise InfeasibleDesignError(f"no feasible {what} exists ({hint})", scenario)
 
 
 @dataclass(frozen=True)
@@ -152,28 +178,41 @@ class Design:
 
 
 @dataclass
+class ScenarioBlock:
+    """One failure state's "wait and see" variables, in creation order.
+
+    ``caps`` (X) and ``intra`` (W) map ordered router pairs to link-unit
+    variables, both orientations kept; ``hops`` maps each canonical external
+    link (a, b), a < b, to its hop (u, v) -> H variables (an empty map when no
+    hop is available); ``flows`` maps each demand (s, t) to its arc -> Y
+    variables.
+    """
+
+    scenario: FailureScenario
+    caps: dict[tuple[str, str], str] = field(default_factory=dict)
+    intra: dict[tuple[str, str], str] = field(default_factory=dict)
+    hops: dict[tuple[str, str], dict[tuple[str, str], str]] = field(default_factory=dict)
+    flows: dict[tuple[str, str], dict[tuple[str, str], str]] = field(default_factory=dict)
+
+
+@dataclass
 class DesignModel:
-    """A built model plus the index needed to read solutions back out."""
+    """A built model plus the index needed to read solutions back out.
+
+    The placement counts (``tail_vars``, ``regen_vars``, ``port_vars``; empty
+    when operating a fixed design) are shared by every failure state;
+    ``blocks`` holds one ``ScenarioBlock`` per failure state, in the order of
+    the scenarios the model was built over.
+    """
 
     model: LinearModel
     topology: Topology
-    demands: DemandMatrix
     costs: CostModel
-    scenarios: tuple[FailureScenario, ...]
-    prior: PriorPlacement
     fixed: Design | None
     tail_vars: dict[str, str]
     regen_vars: dict[str, str]
     port_vars: dict[str, str]
-    # (scenario idx, router a, router b) -> var name; ordered pairs, both kept.
-    cap_vars: dict[tuple[int, str, str], str]
-    intra_vars: dict[tuple[int, str, str], str]
-    # (scenario idx, canonical link (a, b), hop (u, v)) -> var name.
-    hop_vars: dict[tuple[int, tuple[str, str], tuple[str, str]], str]
-    # (scenario idx, demand (s, t), arc (a, b)) -> var name.
-    flow_vars: dict[tuple[int, tuple[str, str], tuple[str, str]], str]
-    # canonical (a, b) ext links per scenario, in creation order.
-    links: dict[int, tuple[tuple[str, str], ...]]
+    blocks: list[ScenarioBlock]
 
 
 def _min_hop_count(
@@ -292,19 +331,12 @@ def build_design_model(
     dm = DesignModel(
         model=m,
         topology=topology,
-        demands=demands,
         costs=costs,
-        scenarios=scenarios,
-        prior=prior,
         fixed=fixed_design,
         tail_vars={},
         regen_vars={},
         port_vars={},
-        cap_vars={},
-        intra_vars={},
-        hop_vars={},
-        flow_vars={},
-        links={},
+        blocks=[],
     )
 
     multi_nodes = {n for n in topology.ip_nodes if len(topology.routers_at[n]) >= 2}
@@ -327,7 +359,26 @@ def build_design_model(
             if r.node in multi_nodes:
                 dm.port_vars[r.id] = m.add_variable(f"P_{r.id}", integer=True)
 
+    # Per budgeted resource: its purchase variables, the fixed design's
+    # counts (None when sizing) and the prior's counts.
+    tails = (dm.tail_vars, fixed_design and fixed_design.tails, prior.tail)
+    ports = (dm.port_vars, fixed_design and fixed_design.ports, prior.port)
+    regens = (dm.regen_vars, fixed_design and fixed_design.regens_reported, prior.regen)
+
+    def add_budget(coeffs: dict[str, float], resource, key: str, name: str) -> None:
+        # Usage fits what is bought plus the prior when sizing, and the fixed
+        # design's count plus the prior when operating.
+        bought, fixed, owned = resource
+        if fixed is None:
+            coeffs[bought[key]] = -1.0
+            rhs = float(owned(key))
+        else:
+            rhs = float(fixed.get(key, 0) + owned(key))
+        m.add_constraint(coeffs, "<=", rhs, name=name)
+
     for fi, scen in enumerate(scenarios):
+        blk = ScenarioBlock(scen)
+        dm.blocks.append(blk)
         alive = alive_routers(topology, scen)
         adjacency = regen_adjacency(topology, scen)
 
@@ -337,97 +388,76 @@ def build_design_model(
                 if a.id == b.id:
                     continue
                 if a.node != b.node:
-                    dm.cap_vars[(fi, a.id, b.id)] = m.add_variable(
+                    blk.caps[(a.id, b.id)] = m.add_variable(
                         f"X_f{fi}_{a.id}_{b.id}", ub=box, integer=True
                     )
                 else:
-                    dm.intra_vars[(fi, a.id, b.id)] = m.add_variable(
+                    blk.intra[(a.id, b.id)] = m.add_variable(
                         f"W_f{fi}_{a.id}_{b.id}", ub=box, integer=True
                     )
 
-        canonical = tuple(
-            (a.id, b.id)
-            for a in alive
-            for b in alive
-            if a.id < b.id and a.node != b.node
-        )
-        dm.links[fi] = canonical
+        canonical = [(a, b) for a, b in blk.caps if a < b]
 
         # A link unit is usable in both directions: tie the two orientations.
         for a, b in canonical:
             m.add_constraint(
-                {dm.cap_vars[(fi, a, b)]: 1.0, dm.cap_vars[(fi, b, a)]: -1.0},
+                {blk.caps[(a, b)]: 1.0, blk.caps[(b, a)]: -1.0},
                 "==",
                 0.0,
                 name=f"sym_f{fi}_{a}_{b}",
             )
-        for a in alive:
-            for b in alive:
-                if a.id < b.id and a.node == b.node:
-                    m.add_constraint(
-                        {dm.intra_vars[(fi, a.id, b.id)]: 1.0,
-                         dm.intra_vars[(fi, b.id, a.id)]: -1.0},
-                        "==",
-                        0.0,
-                        name=f"symw_f{fi}_{a.id}_{b.id}",
-                    )
+        for a, b in blk.intra:
+            if a < b:
+                m.add_constraint(
+                    {blk.intra[(a, b)]: 1.0, blk.intra[(b, a)]: -1.0},
+                    "==",
+                    0.0,
+                    name=f"symw_f{fi}_{a}_{b}",
+                )
 
-        # Tails terminate external link units, one per unit per direction.
+        # Tails terminate external link units, one per unit per direction;
+        # ports terminate intra-node link units the same way.
         for r in alive:
             others = [o for o in alive if o.node != r.node]
             if not others:
                 continue
-            for tag, terms in (
-                ("in", [(dm.cap_vars[(fi, o.id, r.id)], 1.0) for o in others]),
-                ("out", [(dm.cap_vars[(fi, r.id, o.id)], 1.0) for o in others]),
-            ):
-                coeffs = dict(terms)
-                if fixed_design is None:
-                    coeffs[dm.tail_vars[r.id]] = -1.0
-                    rhs = float(prior.tail(r.id))
-                else:
-                    rhs = float(fixed_design.tails.get(r.id, 0) + prior.tail(r.id))
-                m.add_constraint(coeffs, "<=", rhs, name=f"tail_{tag}_f{fi}_{r.id}")
-
-        # Ports terminate intra-node link units the same way.
+            add_budget({blk.caps[(o.id, r.id)]: 1.0 for o in others},
+                       tails, r.id, f"tail_in_f{fi}_{r.id}")
+            add_budget({blk.caps[(r.id, o.id)]: 1.0 for o in others},
+                       tails, r.id, f"tail_out_f{fi}_{r.id}")
         for r in alive:
             if r.node not in multi_nodes:
                 continue
             mates = [o for o in alive if o.node == r.node and o.id != r.id]
             if not mates:
                 continue
-            for tag, terms in (
-                ("in", [(dm.intra_vars[(fi, o.id, r.id)], 1.0) for o in mates]),
-                ("out", [(dm.intra_vars[(fi, r.id, o.id)], 1.0) for o in mates]),
-            ):
-                coeffs = dict(terms)
-                if fixed_design is None:
-                    coeffs[dm.port_vars[r.id]] = -1.0
-                    rhs = float(prior.port(r.id))
-                else:
-                    rhs = float(fixed_design.ports.get(r.id, 0) + prior.port(r.id))
-                m.add_constraint(coeffs, "<=", rhs, name=f"port_{tag}_f{fi}_{r.id}")
+            add_budget({blk.intra[(o.id, r.id)]: 1.0 for o in mates},
+                       ports, r.id, f"port_in_f{fi}_{r.id}")
+            add_budget({blk.intra[(r.id, o.id)]: 1.0 for o in mates},
+                       ports, r.id, f"port_out_f{fi}_{r.id}")
 
         # Regen relay chains, one shared chain system per unordered link.
+        # Hops leaving a link's own source node are bookkeeping (fresh
+        # signal) and consume no regen budget.
+        regen_use: dict[str, dict[str, float]] = defaultdict(dict)
         for a, b in canonical:
             src = topology.home(a)
             dst = topology.home(b)
-            hops = [
-                (u, v)
-                for (u, v) in sorted(adjacency)
-                if v != src and u != dst
-            ]
-            for u, v in hops:
-                dm.hop_vars[(fi, (a, b), (u, v))] = m.add_variable(
+            hops = blk.hops[(a, b)] = {
+                (u, v): m.add_variable(
                     f"H_f{fi}_{a}_{b}_{u}_{v}", ub=box, integer=True
                 )
-            link_cap = dm.cap_vars[(fi, a, b)]
+                for (u, v) in sorted(adjacency)
+                if v != src and u != dst
+            }
+            link_cap = blk.caps[(a, b)]
             by_out: dict[str, list[str]] = defaultdict(list)
             by_in: dict[str, list[str]] = defaultdict(list)
-            for u, v in hops:
-                name = dm.hop_vars[(fi, (a, b), (u, v))]
+            for (u, v), name in hops.items():
                 by_out[u].append(name)
                 by_in[v].append(name)
+                if u != src:
+                    regen_use[u][name] = 1.0
             # Relays must be contiguous through every intermediate node.
             for n in topology.all_nodes:
                 if n in (src, dst):
@@ -454,52 +484,30 @@ def build_design_model(
                 # Every unit relays through at least k_min real regen hops,
                 # where k_min is one less than the fewest hops on any
                 # source-to-destination relay path.
-                k_min = _min_hop_count(hops, src, dst)
+                k_min = _min_hop_count(list(hops), src, dst)
                 if k_min is not None and k_min >= 2:
-                    coeffs = {
-                        dm.hop_vars[(fi, (a, b), (u, v))]: 1.0
-                        for (u, v) in hops
-                        if u != src
-                    }
+                    coeffs = {name: 1.0 for (u, v), name in hops.items() if u != src}
                     if coeffs:
                         coeffs[link_cap] = coeffs.get(link_cap, 0.0) - float(k_min - 1)
                         m.add_constraint(
                             coeffs, ">=", 0.0, name=f"relaylen_f{fi}_{a}_{b}"
                         )
 
-        # Node regen budgets.  Hops leaving a link's own source node are
-        # bookkeeping (fresh signal) and consume no budget.
-        usage: dict[str, dict[str, float]] = defaultdict(dict)
-        for (fj, link, (u, v)), name in dm.hop_vars.items():
-            if fj != fi:
-                continue
-            if u == topology.home(link[0]):
-                continue
-            usage[u][name] = usage[u].get(name, 0.0) + 1.0
+        # Node regen budgets.
         for n in topology.all_nodes:
-            coeffs = dict(usage.get(n, {}))
-            if not coeffs:
-                continue
-            if fixed_design is None:
-                coeffs[dm.regen_vars[n]] = -1.0
-                rhs = float(prior.regen(n))
-            else:
-                rhs = float(fixed_design.regens_reported.get(n, 0) + prior.regen(n))
-            m.add_constraint(coeffs, "<=", rhs, name=f"regen_f{fi}_{n}")
+            if n in regen_use:
+                add_budget(regen_use[n], regens, n, f"regen_f{fi}_{n}")
 
         # Multi-commodity flow over the per-scenario links.
-        arcs = {(a, b): name for (fj, a, b), name in dm.cap_vars.items() if fj == fi}
-        arcs.update(
-            {(a, b): name for (fj, a, b), name in dm.intra_vars.items() if fj == fi}
-        )
+        arcs = {**blk.caps, **blk.intra}
         arc_load: dict[str, dict[str, float]] = defaultdict(dict)
         for s, t, volume in demands.pairs:
             fvars, out_src, in_dst = add_commodity_flow(
                 m, f"Y_f{fi}_{s}_{t}", arcs, alive, s, t
             )
+            blk.flows[(s, t)] = fvars
             for ab, name in fvars.items():
                 arc_load[arcs[ab]][name] = 1.0
-                dm.flow_vars[(fi, (s, t), ab)] = name
             for tag, coeffs in (("src", out_src), ("dst", in_dst)):
                 if coeffs:
                     m.add_constraint(
@@ -525,8 +533,8 @@ def build_design_model(
                     continue
                 coeffs = {
                     name: 1.0
-                    for (fj, a, b), name in dm.cap_vars.items()
-                    if fj == fi and topology.home(a) == n
+                    for (a, b), name in blk.caps.items()
+                    if topology.home(a) == n
                 }
                 if coeffs:
                     m.add_constraint(
@@ -537,24 +545,22 @@ def build_design_model(
                     )
 
     if fixed_design is None:
-        objective: dict[str, float] = {}
-        for name in dm.tail_vars.values():
-            objective[name] = costs.tail
-        for name in dm.regen_vars.values():
-            objective[name] = costs.regen
-        for name in dm.port_vars.values():
-            objective[name] = costs.port
+        weighted = [
+            (costs.tail, dm.tail_vars.values()),
+            (costs.regen, dm.regen_vars.values()),
+            (costs.port, dm.port_vars.values()),
+        ]
     else:
-        objective = {}
-        for name in dm.cap_vars.values():
-            objective[name] = 1.0
-        for name in dm.intra_vars.values():
-            objective[name] = 1.0
-        for name in dm.hop_vars.values():
-            objective[name] = OPERATE_HOP_WEIGHT
-        for name in dm.flow_vars.values():
-            objective[name] = OPERATE_FLOW_WEIGHT
-    m.set_objective(objective)
+        blocks = dm.blocks
+        weighted = [
+            (1.0, [n for blk in blocks for n in blk.caps.values()]),
+            (1.0, [n for blk in blocks for n in blk.intra.values()]),
+            (OPERATE_HOP_WEIGHT,
+             [n for blk in blocks for hops in blk.hops.values() for n in hops.values()]),
+            (OPERATE_FLOW_WEIGHT,
+             [n for blk in blocks for fl in blk.flows.values() for n in fl.values()]),
+        ]
+    m.set_objective({name: w for w, names in weighted for name in names})
     return dm
 
 
@@ -574,10 +580,10 @@ def source_side_usage(dm: DesignModel, values: Mapping[str, float]) -> dict[str,
     links whose source router is homed at n.
     """
     worst: dict[str, int] = {n: 0 for n in dm.topology.all_nodes}
-    for fi in range(len(dm.scenarios)):
+    for blk in dm.blocks:
         per_node: dict[str, int] = defaultdict(int)
-        for a, b in dm.links.get(fi, ()):
-            units = iround(values.get(dm.cap_vars[(fi, a, b)], 0.0), f"cap {a}-{b}")
+        for a, b in blk.hops:
+            units = iround(values.get(blk.caps[(a, b)], 0.0), f"cap {a}-{b}")
             per_node[dm.topology.home(a)] += units
         for n, used in per_node.items():
             worst[n] = max(worst[n], used)

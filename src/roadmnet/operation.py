@@ -18,10 +18,9 @@ from typing import Iterable, Mapping, Sequence
 from .design import (
     Design,
     DesignModel,
-    InfeasibleDesignError,
-    NoIncumbentError,
     add_commodity_flow,
     build_design_model,
+    check_solve,
     iround,
 )
 from .milp import LinearModel, solve
@@ -190,44 +189,33 @@ def _unit_chains(
 def extract_plan(dm: DesignModel, values: Mapping[str, float], fi: int) -> OperationPlan:
     """Read scenario ``fi``'s link/chain/flow assignment out of a solution."""
     topology = dm.topology
-    scenario = dm.scenarios[fi]
+    blk = dm.blocks[fi]
+    scenario = blk.scenario
 
     def units_of(name: str) -> int:
         return iround(values.get(name, 0.0), name)
 
     link_caps: dict[tuple[str, str], int] = {}
-    for (fj, a, b), name in dm.cap_vars.items():
-        if fj == fi:
-            units = units_of(name)
-            if units:
-                link_caps[(a, b)] = units
-    for (fj, a, b), name in dm.intra_vars.items():
-        if fj == fi:
-            units = units_of(name)
-            if units:
-                link_caps[(a, b)] = units
+    for ab, name in (*blk.caps.items(), *blk.intra.items()):
+        units = units_of(name)
+        if units:
+            link_caps[ab] = units
 
     flows: dict[tuple[str, str, str, str], float] = {}
-    for (fj, (s, t), (a, b)), name in dm.flow_vars.items():
-        if fj == fi:
+    for (s, t), fvars in blk.flows.items():
+        for (a, b), name in fvars.items():
             v = float(values.get(name, 0.0))
             if v > 1e-9:
                 flows[(s, t, a, b)] = v
 
     regen_chains: dict[tuple[str, str], tuple[tuple[str, ...], ...]] = {}
     span_paths: dict[tuple[str, str], tuple[tuple[SpanKey, ...], ...]] = {}
-    for a, b in dm.links.get(fi, ()):
+    for (a, b), hops in blk.hops.items():
         units = link_caps.get((a, b), 0)
         if not units:
             continue
-        hop_counts = {
-            (u, v): units_of(name)
-            for (fj, link, (u, v)), name in dm.hop_vars.items()
-            if fj == fi and link == (a, b)
-        }
-        src = topology.home(a)
-        dst = topology.home(b)
-        chains = _unit_chains(hop_counts, src, dst, units)
+        hop_counts = {uv: units_of(name) for uv, name in hops.items()}
+        chains = _unit_chains(hop_counts, topology.home(a), topology.home(b), units)
         regen_chains[(a, b)] = tuple(chains)
         span_paths[(a, b)] = tuple(
             expand_link_path(topology, scenario, (a, b), chain) for chain in chains
@@ -266,18 +254,7 @@ def operate(
         fixed_design=design,
     )
     result = solve(dm.model, time_limit)
-    if result.status == "infeasible":
-        raise InfeasibleDesignError(
-            f"design cannot serve demands under {scenario.label()}", scenario
-        )
-    if result.status == "no_solution":
-        raise NoIncumbentError(
-            f"no operation plan found for {scenario.label()} within the time limit"
-        )
-    if not result.ok:
-        raise InfeasibleDesignError(
-            f"operation solve ended with status {result.status!r}", scenario
-        )
+    check_solve(result, scenario, "operation plan")
     return extract_plan(dm, result.values, 0)
 
 
@@ -324,6 +301,9 @@ def evaluate_transient(
     By default maximizes the total delivered volume (each demand capped at its
     offered volume).  With ``concurrent=True`` every demand is instead served
     the same fraction of its volume, and that fraction is maximized.
+
+    Raises:
+        NoIncumbentError: the time limit expired before the LP was solved.
     """
     if base_plan.scenario.kind != "none":
         raise ValueError("transient evaluation starts from the no-failure plan")
@@ -361,10 +341,7 @@ def evaluate_transient(
     else:
         m.set_objective({name: -1.0 for name in total_terms})
     result = solve(m, time_limit)
-    if not result.ok:
-        raise TopologyError(
-            f"transient routing solve failed with status {result.status!r}"
-        )
+    check_solve(result, scenario, "transient routing")
     delivered = -result.objective_value
     delivered = min(max(0.0, delivered), offered)
     fraction = delivered / offered

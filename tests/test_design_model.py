@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from roadmnet.design import (
@@ -13,7 +15,7 @@ from roadmnet.design import (
     iround,
     source_side_usage,
 )
-from roadmnet.milp import LinearModel, solve, validate_solution
+from roadmnet.milp import LinearModel, export_lp, solve, validate_solution
 from roadmnet.topology import (
     CostModel,
     FailureScenario,
@@ -230,3 +232,34 @@ def test_priced_design_rolls_up_costs_and_status():
     again = Design.priced(costs, {}, {}, {}, {}, ["optimal", "optimal"])
     assert again.solve_status == "optimal"
     assert again.total_cost_raw == again.total_cost_reported == 0.0
+
+
+# sha256 of the LP text of the joint sizing model over every enumerated
+# failure ("sizing") and of the no-failure operating model of the optimal
+# design ("operate"), per shipped fixture.  Variable and row names, their
+# order, bounds and coefficient order all feed the digest.
+GOLDEN_MODELS = {
+    ("toy2x5", "sizing"): "67235f7ff7fac660cfc4e3175ffd70f6699088b5ff100c5499d7d0af88ea8064",
+    ("toy2x5", "operate"): "f4be21bce1a312595e99cd3fff48029ad7f35346d799bb4665341829248d85bc",
+    ("grid3x3_600", "sizing"): "d2d8da87faf0cf9cc369cd4b82b02f420cc0df7dd130a5edb5e809c36809f001",
+    ("grid3x3_600", "operate"): "5b75e07dd965a849c8c2b5c4f9ecdce10da0548a0c0c7ae8911b40233028d886",
+}
+
+
+@pytest.mark.parametrize("fixture,kind", sorted(GOLDEN_MODELS))
+def test_model_lp_text_matches_golden_hash(request, fixture, kind):
+    inputs = request.getfixturevalue(
+        "toy_inputs" if fixture == "toy2x5" else "grid_inputs"
+    )
+    topology, demands, costs = inputs
+    if kind == "sizing":
+        dm = build_design_model(topology, demands, enumerate_failures(topology), costs)
+    else:
+        design = request.getfixturevalue(
+            "toy_optimal" if fixture == "toy2x5" else "grid_optimal"
+        )[0]
+        dm = build_design_model(
+            topology, demands, [NF], CostModel(0.0, 0.0, 0.0), fixed_design=design
+        )
+    digest = hashlib.sha256(export_lp(dm.model).encode()).hexdigest()
+    assert digest == GOLDEN_MODELS[(fixture, kind)]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+from roadmnet import algorithms, operation
 from roadmnet.cli import main
 from roadmnet.io import (
     InputFormatError,
@@ -16,6 +18,7 @@ from roadmnet.io import (
     plan_links,
     save_design,
 )
+from roadmnet.milp import SolveResult
 from roadmnet.topology import FailureScenario, TopologyError
 
 from conftest import fixture_path
@@ -283,6 +286,40 @@ class TestExitCodes:
             "design", fixture_path("toy2x5"), "--time-limit", "0.0",
         ]) == 4
         assert "budget" in capsys.readouterr().err
+
+    def test_transient_solve_out_of_time(self, tmp_path, capsys, monkeypatch):
+        doc = tmp_path / "design.json"
+        assert main([
+            "design", fixture_path("toy2x5"), "--algorithm", "greedy",
+            "--out", str(doc),
+        ]) == 0
+        monkeypatch.setattr(
+            operation, "solve",
+            lambda model, time_limit=None: SolveResult("no_solution", {}, None, None),
+        )
+        assert main([
+            "transient", fixture_path("toy2x5"), "--design", str(doc),
+        ]) == 4
+        assert "no transient routing found" in capsys.readouterr().err
+
+    def test_fractional_legacy_purchase_is_rejected(self, toy_inputs, capsys, monkeypatch):
+        real = algorithms.solve
+
+        def fractional(model, time_limit=None):
+            result = real(model, time_limit)
+            values = {
+                name: 0.6 if name.startswith("buy_") and value > 0.5 else value
+                for name, value in result.values.items()
+            }
+            return dataclasses.replace(result, values=values)
+
+        monkeypatch.setattr(algorithms, "solve", fractional)
+        with pytest.raises(TopologyError, match="not integral"):
+            algorithms.design_legacy(*toy_inputs)
+        assert main([
+            "design", fixture_path("toy2x5"), "--algorithm", "legacy",
+        ]) == 2
+        assert "not integral" in capsys.readouterr().err
 
 
 def test_module_entry_point():
