@@ -181,14 +181,18 @@ def _max_flow(caps: Mapping[tuple[str, str], int], source: str, sink: str) -> in
     for (u, v), c in caps.items():
         residual[u][v] = residual[u].get(v, 0) + c
         residual[v].setdefault(u, 0)
+    # Augmenting only changes capacities, never who neighbours whom, so each
+    # node's neighbours are sorted once for every BFS.
+    neighbours = {u: sorted(out) for u, out in residual.items()}
     flow = 0
     while True:
         parent = {source: None}
         queue = deque([source])
         while queue and sink not in parent:
             u = queue.popleft()
-            for v in sorted(residual[u]):
-                if v not in parent and residual[u][v] > 0:
+            out = residual[u]
+            for v in neighbours.get(u, ()):
+                if v not in parent and out[v] > 0:
                     parent[v] = u
                     queue.append(v)
         if sink not in parent:
@@ -238,15 +242,16 @@ def _simple_relay_paths(
             seen.remove(nxt)
 
     walk(src, {src}, [])
-    # Keep only subset-minimal interior sets: anything larger is dominated.
+    # Keep only subset-minimal interior sets, each at its first path: anything
+    # larger is dominated.
     minimal: list[tuple[str, ...]] = []
     sets = [frozenset(r) for r in results]
-    for i, cand in enumerate(sets):
-        if any(other < cand for other in sets):
-            continue
-        if cand in [sets[j] for j in range(i)]:
-            continue
-        minimal.append(results[i])
+    distinct = set(sets)
+    earlier: set[frozenset[str]] = set()
+    for path, cand in zip(results, sets):
+        if cand not in earlier and not any(other < cand for other in distinct):
+            minimal.append(path)
+        earlier.add(cand)
     return minimal
 
 
@@ -285,7 +290,10 @@ def _scenario_frontier(
 
     Every row is the exact (tails, regens, ports) consumption of one way to
     operate the scenario with unit link capacities; a placement handles the
-    scenario iff it dominates at least one row.
+    scenario iff it dominates at least one row.  Only the minimal rows are
+    returned, each at its first occurrence (see ``_minimal_rows``): distinct
+    rows are swept by increasing row sum, one sum level at a time against
+    the rows already kept.
     """
     alive = alive_routers(topology, scenario)
     adjacency = regen_adjacency(topology, scenario)
@@ -354,22 +362,49 @@ def _scenario_frontier(
         raise OracleError(
             f"no link configuration can serve {scenario.label()}"
         )
-    mat = np.vstack(rows)
-    # Reduce to the minimal antichain under elementwise dominance.
-    keep: list[int] = []
-    for i in range(mat.shape[0]):
-        dominated = False
-        for j in range(mat.shape[0]):
-            if i == j:
-                continue
-            if np.all(mat[j] <= mat[i]) and (
-                np.any(mat[j] < mat[i]) or j < i
-            ):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    return mat[keep]
+    return _minimal_rows(np.vstack(rows))
+
+
+def _minimal_rows(mat: np.ndarray) -> np.ndarray:
+    """The minimal antichain of ``mat``'s rows under elementwise dominance.
+
+    Keeps the first copy of every row that no other row strictly dominates,
+    in the original order.  A strict dominator has a strictly smaller row
+    sum, so the distinct rows are swept one sum level at a time, each level
+    tested at once against the minimal rows of the lower levels; rows of
+    equal sum cannot dominate one another.
+    """
+    _, first = np.unique(mat, axis=0, return_index=True)
+    first.sort()
+    rows = mat[first]
+    sums = rows.sum(axis=1, dtype=np.int64)
+    keep = np.zeros(len(rows), dtype=bool)
+    for level in np.unique(sums):
+        at_level = np.flatnonzero(sums == level)
+        below = rows[keep]
+        dominated = np.any(
+            np.all(below[None, :, :] <= rows[at_level][:, None, :], axis=2),
+            axis=1,
+        )
+        keep[at_level[~dominated]] = True
+    return rows[keep]
+
+
+def _dominating_placements(
+    requirements: np.ndarray, dims: Sequence[int]
+) -> np.ndarray:
+    """Which grid placements dominate at least one requirement row.
+
+    The placements are the full grid of priced counts ``0..dims[k]-1``,
+    flattened in C order (the first site varies slowest, as ``np.indices``
+    lays them out).  The placements dominating one row form the box from the
+    row's counts upward, so each row marks its box at once instead of being
+    compared with every placement.  Every count must be below its dimension.
+    """
+    ok = np.zeros(dims, dtype=bool)
+    for row in requirements:
+        ok[tuple(slice(v, None) for v in row)] = True
+    return ok.reshape(-1)
 
 
 def oracle_design_search(
@@ -384,6 +419,11 @@ def oracle_design_search(
     Enumerates every (tails, regens, ports) placement with positive-cost
     counts up to ``caps`` (zero-cost sites are pinned at the cap and priced
     at zero) and keeps the cheapest one that can operate every scenario.
+    A placement operates a scenario when it dominates a row of the
+    scenario's frontier.  Every row kept is within the caps and pinned sites
+    sit at the cap, so the placements dominating a row are a box of the
+    priced grid; each scenario's feasible set is the union of its rows'
+    boxes, marked box by box rather than row against placement.
 
     Returns:
         (cost, witness) where witness maps "tails"/"regens"/"ports" to
@@ -446,10 +486,7 @@ def oracle_design_search(
 
     feasible = np.ones(total, dtype=bool)
     for mat in frontiers:
-        ok = np.zeros(total, dtype=bool)
-        for row in mat:
-            ok |= np.all(placements >= row, axis=1)
-        feasible &= ok
+        feasible &= _dominating_placements(mat[:, priced_idx], dims)
         if not feasible.any():
             raise OracleError(f"no placement within caps {caps} serves all scenarios")
 

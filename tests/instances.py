@@ -14,9 +14,9 @@ from roadmnet.topology import (
     span_key,
 )
 
-# Twenty seeds whose micro instances are feasible under every enumerated
+# Sixty seeds whose micro instances are feasible under every enumerated
 # failure and solve quickly; frozen after a scan of the generator.
-MICRO_SEEDS = tuple(range(20))
+MICRO_SEEDS = tuple(range(60))
 
 
 def toy_network() -> tuple[Topology, DemandMatrix, CostModel]:

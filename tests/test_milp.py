@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import types
 
 import pytest
 
@@ -61,6 +62,15 @@ class TestModelBuilding:
         m.add_variable("x")
         m.add_constraint([("x", 1.0), ("x", 2.0)], "<=", 6)
         assert m.constraints[0].coeffs == (("x", 3.0),)
+
+    def test_any_mapping_or_pair_list_is_accepted(self):
+        m = LinearModel()
+        m.add_variable("x")
+        m.add_variable("y")
+        m.add_constraint(types.MappingProxyType({"y": 2, "x": 1}), "<=", 6)
+        m.add_constraint([("x", 1), ("y", 4), ("x", -3)], ">=", 0)
+        assert m.constraints[0].coeffs == (("y", 2.0), ("x", 1.0))
+        assert m.constraints[1].coeffs == (("x", -2.0), ("y", 4.0))
 
     def test_objective_unknown_variable(self):
         with pytest.raises(ModelError):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from roadmnet import (
@@ -20,6 +21,7 @@ from roadmnet import (
     oracle_design_search,
 )
 from roadmnet.milp import LinearModel, solve
+from roadmnet.verify import _dominating_placements, _minimal_rows
 
 from instances import micro_instance, random_integer_model, toy_network
 
@@ -61,6 +63,105 @@ class TestOraclePins:
         )
         assert cost == 0.0
         assert witness == {"tails": {}, "regens": {}, "ports": {}}
+
+
+    def test_all_sites_free(self, toy_inputs):
+        # Nothing is priced, so the placement grid has no axes: one placement
+        # with every site pinned at the cap, reported at what it needs.
+        topology, demands, _ = toy_inputs
+        free = CostModel(tail=0, regen=0, port=0)
+        cost, witness = oracle_design_search(
+            topology, demands, free, enumerate_failures(topology)
+        )
+        assert cost == 0.0
+        assert witness == {
+            "tails": {"R1": 1, "R2": 1, "R3": 1, "R4": 1},
+            "regens": {"O2": 1, "O4": 1},
+            "ports": {},
+        }
+
+
+def pairwise_minimal_rows(mat):
+    """The original O(n^2) antichain loop, kept as the reference."""
+    keep = []
+    for i in range(mat.shape[0]):
+        dominated = False
+        for j in range(mat.shape[0]):
+            if i == j:
+                continue
+            if np.all(mat[j] <= mat[i]) and (
+                np.any(mat[j] < mat[i]) or j < i
+            ):
+                dominated = True
+                break
+        if not dominated:
+            keep.append(i)
+    return mat[keep]
+
+
+def elementwise_sweep(mat, priced, caps):
+    """The original placement-by-placement sweep, kept as the reference."""
+    priced_idx = np.flatnonzero(priced)
+    dims = [caps + 1] * len(priced_idx)
+    total = int(np.prod(dims)) if dims else 1
+    grid = np.indices(dims, dtype=np.int16).reshape(len(priced_idx), total).T
+    placements = np.zeros((total, len(priced)), dtype=np.int16)
+    placements[:, priced_idx] = grid
+    placements[:, np.flatnonzero(~priced)] = caps
+    ok = np.zeros(total, dtype=bool)
+    for row in mat:
+        ok |= np.all(placements >= row, axis=1)
+    return ok
+
+
+def random_rows(rng, kind):
+    """Seeded int16 requirement matrices of the shapes the oracle meets."""
+    width = int(rng.integers(1, 9))
+    if kind == "random":
+        return rng.integers(0, 4, size=(int(rng.integers(1, 60)), width),
+                            dtype=np.int16)
+    if kind == "duplicates":
+        pool = rng.integers(0, 3, size=(int(rng.integers(1, 6)), width),
+                            dtype=np.int16)
+        return pool[rng.integers(0, len(pool), size=int(rng.integers(2, 80)))]
+    if kind == "single":
+        return rng.integers(0, 4, size=(1, width), dtype=np.int16)
+    if kind == "all-equal":
+        row = rng.integers(0, 4, size=(1, width), dtype=np.int16)
+        return np.repeat(row, int(rng.integers(2, 10)), axis=0)
+    # Rows of equal sum: permutations of one vector, none dominating another
+    # unless equal.
+    base = rng.integers(0, 4, size=width, dtype=np.int16)
+    return np.stack([rng.permutation(base)
+                     for _ in range(int(rng.integers(2, 30)))])
+
+
+ROW_KINDS = ("random", "duplicates", "single", "all-equal", "equal-sum")
+
+
+class TestOracleInternals:
+    @pytest.mark.parametrize("kind", ROW_KINDS)
+    def test_minimal_rows_match_pairwise_loop(self, kind):
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        for _ in range(40):
+            mat = random_rows(rng, kind)
+            got = _minimal_rows(mat)
+            want = pairwise_minimal_rows(mat)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), mat
+
+    @pytest.mark.parametrize("kind", ROW_KINDS)
+    def test_box_sweep_matches_elementwise_sweep(self, kind):
+        rng = np.random.default_rng(100 + sum(map(ord, kind)))
+        for _ in range(40):
+            caps = int(rng.integers(1, 4))
+            mat = np.minimum(random_rows(rng, kind), caps)
+            priced = rng.random(mat.shape[1]) < 0.7
+            if kind == "single":
+                priced[:] = False  # no priced site: a grid of one placement
+            dims = [caps + 1] * int(priced.sum())
+            got = _dominating_placements(mat[:, priced], dims)
+            assert np.array_equal(got, elementwise_sweep(mat, priced, caps))
 
 
 class TestOracleScope:
