@@ -7,7 +7,8 @@ Three subcommands:
 * ``compare``   -- run all four placement algorithms side by side
 
 Exit codes: 0 success, 2 bad input or arguments, 3 the instance cannot be
-made survivable, 4 the solver ran out of its time budget with no answer.
+made survivable, 4 the solver gave no answer: it ran out of its time budget,
+or HiGHS failed on an LP relaxation ("solver failed: ...").
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .io import (
     plan_links,
     save_design,
 )
+from .milp import SolverError
 from .operation import operate, transient_reports, write_transient_csv
 from .topology import (
     CostModel,
@@ -240,6 +242,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INFEASIBLE
     except NoIncumbentError as exc:
         print(f"no answer within budget: {exc}", file=sys.stderr)
+        return EXIT_NO_INCUMBENT
+    except SolverError as exc:
+        print(f"solver failed: {exc}", file=sys.stderr)
         return EXIT_NO_INCUMBENT
 
 

@@ -1,7 +1,8 @@
 """Small deterministic mixed-integer linear programming toolkit.
 
 Models are assembled variable-by-variable and solved by branch-and-bound:
-LP relaxations are delegated to scipy's HiGHS backend, branching follows a
+each LP relaxation goes straight to scipy's bundled HiGHS (:func:`linprog`,
+with ``scipy.optimize.linprog``'s options and checks), branching follows a
 most-fractional rule with lowest-index tie-breaks, and open nodes are explored
 best-bound-first with FIFO tie-breaks, so identical models always produce
 identical results.  A thin adapter onto :func:`scipy.optimize.milp` is kept
@@ -17,8 +18,14 @@ from heapq import heappop, heappush
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+import scipy
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult
+
+try:  # scipy's own HiGHS bindings, new in scipy 1.15
+    from scipy.optimize._highspy import _core as highs
+except ImportError as exc:
+    raise ImportError(f"roadmnet needs scipy>=1.15; found {scipy.__version__}") from exc
 
 INT_TOL = 1e-6
 FEAS_TOL = 1e-6
@@ -183,10 +190,11 @@ class LinearModel:
 @dataclass
 class _Compiled:
     c: np.ndarray
-    a_ub: sparse.csr_matrix | None
-    b_ub: np.ndarray | None
-    a_eq: sparse.csr_matrix | None
-    b_eq: np.ndarray | None
+    a: sparse.csc_array  # the "<=" rows (">=" negated), then the "==" rows
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    n_ub: int  # how many of the rows are "<=" rows
+    lp: highs.HighsLp  # all of the above, as HiGHS takes it
     lb: np.ndarray
     ub: np.ndarray
     int_idx: np.ndarray
@@ -200,62 +208,93 @@ def _compile(model: LinearModel) -> _Compiled:
     for var, coef in model._objective.items():
         c[model._index[var]] = coef
 
-    ub_rows: list[tuple[list[int], list[float], float]] = []
-    eq_rows: list[tuple[list[int], list[float], float]] = []
-    for con in model._constraints:
-        idx = [model._index[v] for v, _ in con.coeffs]
-        coefs = [c2 for _, c2 in con.coeffs]
-        if con.sense == "==":
-            eq_rows.append((idx, coefs, con.rhs))
-        elif con.sense == "<=":
-            ub_rows.append((idx, coefs, con.rhs))
-        else:  # ">=" becomes "<=" after negation
-            ub_rows.append((idx, [-x for x in coefs], -con.rhs))
-
-    def build(rows):
-        if not rows:
-            return None, None
-        data, ri, ci, rhs = [], [], [], []
-        for r, (idx, coefs, b) in enumerate(rows):
-            for j, x in zip(idx, coefs):
-                ri.append(r)
-                ci.append(j)
-                data.append(x)
-            rhs.append(b)
-        mat = sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), n))
-        return mat, np.array(rhs)
-
-    a_ub, b_ub = build(ub_rows)
-    a_eq, b_eq = build(eq_rows)
+    rows = [con for con in model._constraints if con.sense != "=="]
+    n_ub = len(rows)
+    rows += [con for con in model._constraints if con.sense == "=="]
+    data, ri, ci, rhs = [], [], [], []
+    for r, con in enumerate(rows):
+        neg = con.sense == ">="  # ">=" becomes "<=" after negation
+        ri += [r] * len(con.coeffs)
+        ci += [model._index[v] for v, _ in con.coeffs]
+        data += [-x if neg else x for _, x in con.coeffs]
+        rhs.append(-con.rhs if neg else con.rhs)
+    a = sparse.csc_array((np.array(data, dtype=float), (ri, ci)), shape=(len(rows), n))
+    row_upper = np.array(rhs, dtype=float)
+    row_lower = np.concatenate((np.full(n_ub, -highs.kHighsInf), row_upper[n_ub:]))
     lb = np.array([v.lb for v in model._vars])
     ub = np.array([v.ub for v in model._vars])
     int_idx = np.array([i for i, v in enumerate(model._vars) if v.integer], dtype=int)
+
+    # Lists: the bindings copy them into HiGHS about twice as fast as arrays.
+    lp, mat = highs.HighsLp(), highs.HighsSparseMatrix()
+    lp.num_col_ = mat.num_col_ = n
+    lp.num_row_ = mat.num_row_ = len(rows)
+    mat.format_ = highs.MatrixFormat.kColwise
+    mat.start_, mat.index_, mat.value_ = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
+    lp.a_matrix_ = mat  # a copy: mat is complete by now
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c.tolist(), lb.tolist(), ub.tolist()
+    lp.row_lower_, lp.row_upper_ = row_lower.tolist(), row_upper.tolist()
 
     integral = all(
         float(coef).is_integer() and model._vars[model._index[var]].integer
         for var, coef in model._objective.items()
         if coef != 0.0
     )
-    return _Compiled(c, a_ub, b_ub, a_eq, b_eq, lb, ub, int_idx, integral,
+    return _Compiled(c, a, row_lower, row_upper, n_ub, lp, lb, ub, int_idx, integral,
                      (n, len(model._constraints)))
 
 
-def _solve_lp(comp: _Compiled, lb: np.ndarray, ub: np.ndarray,
-              time_limit: float | None):
-    options = {"presolve": True}
+# The HiGHS options, status map and post-solve tolerance of
+# scipy.optimize.linprog(method="highs"); every unmapped model status is 4.
+_LP_OPTIONS = highs.HighsOptions()
+_LP_OPTIONS.presolve = "on"
+_LP_OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+_LP_OPTIONS.output_flag = _LP_OPTIONS.log_to_console = False
+_LP_OPTIONS.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+_MS = highs.HighsModelStatus
+_LP_STATUS = {_MS.kOptimal: 0, _MS.kTimeLimit: 1, _MS.kIterationLimit: 1,
+              _MS.kInfeasible: 2, _MS.kModelError: 2, _MS.kUnbounded: 3}
+_CHECK_TOL = math.sqrt(1e-9) * 10
+
+
+def linprog(comp: _Compiled, lb: np.ndarray, ub: np.ndarray,
+            time_limit: float | None) -> OptimizeResult:
+    """Solve one LP relaxation of a compiled model under column bounds lb/ub.
+
+    This is ``scipy.optimize.linprog(method="highs")`` on the same data with
+    the same HiGHS options (dual simplex, presolve on, a time limit of at
+    least 0.05 s if any, no output), the same status codes (0 optimal, 1
+    time or iteration limit, 2 infeasible, 3 unbounded, 4 anything else)
+    and the same post-solve check, which turns an "optimal" point that
+    misses a bound or a row by more than ~3.2e-4 into status 4.  ``x`` and
+    ``fun`` are None unless the status is 0.
+    """
+    if not lb.shape == ub.shape == comp.c.shape:  # HiGHS reads len(c) of each
+        raise ValueError(f"lb and ub need {len(comp.c)} entries")
+    solver, error = highs._Highs(), highs.HighsStatus.kError
+    solver.passOptions(_LP_OPTIONS)
     if time_limit is not None:
-        options["time_limit"] = max(time_limit, 0.05)
-    res = linprog(
-        comp.c,
-        A_ub=comp.a_ub,
-        b_ub=comp.b_ub,
-        A_eq=comp.a_eq,
-        b_eq=comp.b_eq,
-        bounds=np.column_stack([lb, ub]),
-        method="highs",
-        options=options,
-    )
-    return res
+        solver.setOptionValue("time_limit", max(time_limit, 0.05))
+    cols = np.arange(len(lb), dtype=np.int32)
+    if (solver.passModel(comp.lp) == error
+            or solver.changeColsBounds(len(cols), cols, lb, ub) == error):
+        return OptimizeResult(status=2, fun=None, x=None)  # linprog's model error
+    ran = solver.run() != error
+    status = _LP_STATUS.get(solver.getModelStatus(), 4)
+    if status != 0 or not ran:  # a failed run gives no point, so "optimal" is 4
+        return OptimizeResult(status=status or 4, fun=None, x=None)
+    solution = solver.getSolution()
+    x, fun = np.array(solution.col_value), solver.getInfo().objective_function_value
+    resid = comp.row_upper - np.array(solution.row_value)  # slacks, then residuals
+    ok = _within_tolerance(x, fun, resid[:comp.n_ub], resid[comp.n_ub:], lb, ub)
+    return OptimizeResult(status=0 if ok else 4, fun=fun, x=x)
+
+
+def _within_tolerance(x, fun, slack, con, lb, ub) -> bool:
+    """linprog's check of an optimal point: no NaN, bounds and rows kept."""
+    tol = _CHECK_TOL
+    return bool(not np.isnan(fun) and np.all((x >= lb - tol) & (x <= ub + tol))
+                and np.all(slack >= -tol) and np.all(np.abs(con) <= tol))
 
 
 def _most_fractional(x: np.ndarray, int_idx: np.ndarray) -> int | None:
@@ -298,7 +337,7 @@ def solve(model: LinearModel, time_limit: float | None = None) -> SolveResult:
     if n == 0:
         return SolveResult("optimal", {}, 0.0, 0.0, nodes=0)
 
-    root = _solve_lp(comp, comp.lb, comp.ub, remaining())
+    root = linprog(comp, comp.lb, comp.ub, remaining())
     if root.status == 2:
         return SolveResult("infeasible", {}, None, math.inf, nodes=1)
     if root.status == 3:
@@ -356,7 +395,7 @@ def solve(model: LinearModel, time_limit: float | None = None) -> SolveResult:
                 child_lb[branch] = math.ceil(xv)
                 if child_lb[branch] > child_ub[branch]:
                     continue
-            res = _solve_lp(comp, child_lb, child_ub, remaining())
+            res = linprog(comp, child_lb, child_ub, remaining())
             nodes += 1
             if res.status == 2:
                 continue
@@ -499,10 +538,8 @@ def solve_with_scipy_milp(
     if n == 0:
         return SolveResult("optimal", {}, 0.0, 0.0)
     constraints = []
-    if comp.a_ub is not None:
-        constraints.append(LinearConstraint(comp.a_ub, -np.inf, comp.b_ub))
-    if comp.a_eq is not None:
-        constraints.append(LinearConstraint(comp.a_eq, comp.b_eq, comp.b_eq))
+    if comp.a.shape[0]:
+        constraints.append(LinearConstraint(comp.a, comp.row_lower, comp.row_upper))
     integrality = np.zeros(n)
     integrality[comp.int_idx] = 1
     # The bundled HiGHS build sometimes mis-presolves integer equality rows

@@ -48,6 +48,6 @@ def test_instrument_spans_the_library_and_restores_it():
         restore()
     assert hooked_names() == before
     seen = {span[0] for span in tracer.spans}
-    assert {"milp.solve", "design.build", "operation.operate",
+    assert {"milp.solve", "milp.highs", "design.build", "operation.operate",
             "operation.extract_plan", "topology.regen_adjacency"} <= seen
     assert tracer.largest[tracer.pass_id]["vars"] > 0

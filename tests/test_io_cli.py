@@ -7,8 +7,9 @@ import subprocess
 import sys
 
 import pytest
+from scipy.optimize import OptimizeResult
 
-from roadmnet import algorithms, operation
+from roadmnet import algorithms, milp, operation
 from roadmnet.cli import main
 from roadmnet.io import (
     InputFormatError,
@@ -301,6 +302,21 @@ class TestExitCodes:
             "transient", fixture_path("toy2x5"), "--design", str(doc),
         ]) == 4
         assert "no transient routing found" in capsys.readouterr().err
+
+    def test_failed_child_lp_is_a_clean_exit(self, capsys, monkeypatch):
+        real = milp.linprog
+        calls = []
+
+        def fail_after_root(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                return real(*args, **kwargs)
+            return OptimizeResult(status=4, fun=None, x=None)
+
+        monkeypatch.setattr(milp, "linprog", fail_after_root)
+        assert main(["design", fixture_path("toy2x5")]) == 4
+        err = capsys.readouterr().err
+        assert "solver failed: LP backend failed with status 4" in err
 
     def test_fractional_legacy_purchase_is_rejected(self, toy_inputs, capsys, monkeypatch):
         real = algorithms.solve

@@ -1,10 +1,19 @@
 from __future__ import annotations
 
 import math
+import random
+import subprocess
+import sys
 import types
 
+import numpy as np
 import pytest
+import scipy.optimize
+from scipy import sparse
+from scipy.optimize._linprog_util import _check_result
 
+from roadmnet import algorithms, milp, operation
+from roadmnet.io import load_inputs
 from roadmnet.milp import (
     LinearModel,
     ModelError,
@@ -15,6 +24,7 @@ from roadmnet.milp import (
 )
 from roadmnet.verify import enumerate_milp_minimum
 
+from conftest import fixture_path
 from instances import random_integer_model
 
 
@@ -227,3 +237,239 @@ class TestExport:
         text = export_lp(m)
         assert " obj: 0 z" in text
         assert "Bounds" not in text  # default bounds are omitted
+
+
+# ---------------------------------------------------------------------------
+# milp.linprog against scipy.optimize.linprog(method="highs")
+# ---------------------------------------------------------------------------
+
+
+def old_matrices(model: LinearModel):
+    """c, the "<=" block (">=" negated) and the "==" block as two CSR matrices.
+
+    This is how the LP relaxation was assembled before the one stacked
+    column-major matrix, and what scipy.optimize.linprog was handed.
+    """
+    n = len(model.variables)
+    index = {v.name: i for i, v in enumerate(model.variables)}
+    c = np.zeros(n)
+    for var, coef in model.objective.items():
+        c[index[var]] = coef
+    ub_rows, eq_rows = [], []
+    for con in model.constraints:
+        idx = [index[v] for v, _ in con.coeffs]
+        coefs = [coef for _, coef in con.coeffs]
+        if con.sense == "==":
+            eq_rows.append((idx, coefs, con.rhs))
+        elif con.sense == "<=":
+            ub_rows.append((idx, coefs, con.rhs))
+        else:
+            ub_rows.append((idx, [-x for x in coefs], -con.rhs))
+
+    def build(rows):
+        if not rows:
+            return None, None
+        data, ri, ci, rhs = [], [], [], []
+        for r, (idx, coefs, b) in enumerate(rows):
+            for j, x in zip(idx, coefs):
+                ri.append(r)
+                ci.append(j)
+                data.append(x)
+            rhs.append(b)
+        return sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), n)), np.array(rhs)
+
+    return (c, *build(ub_rows), *build(eq_rows))
+
+
+def reference_lp(model: LinearModel, lb, ub, time_limit=None):
+    c, a_ub, b_ub, a_eq, b_eq = old_matrices(model)
+    options = {"presolve": True}
+    if time_limit is not None:
+        options["time_limit"] = max(time_limit, 0.05)
+    return scipy.optimize.linprog(
+        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+        bounds=np.column_stack([lb, ub]), method="highs", options=options,
+    )
+
+
+def assert_same_lp(model: LinearModel, lb, ub, time_limit=None):
+    got = milp.linprog(model._compiled(), lb, ub, time_limit)
+    want = reference_lp(model, lb, ub, time_limit)
+    assert got.status == want.status
+    assert got.fun == want.fun
+    if want.x is None:
+        assert got.x is None
+    else:
+        assert np.array_equal(got.x, want.x)
+        assert got.x.tobytes() == want.x.tobytes()
+    return got
+
+
+def assert_same_matrix(model: LinearModel):
+    _, a_ub, _, a_eq, _ = old_matrices(model)
+    want = sparse.csc_array(sparse.vstack([a for a in (a_ub, a_eq) if a is not None]))
+    got = model._compiled().a
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.fixture(scope="module")
+def node_lps():
+    """(model, lb, ub) of every LP design_optimal solves on both fixtures."""
+    recorded = []
+    current = []
+    real_solve, real_lp = milp.solve, milp.linprog
+
+    def solve_recording(model, time_limit=None):
+        current[:] = [model]
+        return real_solve(model, time_limit)
+
+    def lp_recording(comp, lb, ub, time_limit):
+        recorded.append((current[0], lb.copy(), ub.copy()))
+        return real_lp(comp, lb, ub, time_limit)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algorithms, "solve", solve_recording)
+        mp.setattr(operation, "solve", solve_recording)
+        mp.setattr(milp, "linprog", lp_recording)
+        for name in ("toy2x5", "grid3x3_600"):
+            algorithms.design_optimal(*load_inputs(fixture_path(name)))
+    return recorded
+
+
+def toy_lp() -> LinearModel:
+    m = LinearModel("toy-lp")
+    m.add_variable("x", ub=4)
+    m.add_variable("y", lb=-1, ub=3)
+    m.add_variable("z")
+    m.add_constraint({"x": 1, "y": 2}, "<=", 5)
+    m.add_constraint({"x": 1, "z": 1}, ">=", 1.5)
+    m.add_constraint({"y": 1, "z": -1}, "==", 0.25)
+    m.set_objective({"x": -1, "y": -1, "z": 0.5})
+    return m
+
+
+class TestDirectHighs:
+    def test_node_lps_match_scipy_linprog(self, node_lps):
+        assert len(node_lps) > 90
+        assert {m.name for m, _, _ in node_lps} == {"design", "operation"}
+        assert any(not np.array_equal(lb, m._compiled().lb) for m, lb, _ in node_lps)
+        for model, lb, ub in node_lps:
+            assert_same_lp(model, lb, ub)
+
+    def test_stacked_matrix_is_the_old_vstack(self, node_lps):
+        models = {id(m): m for m, _, _ in node_lps}
+        for model in models.values():
+            assert_same_matrix(model)
+
+    def test_merged_zero_coefficient_is_kept(self):
+        m = toy_lp()
+        m.add_constraint([("x", 1.0), ("z", 2.0), ("x", -1.0)], ">=", 0.5)
+        m.add_constraint({"y": 0.0, "z": 1.0}, "==", 1.25)
+        assert_same_matrix(m)
+        assert m._compiled().a.nnz == 10  # the two zero entries stay stored
+        assert assert_same_lp(m, m._compiled().lb, m._compiled().ub).status == 0
+
+    def test_toy_lp_with_and_without_time_limit(self):
+        m = toy_lp()
+        comp = m._compiled()
+        assert assert_same_lp(m, comp.lb, comp.ub).status == 0
+        assert assert_same_lp(m, comp.lb, comp.ub, time_limit=0.0).status == 0
+        lb = comp.lb.copy()
+        lb[0] = 2.0  # the branch-and-bound swaps only column bounds
+        assert assert_same_lp(m, lb, comp.ub).status == 0
+
+    def test_bounds_of_the_wrong_length_are_refused(self):
+        comp = toy_lp()._compiled()
+        with pytest.raises(ValueError, match="3 entries"):
+            milp.linprog(comp, comp.lb[:2], comp.ub[:2], None)
+
+    def test_no_rows(self):
+        m = LinearModel()
+        m.add_variable("x", lb=1, ub=2)
+        m.set_objective({"x": 3})
+        comp = m._compiled()
+        assert assert_same_lp(m, comp.lb, comp.ub).fun == 3.0
+
+    def test_infeasible(self):
+        m = LinearModel()
+        m.add_variable("x", ub=1)
+        m.add_variable("y", ub=1)
+        m.add_constraint({"x": 1, "y": 1}, ">=", 3)
+        m.set_objective({"x": 1})
+        comp = m._compiled()
+        assert assert_same_lp(m, comp.lb, comp.ub).status == 2
+
+    def test_unbounded(self):
+        m = LinearModel()
+        m.add_variable("x")
+        m.add_variable("y")
+        m.add_constraint({"x": 1, "y": -1}, "<=", 1)
+        m.set_objective({"x": -1})
+        comp = m._compiled()
+        assert assert_same_lp(m, comp.lb, comp.ub).status == 3
+
+    def test_time_limited(self):
+        rng = random.Random(0)
+        m = LinearModel("dense")
+        n = 800  # a ~0.6 s root LP: far beyond the 0.05 s floor of any limit
+        for i in range(n):
+            m.add_variable(f"x{i}", ub=10)
+        for _ in range(n):
+            picks = rng.sample(range(n), 40)
+            m.add_constraint({f"x{j}": rng.uniform(0.1, 1) for j in picks}, "<=",
+                             rng.uniform(5, 10))
+        m.set_objective({f"x{i}": -rng.uniform(0.5, 1.5) for i in range(n)})
+        comp = m._compiled()
+        got = assert_same_lp(m, comp.lb, comp.ub, time_limit=0.0)
+        assert (got.status, got.fun, got.x) == (1, None, None)
+
+    def test_out_of_tolerance_optimum_is_status_4(self, monkeypatch):
+        comp = toy_lp()._compiled()
+        monkeypatch.setattr(milp, "_CHECK_TOL", -1.0)
+        assert milp.linprog(comp, comp.lb, comp.ub, None).status == 4
+
+    def test_tolerance_check_is_linprogs(self):
+        tol = math.sqrt(1e-9) * 10
+        lb, ub = np.array([0.0, -np.inf]), np.array([1.0, np.inf])
+        good = {"x": np.array([0.5, -3.0]), "fun": 1.0,
+                "slack": np.array([0.0, 2.0]), "con": np.array([0.0])}
+        changes = [{}, {"fun": np.nan}]
+        for off in (0.99 * tol, 1.01 * tol):
+            changes += [
+                {"x": np.array([-off, -3.0])},
+                {"x": np.array([1.0 + off, -3.0])},
+                {"slack": np.array([-off, 2.0])},
+                {"con": np.array([off])},
+                {"con": np.array([-off])},
+            ]
+        for part in ("x", "slack", "con"):
+            bad = good[part].copy()
+            bad[-1] = np.nan
+            changes.append({part: bad})
+        verdicts = []
+        for change in changes:
+            case = {**good, **change}
+            status, _ = _check_result(case["x"], case["fun"], 0, case["slack"],
+                                      case["con"], np.column_stack([lb, ub]), 1e-9,
+                                      "", None)
+            ok = milp._within_tolerance(case["x"], case["fun"], case["slack"],
+                                        case["con"], lb, ub)
+            assert ok == (status == 0), change
+            verdicts.append(ok)
+        assert True in verdicts and False in verdicts
+
+    def test_old_scipy_fails_at_import(self):
+        code = (
+            "import sys, scipy.optimize._highspy as bindings\n"
+            "del bindings._core\n"
+            "sys.modules['scipy.optimize._highspy._core'] = None\n"
+            "try:\n    import roadmnet.milp\n"
+            "except ImportError as exc:\n    print(exc)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True)
+        assert "roadmnet needs scipy>=1.15" in proc.stdout
+
