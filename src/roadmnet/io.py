@@ -23,6 +23,7 @@ from .topology import (
     Span,
     SpanKey,
     Topology,
+    TopologyError,
     validate_scenario,
 )
 
@@ -209,9 +210,27 @@ class DesignDocument:
                         raise InputFormatError(
                             f"design document names unknown span {key[0]}-{key[1]}"
                         )
+            # Records are keyed and read back by their canonical pair; an
+            # external link carries one regen chain and one span path per
+            # unit, an intra-node link none.
+            link = f"design document link {rec.a}-{rec.b}"
+            if rec.a >= rec.b:
+                raise InputFormatError(f"{link}: endpoints must be in sorted order")
+            if rec.units < 1:
+                raise InputFormatError(f"{link}: needs at least one unit")
+            if (rec.a, rec.b) in link_caps:
+                raise InputFormatError(f"{link}: listed twice in {label}")
+            external = topology.home(rec.a) != topology.home(rec.b)
+            optics = rec.units if external else 0
+            if len(rec.regen_chains) != optics or len(rec.span_paths) != optics:
+                raise InputFormatError(
+                    f"{link}: an {'external' if external else 'intra-node'} link "
+                    f"of {rec.units} units needs {optics} regen chains and span "
+                    f"paths, not {len(rec.regen_chains)} and {len(rec.span_paths)}"
+                )
             link_caps[(rec.a, rec.b)] = rec.units
             link_caps[(rec.b, rec.a)] = rec.units
-            if topology.home(rec.a) != topology.home(rec.b):
+            if external:
                 chains[(rec.a, rec.b)] = rec.regen_chains
                 paths[(rec.a, rec.b)] = rec.span_paths
         return OperationPlan(
@@ -346,11 +365,14 @@ def load_design(path: str) -> DesignDocument:
             f"{path}: unsupported format {doc.get('format')!r}"
         )
     costs_obj = _as_object(_require(doc, "costs", path), "costs")
-    costs = CostModel(
-        tail=_as_number(_require(costs_obj, "tail", "costs"), "costs.tail"),
-        regen=_as_number(_require(costs_obj, "regen", "costs"), "costs.regen"),
-        port=_as_number(_require(costs_obj, "port", "costs"), "costs.port"),
-    )
+    try:
+        costs = CostModel(
+            tail=_as_number(_require(costs_obj, "tail", "costs"), "costs.tail"),
+            regen=_as_number(_require(costs_obj, "regen", "costs"), "costs.regen"),
+            port=_as_number(_require(costs_obj, "port", "costs"), "costs.port"),
+        )
+    except TopologyError as exc:  # a negative price
+        raise InputFormatError(f"costs: {exc}") from exc
     design = Design(
         tails=_int_counts(_require(doc, "tails", path), "tails"),
         regens_raw=_int_counts(_require(doc, "regens_raw", path), "regens_raw"),

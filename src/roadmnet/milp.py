@@ -171,12 +171,6 @@ class LinearModel:
     def objective(self) -> dict[str, float]:
         return dict(self._objective)
 
-    def variable(self, name: str) -> Variable:
-        try:
-            return self._vars[self._index[name]]
-        except KeyError:
-            raise ModelError(f"unknown variable {name!r}") from None
-
     # -- compilation -----------------------------------------------------
 
     def _compiled(self) -> "_Compiled":

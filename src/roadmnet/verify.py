@@ -1,9 +1,10 @@
 """Independent verification: brute-force oracles and plan checkers.
 
 Nothing in this module builds or solves a linear model.  The placement oracle
-enumerates every candidate placement up to a cap and decides operability with
-augmenting-path max-flow over explicitly enumerated link configurations; the
-model oracle enumerates integer grids.  Both exist to catch bugs in the
+enumerates every candidate placement up to a cap and decides operability by
+graph reachability over explicitly enumerated unit-capacity link
+configurations (exact for its one-pair, at-most-one-unit demands); the model
+oracle enumerates integer grids.  Both exist to catch bugs in the
 optimization stack, so they deliberately share no machinery with it.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict, deque
+from collections import defaultdict
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -175,47 +176,35 @@ def check_plan_within_design(
 # ---------------------------------------------------------------------------
 
 
-def _max_flow(caps: Mapping[tuple[str, str], int], source: str, sink: str) -> int:
-    """Integral max-flow by BFS augmentation (Edmonds-Karp)."""
-    residual: dict[str, dict[str, int]] = defaultdict(dict)
-    for (u, v), c in caps.items():
-        residual[u][v] = residual[u].get(v, 0) + c
-        residual[v].setdefault(u, 0)
-    # Augmenting only changes capacities, never who neighbours whom, so each
-    # node's neighbours are sorted once for every BFS.
-    neighbours = {u: sorted(out) for u, out in residual.items()}
-    flow = 0
-    while True:
-        parent = {source: None}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            out = residual[u]
-            for v in neighbours.get(u, ()):
-                if v not in parent and out[v] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if sink not in parent:
-            return flow
-        bottleneck = math.inf
-        v = sink
-        while parent[v] is not None:
-            u = parent[v]
-            bottleneck = min(bottleneck, residual[u][v])
-            v = u
-        v = sink
-        while parent[v] is not None:
-            u = parent[v]
-            residual[u][v] -= bottleneck
-            residual[v][u] = residual[v].get(u, 0) + bottleneck
-            v = u
-        flow += bottleneck
+def _connects(
+    links: Iterable[tuple[str, str]],
+    sources: Iterable[str],
+    sinks: Iterable[str],
+) -> bool:
+    """Does some source router reach some sink router over the links?"""
+    neighbours: dict[str, list[str]] = defaultdict(list)
+    for a, b in links:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    targets = set(sinks)
+    seen = set(sources)
+    stack = list(seen)
+    while stack:
+        u = stack.pop()
+        if u in targets:
+            return True
+        for v in neighbours[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return False
 
 
 def _simple_relay_paths(
-    hops: set[tuple[str, str]], src: str, dst: str, limit: int = 4000
+    hops: set[tuple[str, str]], src: str, dst: str
 ) -> list[tuple[str, ...]]:
     """Interior node tuples of all simple src->dst paths in the hop digraph."""
+    limit = 4000
     out_adj: dict[str, list[str]] = defaultdict(list)
     for u, v in hops:
         out_adj[u].append(v)
@@ -260,9 +249,12 @@ def _demand_directions(
 ) -> list[tuple[str, str, float]]:
     """Validate the oracle's demand domain and return the directions to route.
 
-    Exact operability checking by per-direction max-flow is justified only for
-    demands between a single unordered IP-node pair, each direction at most
-    one capacity unit; anything richer is refused rather than approximated.
+    Exact operability checking by per-direction reachability is justified
+    only for demands between a single unordered IP-node pair, each direction
+    at most one capacity unit: the two directions of one pair never compete
+    for a unit link's capacity, so a direction is served exactly when its
+    volume is within ``REACH_EPS`` of zero or some source router reaches
+    some sink router.  Anything richer is refused rather than approximated.
     """
     pairs = demands.pairs
     if not pairs:
@@ -299,12 +291,14 @@ def _scenario_frontier(
     adjacency = regen_adjacency(topology, scenario)
 
     ext_links: list[tuple[str, str]] = []
+    intra_links: list[tuple[str, str]] = []
     relay_options: dict[tuple[str, str], list[tuple[str, ...]]] = {}
     for i, a in enumerate(alive):
         for b in alive[i + 1:]:
-            if a.node == b.node:
-                continue
             key = (a.id, b.id) if a.id < b.id else (b.id, a.id)
+            if a.node == b.node:
+                intra_links.append(key)
+                continue
             src = topology.home(key[0])
             dst = topology.home(key[1])
             hops = {
@@ -314,36 +308,22 @@ def _scenario_frontier(
             if paths:
                 ext_links.append(key)
                 relay_options[key] = paths
-    intra_links = [
-        ((a.id, b.id) if a.id < b.id else (b.id, a.id))
-        for i, a in enumerate(alive)
-        for b in alive[i + 1:]
-        if a.node == b.node
-    ]
 
     n_sites = len(site_index)
     rows: list[np.ndarray] = []
     all_links = ext_links + intra_links
+    # The routers each direction must connect; one within REACH_EPS of zero
+    # needs no path at all.
+    ends = [
+        ([r.id for r in alive if r.node == s], [r.id for r in alive if r.node == t])
+        for s, t, volume in demands
+        if volume > REACH_EPS
+    ]
     for mask in range(1 << len(all_links)):
         active = [all_links[i] for i in range(len(all_links)) if mask >> i & 1]
-        active_ext = [l for l in active if l in relay_options]
-        caps: dict[tuple[str, str], int] = {}
-        for a, b in active:
-            caps[(a, b)] = 1
-            caps[(b, a)] = 1
-        routable = True
-        for s, t, volume in demands:
-            net = dict(caps)
-            for r in alive:
-                if r.node == s:
-                    net[("SRC*", r.id)] = 2
-                if r.node == t:
-                    net[(r.id, "DST*")] = 2
-            if _max_flow(net, "SRC*", "DST*") < volume - REACH_EPS:
-                routable = False
-                break
-        if not routable:
+        if not all(_connects(active, src, dst) for src, dst in ends):
             continue
+        active_ext = [l for l in active if l in relay_options]
         base = np.zeros(n_sites, dtype=np.int16)
         for a, b in active:
             kind = "port" if topology.home(a) == topology.home(b) else "tail"
@@ -396,10 +376,11 @@ def _dominating_placements(
     """Which grid placements dominate at least one requirement row.
 
     The placements are the full grid of priced counts ``0..dims[k]-1``,
-    flattened in C order (the first site varies slowest, as ``np.indices``
-    lays them out).  The placements dominating one row form the box from the
-    row's counts upward, so each row marks its box at once instead of being
-    compared with every placement.  Every count must be below its dimension.
+    flattened in C order (the first site varies slowest, as
+    ``np.unravel_index`` reads them back).  The placements dominating one
+    row form the box from the row's counts upward, so each row marks its box
+    at once instead of being compared with every placement.  Every count
+    must be below its dimension.
     """
     ok = np.zeros(dims, dtype=bool)
     for row in requirements:
@@ -423,7 +404,9 @@ def oracle_design_search(
     scenario's frontier.  Every row kept is within the caps and pinned sites
     sit at the cap, so the placements dominating a row are a box of the
     priced grid; each scenario's feasible set is the union of its rows'
-    boxes, marked box by box rather than row against placement.
+    boxes, marked box by box rather than row against placement.  The grid is
+    priced axis by axis and the winner read back from its flat index, so no
+    placement is ever materialised.
 
     Returns:
         (cost, witness) where witness maps "tails"/"regens"/"ports" to
@@ -451,10 +434,7 @@ def oracle_design_search(
     unit_costs = np.array([c for _, _, c in sites])
     priced = np.array([c > 0 for _, _, c in sites])
 
-    space = 1
-    for flag in priced:
-        if flag:
-            space *= caps + 1
+    space = (caps + 1) ** int(priced.sum())
     if space > SEARCH_SPACE_LIMIT:
         raise OracleSearchSpaceError(space)
 
@@ -477,27 +457,30 @@ def oracle_design_search(
     priced_idx = np.flatnonzero(priced)
     pinned_idx = np.flatnonzero(~priced)
     dims = [caps + 1] * len(priced_idx)
-    total = int(np.prod(dims)) if dims else 1
-    grid = np.indices(dims, dtype=np.int16).reshape(len(priced_idx), total).T
 
-    placements = np.zeros((total, len(sites)), dtype=np.int16)
-    placements[:, priced_idx] = grid
-    placements[:, pinned_idx] = caps
-
-    feasible = np.ones(total, dtype=bool)
+    feasible = np.ones(space, dtype=bool)
     for mat in frontiers:
         feasible &= _dominating_placements(mat[:, priced_idx], dims)
         if not feasible.any():
             raise OracleError(f"no placement within caps {caps} serves all scenarios")
 
-    cost = placements[:, priced_idx].astype(float) @ unit_costs[priced_idx]
+    # Price the grid one axis at a time: each priced site adds its count
+    # times its unit cost along its own axis.  The sums run in site order, so
+    # the rounded costs, and the argmin among equal ones, are the same on
+    # every machine.
+    cost = np.zeros(dims)
+    for axis, site in enumerate(priced_idx):
+        along = unit_costs[site] * np.arange(caps + 1)
+        cost += along.reshape((-1,) + (1,) * (len(dims) - 1 - axis))
+    cost = cost.reshape(-1)
     cost[~feasible] = np.inf
     best = int(np.argmin(cost))
     best_cost = float(cost[best])
 
     # Report pinned (zero-cost) sites at what the winning placement actually
     # needs, not at the cap: per scenario, the cheapest dominated row.
-    chosen = placements[best].copy()
+    chosen = np.full(len(sites), caps, dtype=np.int16)
+    chosen[priced_idx] = np.unravel_index(best, dims)
     needed_pinned = np.zeros(len(sites), dtype=np.int16)
     for mat in frontiers:
         dominated = mat[np.all(chosen >= mat, axis=1)]

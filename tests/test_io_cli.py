@@ -7,12 +7,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 
 from roadmnet import algorithms, milp, operation
 from roadmnet.cli import main
 from roadmnet.io import (
     InputFormatError,
+    design_payload,
     load_design,
     load_inputs,
     parse_scenario_label,
@@ -152,6 +155,144 @@ def test_parse_scenario_labels(toy_inputs):
         parse_scenario_label(topology, "router:nope")
     with pytest.raises(InputFormatError):
         parse_scenario_label(topology, "meteor:N1")
+
+
+@pytest.fixture(scope="module")
+def toy_document(toy_inputs, toy_optimal):
+    """The toy fixture's optimal design document as parsed JSON."""
+    _, _, costs = toy_inputs
+    design, plans = toy_optimal
+    links = {s.label(): plan_links(p) for s, p in plans.items()}
+    return design_payload(design, costs, algorithm="optimal", links=links)
+
+
+def _no_failure_links(doc):
+    (scenario,) = [s for s in doc["scenarios"] if s["scenario"] == "no-failure"]
+    return scenario["links"]
+
+
+def _intra(links, **extra):
+    links.append({"a": "R1", "b": "R2", "units": 1, "regen_chains": [],
+                  "span_paths": [], **extra})
+
+
+@pytest.mark.parametrize(
+    "mutate,needle",
+    [
+        (lambda ls: ls[0].update(a=ls[0]["b"], b=ls[0]["a"]), "sorted order"),
+        (lambda ls: ls[0].update(b=ls[0]["a"]), "sorted order"),
+        (lambda ls: ls[0].update(units=5), "of 5 units needs 5"),
+        (lambda ls: ls[0].update(units=0), "at least one unit"),
+        (lambda ls: ls[0].update(units=-2), "at least one unit"),
+        (lambda ls: ls.append(dict(ls[0])), "listed twice"),
+        (lambda ls: ls[0]["regen_chains"].append([]), "not 2 and 1"),
+        (lambda ls: ls[0].update(span_paths=[]), "not 1 and 0"),
+        (lambda ls: _intra(ls, regen_chains=[["O2"]]), "intra-node link"),
+        (lambda ls: _intra(ls, span_paths=[[["N1", "O1"]]]), "intra-node link"),
+    ],
+)
+def test_malformed_link_records_rejected(tmp_path, toy_inputs, toy_document,
+                                         mutate, needle):
+    topology, _, _ = toy_inputs
+    doc = json.loads(json.dumps(toy_document))
+    mutate(_no_failure_links(doc))
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputFormatError, match=needle):
+        load_design(str(path)).plan(topology)
+
+
+def test_negative_price_in_document_is_a_format_error(tmp_path, toy_document):
+    doc = json.loads(json.dumps(toy_document))
+    doc["costs"]["regen"] = -1
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputFormatError, match="negative regen cost"):
+        load_design(str(path))
+
+
+def test_intra_node_record_without_optics_accepted(tmp_path, toy_inputs,
+                                                   toy_document):
+    topology, _, _ = toy_inputs
+    doc = json.loads(json.dumps(toy_document))
+    _intra(_no_failure_links(doc))
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(doc))
+    plan = load_design(str(path)).plan(topology)
+    assert plan.link_caps[("R1", "R2")] == plan.link_caps[("R2", "R1")] == 1
+    assert ("R1", "R2") not in plan.regen_chains
+
+
+def test_transient_rejects_swapped_endpoints(tmp_path, capsys, toy_document):
+    # Read back under its canonical pair, a swapped record used to lose its
+    # span paths and rate as delivering nothing, with exit code 0.
+    doc = json.loads(json.dumps(toy_document))
+    record = _no_failure_links(doc)[0]
+    record["a"], record["b"] = record["b"], record["a"]
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(doc))
+    assert main([
+        "transient", fixture_path("toy2x5"), "--design", str(path),
+    ]) == 2
+    assert "sorted order" in capsys.readouterr().err
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 6), st.floats(-2, 2),
+    st.sampled_from(["", "R1", "R4", "O2", "no-failure", "span:O1~O2"]),
+    st.just([]), st.just({}), st.just([["N1", "O1"]]),
+)
+
+
+def _locations(node, out):
+    """Every (container, key) pair inside a JSON tree, parents first."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return out
+    for key, value in items:
+        out.append((node, key))
+        _locations(value, out)
+    return out
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_mutated_design_documents_fail_cleanly(tmp_path_factory, toy_inputs,
+                                               toy_document, data):
+    topology, _, _ = toy_inputs
+    doc = json.loads(json.dumps(toy_document))
+    for _ in range(data.draw(st.integers(1, 3))):
+        where = _locations(doc, [])
+        container, key = data.draw(st.sampled_from(where))
+        value = container[key]
+        action = data.draw(st.sampled_from(["drop", "retype", "swap", "count"]))
+        if action == "drop":
+            del container[key]
+        elif action == "retype":
+            container[key] = data.draw(_JUNK)
+        elif action == "swap" and isinstance(value, dict) and {"a", "b"} <= set(value):
+            value["a"], value["b"] = value["b"], value["a"]
+        elif action == "count" and isinstance(value, list) and value:
+            i = data.draw(st.integers(0, len(value) - 1))
+            if data.draw(st.booleans()):
+                value.append(json.loads(json.dumps(value[i])))
+            else:
+                del value[i]
+        elif action == "count" and type(value) is int:
+            container[key] = value + data.draw(st.sampled_from([-2, -1, 1, 3]))
+    path = tmp_path_factory.mktemp("mutated") / "design.json"
+    path.write_text(json.dumps(doc))
+    try:
+        loaded = load_design(str(path))
+        plans = [loaded.plan(topology, label) for label in loaded.links]
+    except InputFormatError:
+        return
+    for plan in plans:
+        for ab, chains in plan.regen_chains.items():
+            assert len(chains) == len(plan.span_paths[ab]) == plan.link_caps[ab]
 
 
 # ---------------------------------------------------------------------------

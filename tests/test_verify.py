@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+import tracemalloc
+from collections import defaultdict, deque
 
 import numpy as np
 import pytest
@@ -21,7 +24,8 @@ from roadmnet import (
     oracle_design_search,
 )
 from roadmnet.milp import LinearModel, solve
-from roadmnet.verify import _dominating_placements, _minimal_rows
+from roadmnet.topology import REACH_EPS
+from roadmnet.verify import _connects, _dominating_placements, _minimal_rows
 
 from instances import micro_instance, random_integer_model, toy_network
 
@@ -79,6 +83,85 @@ class TestOraclePins:
             "regens": {"O2": 1, "O4": 1},
             "ports": {},
         }
+
+    @pytest.mark.parametrize(
+        "volume,expected", [(1e-10, 0.0), (REACH_EPS, 0.0), (2e-9, 6.0)]
+    )
+    def test_volume_within_reach_tolerance_needs_no_link(
+        self, toy_inputs, volume, expected
+    ):
+        topology, _, costs = toy_inputs
+        faint = DemandMatrix(entries=(("N1", "N2", volume),))
+        cost, _ = oracle_design_search(
+            topology, faint, costs, enumerate_failures(topology)
+        )
+        assert cost == expected
+
+    def test_non_dyadic_unit_costs(self, toy_inputs):
+        # Priced ports make 15 priced sites, so caps 1 keeps the grid small.
+        topology, demands, _ = toy_inputs
+        costs = CostModel(tail=0.3, regen=0.7, port=0.1)
+        cost, witness = oracle_design_search(
+            topology, demands, costs, enumerate_failures(topology), caps=1
+        )
+        assert cost == pytest.approx(2.6)
+        assert witness == {
+            "tails": {"R1": 1, "R2": 1, "R3": 1, "R4": 1},
+            "regens": {"O2": 1, "O4": 1},
+            "ports": {},
+        }
+
+    def test_memory_stays_flat_in_placements(self):
+        # 13 priced sites at caps 2: 1,594,323 placements over all failures.
+        # A placement matrix plus a float copy of its priced columns cost
+        # about 183 bytes a placement; the grid itself needs about 10.
+        topology, demands, costs = micro_instance(7)
+        placements = 3 ** 13
+        tracemalloc.start()
+        try:
+            oracle_design_search(
+                topology, demands, costs, enumerate_failures(topology)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * placements
+
+
+def reference_max_flow(caps, source, sink):
+    """Integral max-flow by BFS augmentation (Edmonds-Karp), kept as the
+    reference for the oracle's reachability test."""
+    residual = defaultdict(dict)
+    for (u, v), c in caps.items():
+        residual[u][v] = residual[u].get(v, 0) + c
+        residual[v].setdefault(u, 0)
+    neighbours = {u: sorted(out) for u, out in residual.items()}
+    flow = 0
+    while True:
+        parent = {source: None}
+        queue = deque([source])
+        while queue and sink not in parent:
+            u = queue.popleft()
+            out = residual[u]
+            for v in neighbours.get(u, ()):
+                if v not in parent and out[v] > 0:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            return flow
+        bottleneck = math.inf
+        v = sink
+        while parent[v] is not None:
+            u = parent[v]
+            bottleneck = min(bottleneck, residual[u][v])
+            v = u
+        v = sink
+        while parent[v] is not None:
+            u = parent[v]
+            residual[u][v] -= bottleneck
+            residual[v][u] = residual[v].get(u, 0) + bottleneck
+            v = u
+        flow += bottleneck
 
 
 def pairwise_minimal_rows(mat):
@@ -162,6 +245,32 @@ class TestOracleInternals:
             dims = [caps + 1] * int(priced.sum())
             got = _dominating_placements(mat[:, priced], dims)
             assert np.array_equal(got, elementwise_sweep(mat, priced, caps))
+
+    def test_reachability_matches_max_flow(self):
+        # The oracle's routability rule against max-flow over the network it
+        # replaced: unit links both ways, source and sink edges of 2.
+        rng = np.random.default_rng(7)
+        volumes = (0.0, 1e-10, REACH_EPS, 0.5, 1.0, 1.0 + REACH_EPS)
+        for _ in range(300):
+            routers = [f"r{i}" for i in range(int(rng.integers(2, 8)))]
+            pairs = [(a, b) for i, a in enumerate(routers) for b in routers[i + 1:]]
+            links = [p for p in pairs if rng.random() < rng.random()]
+            picks = rng.integers(0, 3, size=len(routers))  # 0 source, 1 sink
+            if rng.random() < 0.15:
+                picks[picks == 0] = 2  # no live source router
+            sources = [r for r, k in zip(routers, picks) if k == 0]
+            sinks = [r for r, k in zip(routers, picks) if k == 1]
+            net = {}
+            for a, b in links:
+                net[(a, b)] = net[(b, a)] = 1
+            net.update({("SRC*", r): 2 for r in sources})
+            net.update({(r, "DST*"): 2 for r in sinks})
+            flow = reference_max_flow(net, "SRC*", "DST*")
+            reach = _connects(links, sources, sinks)
+            for volume in volumes:
+                want = flow >= volume - REACH_EPS
+                got = volume <= REACH_EPS or reach
+                assert got == want, (links, sources, sinks, volume)
 
 
 class TestOracleScope:
