@@ -228,6 +228,20 @@ class DesignDocument:
                     f"of {rec.units} units needs {optics} regen chains and span "
                     f"paths, not {len(rec.regen_chains)} and {len(rec.span_paths)}"
                 )
+            for chain, path in zip(rec.regen_chains, rec.span_paths):
+                walk = [topology.home(rec.a)]
+                for u, v in path:
+                    if walk[-1] not in (u, v):
+                        raise InputFormatError(f"{link}: span {u}-{v} does not "
+                                               f"continue from {walk[-1]}")
+                    walk.append(v if walk[-1] == u else u)
+                if walk[-1] != topology.home(rec.b):
+                    raise InputFormatError(f"{link}: span path ends at {walk[-1]}, "
+                                           f"not at {topology.home(rec.b)}")
+                on_path = iter(walk[1:-1])  # in order: each found after the last
+                if not all(site in on_path for site in chain):
+                    raise InputFormatError(f"{link}: regen chain {list(chain)} "
+                                           "does not lie on its span path in order")
             link_caps[(rec.a, rec.b)] = rec.units
             link_caps[(rec.b, rec.a)] = rec.units
             if external:

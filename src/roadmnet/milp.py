@@ -7,15 +7,28 @@ most-fractional rule with lowest-index tie-breaks, and open nodes are explored
 best-bound-first with FIFO tie-breaks, so identical models always produce
 identical results.  A thin adapter onto :func:`scipy.optimize.milp` is kept
 around as an independent cross-check backend for tests.
+
+Where a node branches into two children and the root LP took at least
+``_PAIR_MIN_ROOT_S``, the second child's LP goes to a helper process while
+this one solves the first; both results are then used in the usual order,
+so every answer is the same as with one process.  The helper is forked once
+per interpreter, on the first such pair, and gets each compiled model once.
+Without ``fork``, with one usable CPU, or once the helper has died, every LP
+is solved here.  The helper runs the import-time :func:`linprog`, so a patch
+of ``milp.linprog`` sees only the LPs solved in this process.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import signal
+import threading
 import time
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy
@@ -188,12 +201,35 @@ class _Compiled:
     row_lower: np.ndarray
     row_upper: np.ndarray
     n_ub: int  # how many of the rows are "<=" rows
-    lp: highs.HighsLp  # all of the above, as HiGHS takes it
     lb: np.ndarray
     ub: np.ndarray
     int_idx: np.ndarray
     integral_objective: bool
     stamp: tuple[int, int]
+    lp: highs.HighsLp = field(init=False)  # all of the above, as HiGHS takes it
+
+    def __post_init__(self) -> None:
+        # Lists: the bindings copy them into HiGHS about twice as fast as arrays.
+        lp, mat = highs.HighsLp(), highs.HighsSparseMatrix()
+        lp.num_col_ = mat.num_col_ = len(self.c)
+        lp.num_row_ = mat.num_row_ = self.a.shape[0]
+        mat.format_ = highs.MatrixFormat.kColwise
+        a = self.a
+        mat.start_, mat.index_ = a.indptr.tolist(), a.indices.tolist()
+        mat.value_ = a.data.tolist()
+        lp.a_matrix_ = mat  # a copy: mat is complete by now
+        lp.col_cost_ = self.c.tolist()
+        lp.col_lower_, lp.col_upper_ = self.lb.tolist(), self.ub.tolist()
+        lp.row_lower_, lp.row_upper_ = self.row_lower.tolist(), self.row_upper.tolist()
+        self.lp = lp
+
+    # HiGHS's copy does not pickle: the helper process rebuilds it as above.
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k != "lp"}
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self.__post_init__()
 
 
 def _compile(model: LinearModel) -> _Compiled:
@@ -218,23 +254,12 @@ def _compile(model: LinearModel) -> _Compiled:
     lb = np.array([v.lb for v in model._vars])
     ub = np.array([v.ub for v in model._vars])
     int_idx = np.array([i for i, v in enumerate(model._vars) if v.integer], dtype=int)
-
-    # Lists: the bindings copy them into HiGHS about twice as fast as arrays.
-    lp, mat = highs.HighsLp(), highs.HighsSparseMatrix()
-    lp.num_col_ = mat.num_col_ = n
-    lp.num_row_ = mat.num_row_ = len(rows)
-    mat.format_ = highs.MatrixFormat.kColwise
-    mat.start_, mat.index_, mat.value_ = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
-    lp.a_matrix_ = mat  # a copy: mat is complete by now
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c.tolist(), lb.tolist(), ub.tolist()
-    lp.row_lower_, lp.row_upper_ = row_lower.tolist(), row_upper.tolist()
-
     integral = all(
         float(coef).is_integer() and model._vars[model._index[var]].integer
         for var, coef in model._objective.items()
         if coef != 0.0
     )
-    return _Compiled(c, a, row_lower, row_upper, n_ub, lp, lb, ub, int_idx, integral,
+    return _Compiled(c, a, row_lower, row_upper, n_ub, lb, ub, int_idx, integral,
                      (n, len(model._constraints)))
 
 
@@ -304,6 +329,125 @@ def _most_fractional(x: np.ndarray, int_idx: np.ndarray) -> int | None:
     return int(int_idx[j])
 
 
+# Sibling LPs are paired only in solves whose root LP took at least this long:
+# on ~1.5-ms LPs the ~0.1-ms pipe round trip to the helper eats the gain.
+_PAIR_MIN_ROOT_S = 0.004
+
+
+def _serve(conn, parent_end, solve_lp=linprog) -> None:
+    """The helper process: answer each (model or None, lb, ub, time limit)
+    with :func:`linprog`'s result, or with the text of the error it raised.
+
+    A model comes once and stays until the next one.  ``solve_lp`` is bound
+    at import, so a patched ``milp.linprog`` never reaches the helper.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's
+    parent_end.close()  # so that the parent's exit reads here as EOF
+    comp = None
+    try:
+        while True:
+            model, lb, ub, time_limit = conn.recv()
+            comp = model if model is not None else comp
+            try:
+                reply = solve_lp(comp, lb, ub, time_limit)
+            except Exception as exc:
+                reply = f"{type(exc).__name__}: {exc}"
+            conn.send(reply)
+    except (EOFError, OSError):
+        return
+
+
+class _Helper:
+    """One forked process that solves one LP at a time for :func:`solve`."""
+
+    def __init__(self, ctx) -> None:
+        self.conn, theirs = ctx.Pipe()
+        self.process = ctx.Process(target=_serve, args=(theirs, self.conn),
+                                   name="roadmnet-lp", daemon=True)
+        self.process.start()  # daemon: multiprocessing ends it at exit
+        theirs.close()
+        self.owner = os.getpid()
+        self.lock = threading.Lock()  # one pair in flight, whichever thread
+        self.model: weakref.ref | None = None  # the model the helper holds
+
+    def send(self, comp: _Compiled, lb, ub, time_limit) -> bool:
+        """Hand the helper one LP; False if it is busy or has died."""
+        if not self.lock.acquire(blocking=False):
+            return False
+        held = self.model is not None and self.model() is comp
+        try:
+            self.conn.send((None if held else comp, lb, ub, time_limit))
+        except OSError:
+            self.lock.release()
+            self.drop()
+            return False
+        self.model = weakref.ref(comp)
+        return True
+
+    def receive(self) -> OptimizeResult | None:
+        """The result of the LP last sent; None if the helper has died."""
+        try:
+            reply = self.conn.recv()
+        except (EOFError, OSError):
+            self.drop()
+            return None
+        finally:
+            self.lock.release()
+        if not isinstance(reply, OptimizeResult):
+            raise SolverError(f"LP helper failed: {reply}")
+        return reply
+
+    def drop(self) -> None:
+        """Stop using the helper; every later LP is solved in this process."""
+        global _HELPER
+        if _HELPER is self:
+            _HELPER = None
+        self.conn.close()
+
+
+_UNSTARTED = object()
+_HELPER: _Helper | None | object = _UNSTARTED
+
+
+def _pair_helper() -> _Helper | None:
+    """This interpreter's helper, forked on first use; None without one."""
+    global _HELPER
+    if _HELPER is _UNSTARTED:
+        import multiprocessing  # here: a run that never pairs does not load it
+
+        _HELPER = None
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+        if "fork" in multiprocessing.get_all_start_methods() and len(cpus) > 1:
+            try:
+                _HELPER = _Helper(multiprocessing.get_context("fork"))
+            except OSError:
+                pass
+    if _HELPER is not None and _HELPER.owner != os.getpid():
+        return None  # a forked copy of this interpreter: the pipe is not ours
+    return _HELPER
+
+
+def _child_lps(comp: _Compiled, children, pair: bool,
+               remaining) -> Iterator[OptimizeResult]:
+    """Each child's LP result, in order.
+
+    With ``pair`` and two children the helper solves the second child's LP
+    while this process solves the first; its answer is read before the first
+    is yielded, so the pipe is clear whatever the caller does next.
+    """
+    helper = _pair_helper() if pair and len(children) == 2 else None
+    if helper is None or not helper.send(comp, *children[1], remaining()):
+        for lb, ub in children:
+            yield linprog(comp, lb, ub, remaining())
+        return
+    try:
+        first = linprog(comp, *children[0], remaining())
+    finally:  # read the reply even on an interrupt: the pipe stays in step
+        second = helper.receive()
+    yield first
+    yield second if second is not None else linprog(comp, *children[1], remaining())
+
+
 def solve(model: LinearModel, time_limit: float | None = None) -> SolveResult:
     """Minimize the model by branch-and-bound over HiGHS LP relaxations.
 
@@ -331,7 +475,9 @@ def solve(model: LinearModel, time_limit: float | None = None) -> SolveResult:
     if n == 0:
         return SolveResult("optimal", {}, 0.0, 0.0, nodes=0)
 
+    started = time.perf_counter()
     root = linprog(comp, comp.lb, comp.ub, remaining())
+    pair = time.perf_counter() - started >= _PAIR_MIN_ROOT_S
     if root.status == 2:
         return SolveResult("infeasible", {}, None, math.inf, nodes=1)
     if root.status == 3:
@@ -375,21 +521,14 @@ def solve(model: LinearModel, time_limit: float | None = None) -> SolveResult:
             continue
         xv = x[branch]
         # Push the nearest-rounding child last: it pops first on tied bounds.
-        frac = xv - math.floor(xv)
-        order = ("down", "up") if frac >= 0.5 else ("up", "down")
-        for side in order:
-            child_lb, child_ub = lb, ub
-            if side == "down":
-                child_ub = ub.copy()
-                child_ub[branch] = math.floor(xv)
-                if child_ub[branch] < child_lb[branch]:
-                    continue
-            else:
-                child_lb = lb.copy()
-                child_lb[branch] = math.ceil(xv)
-                if child_lb[branch] > child_ub[branch]:
-                    continue
-            res = linprog(comp, child_lb, child_ub, remaining())
+        down_ub, up_lb = ub.copy(), lb.copy()
+        down_ub[branch], up_lb[branch] = math.floor(xv), math.ceil(xv)
+        children = [(lb, down_ub), (up_lb, ub)]
+        if xv - math.floor(xv) < 0.5:
+            children.reverse()
+        children = [(l, u) for l, u in children if l[branch] <= u[branch]]
+        results = _child_lps(comp, children, pair, remaining)
+        for (child_lb, child_ub), res in zip(children, results):
             nodes += 1
             if res.status == 2:
                 continue

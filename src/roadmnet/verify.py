@@ -10,7 +10,6 @@ optimization stack, so they deliberately share no machinery with it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import defaultdict
 from typing import Iterable, Mapping, Sequence
@@ -310,8 +309,31 @@ def _scenario_frontier(
                 relay_options[key] = paths
 
     n_sites = len(site_index)
+
+    def counts(sites) -> np.ndarray:
+        row = np.zeros(n_sites, dtype=np.int16)
+        for site in sites:
+            row[site_index[site]] += 1
+        return row
+
+    def subsets(links):
+        return [[l for k, l in enumerate(links) if s >> k & 1]
+                for s in range(1 << len(links))]
+
+    # Worked out once per scenario: each relay option's regens, each subset
+    # of the intra-node links with its ports and, on first use, each subset
+    # of the external links with its tails plus one row per choice of relay
+    # option on each link, the last link's choice varying fastest.
+    regens = {
+        link: np.array([counts(("regen", node) for node in interior) for interior in paths])
+        for link, paths in relay_options.items()
+    }
+    intra = [(on, counts(("port", r) for link in on for r in link))
+             for on in subsets(intra_links)]
+    ext = subsets(ext_links)
+    blocks: dict[int, np.ndarray] = {}
+
     rows: list[np.ndarray] = []
-    all_links = ext_links + intra_links
     # The routers each direction must connect; one within REACH_EPS of zero
     # needs no path at all.
     ends = [
@@ -319,24 +341,19 @@ def _scenario_frontier(
         for s, t, volume in demands
         if volume > REACH_EPS
     ]
-    for mask in range(1 << len(all_links)):
-        active = [all_links[i] for i in range(len(all_links)) if mask >> i & 1]
-        if not all(_connects(active, src, dst) for src, dst in ends):
-            continue
-        active_ext = [l for l in active if l in relay_options]
-        base = np.zeros(n_sites, dtype=np.int16)
-        for a, b in active:
-            kind = "port" if topology.home(a) == topology.home(b) else "tail"
-            base[site_index[(kind, a)]] += 1
-            base[site_index[(kind, b)]] += 1
-        for combo in itertools.product(
-            *(relay_options[l] for l in active_ext)
-        ):
-            row = base.copy()
-            for interior in combo:
-                for node in interior:
-                    row[site_index[("regen", node)]] += 1
-            rows.append(row)
+    # Every set of links, as the bits of a mask over ext_links + intra_links
+    # counting up: the external links are the low bits.
+    for intra_on, ports in intra:
+        for e, ext_on in enumerate(ext):
+            active = ext_on + intra_on
+            if not all(_connects(active, src, dst) for src, dst in ends):
+                continue
+            if e not in blocks:
+                block = counts(("tail", r) for link in ext_on for r in link)[None, :]
+                for link in ext_on:
+                    block = (block[:, None, :] + regens[link][None, :, :]).reshape(-1, n_sites)
+                blocks[e] = block
+            rows.append(blocks[e] + ports)
 
     if not rows:
         raise OracleError(

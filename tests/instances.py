@@ -50,6 +50,33 @@ def toy_network() -> tuple[Topology, DemandMatrix, CostModel]:
     return topology, demands, CostModel(tail=1.0, regen=1.0, port=0.0)
 
 
+def grid_network(
+    rows: int, cols: int, ip_cells: tuple[tuple[int, int], ...]
+) -> tuple[Topology, DemandMatrix, CostModel]:
+    """A rows x cols grid of 600-mile spans with two routers at each IP cell.
+
+    1000-mile reach, so every regen-free hop is one span, and 0.8-unit
+    demands between every ordered pair of IP nodes (the shipped
+    ``grid3x3_600`` fixture is ``grid_network(3, 3, ((0, 0), (2, 2)))``).
+    """
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    ip = [f"n{r}{c}" for r, c in ip_cells]
+    topology = Topology(
+        ip_nodes=tuple(ip),
+        optical_nodes=tuple(f"n{r}{c}" for r, c in cells if f"n{r}{c}" not in ip),
+        routers=tuple(Router(f"{n}{i}", n) for n in ip for i in "ab"),
+        spans=tuple(
+            Span(f"n{r}{c}", f"n{nr}{nc}", 600.0)
+            for r, c in cells
+            for nr, nc in ((r, c + 1), (r + 1, c))
+            if nr < rows and nc < cols
+        ),
+        regen_dist=1000.0,
+    )
+    demands = DemandMatrix(entries=tuple((s, t, 0.8) for s in ip for t in ip if s != t))
+    return topology, demands, CostModel(tail=1.0, regen=1.0, port=0.0)
+
+
 def micro_instance(seed: int) -> tuple[Topology, DemandMatrix, CostModel]:
     """A small random ring network with demands between two IP nodes.
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -26,6 +27,7 @@ from roadmnet.milp import SolveResult
 from roadmnet.topology import FailureScenario, TopologyError
 
 from conftest import fixture_path
+from instances import walk_from_spans
 
 NF = FailureScenario.no_failure()
 
@@ -189,6 +191,15 @@ def _intra(links, **extra):
         (lambda ls: ls[0].update(span_paths=[]), "not 1 and 0"),
         (lambda ls: _intra(ls, regen_chains=[["O2"]]), "intra-node link"),
         (lambda ls: _intra(ls, span_paths=[[["N1", "O1"]]]), "intra-node link"),
+        (lambda ls: ls[0].update(span_paths=[[["O2", "O5"]]], regen_chains=[["O3"]]),
+         "span O2-O5 does not continue from N1"),
+        (lambda ls: ls[0]["span_paths"][0].pop(1), "span O2-O3 does not continue from O1"),
+        (lambda ls: ls[0]["span_paths"][0].pop(), "ends at O3, not at N2"),
+        (lambda ls: ls[0].update(span_paths=[[]]), "ends at N1, not at N2"),
+        (lambda ls: ls[0].update(regen_chains=[["O4"]]), "does not lie on its span path"),
+        (lambda ls: ls[0].update(regen_chains=[["O3", "O1"]]), "in order"),
+        (lambda ls: ls[0].update(regen_chains=[["O2", "O2"]]), "in order"),
+        (lambda ls: ls[0].update(regen_chains=[["N2"]]), "in order"),
     ],
 )
 def test_malformed_link_records_rejected(tmp_path, toy_inputs, toy_document,
@@ -235,6 +246,18 @@ def test_transient_rejects_swapped_endpoints(tmp_path, capsys, toy_document):
         "transient", fixture_path("toy2x5"), "--design", str(path),
     ]) == 2
     assert "sorted order" in capsys.readouterr().err
+
+
+def test_transient_rejects_a_span_path_off_the_link(tmp_path, capsys, toy_document):
+    # A path joining neither endpoint used to rate 1.000 delivered, exit 0.
+    doc = json.loads(json.dumps(toy_document))
+    _no_failure_links(doc)[0].update(span_paths=[[["O2", "O5"]]], regen_chains=[["O3"]])
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(doc))
+    assert main([
+        "transient", fixture_path("toy2x5"), "--design", str(path),
+    ]) == 2
+    assert "span O2-O5 does not continue from N1" in capsys.readouterr().err
 
 
 _JUNK = st.one_of(
@@ -291,8 +314,13 @@ def test_mutated_design_documents_fail_cleanly(tmp_path_factory, toy_inputs,
     except InputFormatError:
         return
     for plan in plans:
-        for ab, chains in plan.regen_chains.items():
-            assert len(chains) == len(plan.span_paths[ab]) == plan.link_caps[ab]
+        for (a, b), chains in plan.regen_chains.items():
+            assert len(chains) == len(plan.span_paths[a, b]) == plan.link_caps[a, b]
+            for chain, spans in zip(chains, plan.span_paths[a, b]):
+                walk = walk_from_spans(topology, topology.home(a), spans)
+                assert walk[-1] == topology.home(b)
+                on_path = iter(walk[1:-1])
+                assert all(site in on_path for site in chain)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +406,38 @@ def test_cli_design_document_matches_golden_hash(tmp_path, capsys, fixture, algo
     ]) == 0
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == GOLDEN_DOCUMENTS[(fixture, algorithm)]
+
+
+class TestHelperProcess:
+    """roadmnet design with the LP helper process at work, dead or failing."""
+
+    @pytest.mark.parametrize("helper", ["paired", "local", "dead"])
+    def test_grid_design_document_is_unchanged(self, helper, tmp_path, capsys,
+                                               own_helper, monkeypatch):
+        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", math.inf if helper == "local" else 0.0)
+        if helper == "dead":  # exits at once: every LP is solved here
+            monkeypatch.setattr(milp, "_serve", lambda conn, parent_end: None)
+        path = tmp_path / "design.json"
+        assert main(["design", fixture_path("grid3x3_600"), "--out", str(path)]) == 0
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == GOLDEN_DOCUMENTS[("grid3x3_600", "optimal")]
+        assert capsys.readouterr().err == ""
+
+    def test_failing_helper_is_a_clean_exit(self, capsys, own_helper, monkeypatch):
+        def failing(conn, parent_end):
+            parent_end.close()
+            while True:
+                conn.recv()
+                conn.send("MemoryError: out of memory")
+
+        monkeypatch.setattr(milp, "_serve", failing)
+        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
+        if milp._pair_helper() is None:
+            pytest.skip("no helper process on this machine")
+        assert main(["design", fixture_path("grid3x3_600")]) == 4
+        err = capsys.readouterr().err
+        assert "solver failed: LP helper failed: MemoryError: out of memory" in err
+        assert "Traceback" not in err
 
 
 def test_cli_compare(tmp_path, capsys):

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import random
 import subprocess
 import sys
+import threading
+import time
 import types
 
 import numpy as np
@@ -13,6 +17,7 @@ from scipy import sparse
 from scipy.optimize._linprog_util import _check_result
 
 from roadmnet import algorithms, milp, operation
+from roadmnet.design import build_design_model
 from roadmnet.io import load_inputs
 from roadmnet.milp import (
     LinearModel,
@@ -22,10 +27,11 @@ from roadmnet.milp import (
     solve_with_scipy_milp,
     validate_solution,
 )
+from roadmnet.topology import enumerate_failures
 from roadmnet.verify import enumerate_milp_minimum
 
 from conftest import fixture_path
-from instances import random_integer_model
+from instances import grid_network, random_integer_model
 
 
 def knapsackish() -> LinearModel:
@@ -317,26 +323,47 @@ def assert_same_matrix(model: LinearModel):
 
 @pytest.fixture(scope="module")
 def node_lps():
-    """(model, lb, ub) of every LP design_optimal solves on both fixtures."""
-    recorded = []
-    current = []
+    """Every LP design_optimal solves on both fixtures, and each solve's nodes.
+
+    An LP is (model, lb, ub, result), where result is the helper process's
+    answer for an LP the helper solved and None for one solved here.  Every
+    branching is paired, so the helper solves every second sibling.
+    """
+    recorded, nodes, current, sent = [], [], [], []
     real_solve, real_lp = milp.solve, milp.linprog
+    real_send, real_receive = milp._Helper.send, milp._Helper.receive
 
     def solve_recording(model, time_limit=None):
         current[:] = [model]
-        return real_solve(model, time_limit)
+        result = real_solve(model, time_limit)
+        nodes.append(result.nodes)
+        return result
 
     def lp_recording(comp, lb, ub, time_limit):
-        recorded.append((current[0], lb.copy(), ub.copy()))
+        recorded.append((current[0], lb.copy(), ub.copy(), None))
         return real_lp(comp, lb, ub, time_limit)
+
+    def send_recording(helper, comp, lb, ub, time_limit):
+        ok = real_send(helper, comp, lb, ub, time_limit)
+        sent[:] = [(current[0], lb.copy(), ub.copy())] if ok else []
+        return ok
+
+    def receive_recording(helper):
+        result = real_receive(helper)
+        if result is not None:  # else the LP is solved here, and recorded there
+            recorded.append((*sent[0], result))
+        return result
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(algorithms, "solve", solve_recording)
         mp.setattr(operation, "solve", solve_recording)
         mp.setattr(milp, "linprog", lp_recording)
+        mp.setattr(milp._Helper, "send", send_recording)
+        mp.setattr(milp._Helper, "receive", receive_recording)
+        mp.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
         for name in ("toy2x5", "grid3x3_600"):
             algorithms.design_optimal(*load_inputs(fixture_path(name)))
-    return recorded
+    return recorded, nodes
 
 
 def toy_lp() -> LinearModel:
@@ -353,14 +380,22 @@ def toy_lp() -> LinearModel:
 
 class TestDirectHighs:
     def test_node_lps_match_scipy_linprog(self, node_lps):
-        assert len(node_lps) > 90
-        assert {m.name for m, _, _ in node_lps} == {"design", "operation"}
-        assert any(not np.array_equal(lb, m._compiled().lb) for m, lb, _ in node_lps)
-        for model, lb, ub in node_lps:
-            assert_same_lp(model, lb, ub)
+        lps, nodes = node_lps
+        assert len(lps) > 90
+        assert len(lps) == sum(nodes)  # one LP a node, wherever it was solved
+        assert {m.name for m, *_ in lps} == {"design", "operation"}
+        assert any(not np.array_equal(lb, m._compiled().lb) for m, lb, *_ in lps)
+        if milp._HELPER is not None:
+            assert sum(res is not None for *_, res in lps) > 30
+        for model, lb, ub, res in lps:
+            got = assert_same_lp(model, lb, ub)
+            if res is not None:  # the helper's answer, bit for bit
+                assert (res.status, res.fun) == (got.status, got.fun)
+                assert (res.x is None) == (got.x is None)
+                assert res.x is None or res.x.tobytes() == got.x.tobytes()
 
     def test_stacked_matrix_is_the_old_vstack(self, node_lps):
-        models = {id(m): m for m, _, _ in node_lps}
+        models = {id(m): m for m, *_ in node_lps[0]}
         for model in models.values():
             assert_same_matrix(model)
 
@@ -473,3 +508,198 @@ class TestDirectHighs:
                               text=True)
         assert "roadmnet needs scipy>=1.15" in proc.stdout
 
+
+
+# ---------------------------------------------------------------------------
+# Sibling LPs solved by the helper process
+# ---------------------------------------------------------------------------
+
+
+def fingerprint(res):
+    """Everything a SolveResult says, floats as hex."""
+    def hexed(v):
+        return None if v is None else float(v).hex()
+
+    return (res.status, hexed(res.objective_value), hexed(res.best_bound), res.nodes,
+            [(name, hexed(v)) for name, v in res.values.items()])
+
+
+def joint_model(inputs) -> LinearModel:
+    topology, demands, costs = inputs
+    return build_design_model(topology, demands, enumerate_failures(topology), costs).model
+
+
+def paired_and_local(model, monkeypatch, time_limit=None):
+    """(paired result, LPs solved here, all-local result)."""
+    real, local = milp.linprog, []
+
+    def counting(*args):
+        local.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(milp, "linprog", counting)
+    monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
+    paired = solve(model, time_limit)
+    monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", math.inf)
+    return paired, len(local), solve(model, time_limit)
+
+
+def helper_pid() -> int | None:
+    helper = milp._HELPER
+    return helper.process.pid if isinstance(helper, milp._Helper) else None
+
+
+class TestPairedSiblings:
+    @pytest.mark.parametrize("fixture", ["toy_inputs", "grid_inputs"])
+    def test_joint_models_solve_the_same_paired_or_local(self, fixture, request,
+                                                         monkeypatch):
+        paired, here, local = paired_and_local(joint_model(request.getfixturevalue(fixture)),
+                                               monkeypatch)
+        assert paired.status == "optimal"
+        assert fingerprint(paired) == fingerprint(local)
+        if milp._HELPER is not None:
+            assert here < paired.nodes  # the helper solved some of them
+
+    def test_random_integer_models_solve_the_same_paired_or_local(self, monkeypatch):
+        for seed in range(30):  # criterion 7's suite
+            paired, _, local = paired_and_local(random_integer_model(seed), monkeypatch)
+            assert fingerprint(paired) == fingerprint(local), f"seed {seed}"
+
+    @pytest.mark.parametrize("when", ["between", "during"])
+    def test_a_killed_helper_changes_no_answer(self, when, toy_inputs, own_helper,
+                                               monkeypatch):
+        model = joint_model(toy_inputs)
+        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
+        first = solve(model)
+        helper = milp._HELPER
+        if helper is None:
+            pytest.skip("no helper process on this machine")
+        real, calls = milp.linprog, []
+
+        def kill():
+            helper.process.kill()
+            helper.process.join(timeout=10)
+            assert not helper.process.is_alive()
+
+        def kill_on_the_fifth(*args):
+            calls.append(None)
+            if len(calls) == 5:
+                kill()
+            return real(*args)
+
+        if when == "between":
+            kill()
+        else:  # after the fifth LP is sent, before its answer is read
+            monkeypatch.setattr(milp, "linprog", kill_on_the_fifth)
+        assert fingerprint(solve(model)) == fingerprint(first)
+        assert milp._HELPER is None  # the rest is solved here
+        assert fingerprint(solve(model)) == fingerprint(first)
+
+    def test_threads_share_the_helper(self, toy_inputs, monkeypatch):
+        model = joint_model(toy_inputs)
+        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
+        want = fingerprint(solve(model))
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:  # a pair in flight makes the other threads solve both children here
+            threads = [threading.Thread(target=lambda: got.append(fingerprint(solve(model))))
+                       for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [want] * 4
+
+    def test_a_forked_copy_leaves_the_helper_alone(self, toy_inputs, monkeypatch):
+        model = joint_model(toy_inputs)
+        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
+        want = fingerprint(solve(model))
+        if milp._HELPER is None:
+            pytest.skip("no helper process on this machine")
+        ctx = multiprocessing.get_context("fork")
+        ours, theirs = ctx.Pipe()
+        child = ctx.Process(target=lambda: theirs.send(
+            (milp._pair_helper(), fingerprint(solve(model)))))
+        child.start()
+        assert ours.poll(120)
+        assert ours.recv() == (None, want)  # solved in the copy, not through our pipe
+        child.join(timeout=10)
+        assert not child.is_alive()
+        assert fingerprint(solve(model)) == want
+
+    def test_no_helper_with_one_cpu(self, toy_inputs, own_helper, monkeypatch):
+        monkeypatch.setattr(milp.os, "sched_getaffinity", lambda pid: {0})
+        paired, here, local = paired_and_local(joint_model(toy_inputs), monkeypatch)
+        assert milp._HELPER is None
+        assert here == paired.nodes
+        assert fingerprint(paired) == fingerprint(local)
+
+    def test_no_helper_without_fork(self, toy_inputs, own_helper, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        paired, here, _ = paired_and_local(joint_model(toy_inputs), monkeypatch)
+        assert milp._HELPER is None
+        assert here == paired.nodes
+
+    def test_helper_errors_are_solver_errors(self, toy_inputs, own_helper, monkeypatch):
+        def failing(conn, parent_end):
+            parent_end.close()
+            while True:
+                conn.recv()
+                conn.send("MemoryError: out of memory")
+
+        monkeypatch.setattr(milp, "_serve", failing)
+        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
+        if milp._pair_helper() is None:
+            pytest.skip("no helper process on this machine")
+        with pytest.raises(milp.SolverError, match="LP helper failed: MemoryError"):
+            solve(joint_model(toy_inputs))
+
+    def test_time_limit_holds_on_a_4x4_grid(self, monkeypatch):
+        model = joint_model(grid_network(4, 4, ((0, 0), (3, 3))))
+        model._compiled()
+        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
+        for budget in (0.3, 2.0):
+            start = time.monotonic()
+            res = solve(model, time_limit=budget)
+            elapsed = time.monotonic() - start
+            assert res.status in ("no_solution", "feasible")
+            assert elapsed <= budget + 0.05, (budget, elapsed)
+
+    @pytest.mark.parametrize("ending", ["", "os._exit(0)"])
+    def test_no_helper_outlives_its_interpreter(self, ending):
+        if not os.path.isdir("/proc"):
+            pytest.skip("needs /proc to see the helper")
+        code = (
+            "import os\n"
+            "from roadmnet import milp\n"
+            "from roadmnet.algorithms import design_optimal\n"
+            "from roadmnet.io import load_inputs\n"
+            "milp._PAIR_MIN_ROOT_S = 0.0\n"
+            f"design_optimal(*load_inputs({fixture_path('toy2x5')!r}))\n"
+            "helper = milp._HELPER\n"
+            "print(helper.process.pid if helper else 0, flush=True)\n"
+            f"{ending}\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        pid = int(proc.stdout)
+        if not pid:
+            pytest.skip("no helper process on this machine")
+
+        def running() -> bool:  # a zombie left to an init that never reaps it is gone
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 10
+        while running() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not running()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from collections import defaultdict, deque
@@ -14,6 +15,9 @@ from roadmnet import (
     FailureScenario,
     OracleError,
     OracleSearchSpaceError,
+    Router,
+    Span,
+    Topology,
     TopologyError,
     check_flow_conservation,
     check_plan_within_design,
@@ -24,8 +28,15 @@ from roadmnet import (
     oracle_design_search,
 )
 from roadmnet.milp import LinearModel, solve
-from roadmnet.topology import REACH_EPS
-from roadmnet.verify import _connects, _dominating_placements, _minimal_rows
+from roadmnet.topology import REACH_EPS, alive_routers, regen_adjacency
+from roadmnet.verify import (
+    _connects,
+    _demand_directions,
+    _dominating_placements,
+    _minimal_rows,
+    _scenario_frontier,
+    _simple_relay_paths,
+)
 
 from instances import micro_instance, random_integer_model, toy_network
 
@@ -182,6 +193,59 @@ def pairwise_minimal_rows(mat):
     return mat[keep]
 
 
+def oracle_sites(topology):
+    """The oracle's site index: tails, then regens, then ports at multi-router nodes."""
+    multi = {n for n in topology.ip_nodes if len(topology.routers_at[n]) >= 2}
+    sites = [("tail", r.id) for r in topology.routers]
+    sites += [("regen", n) for n in topology.all_nodes]
+    sites += [("port", r.id) for r in topology.routers if r.node in multi]
+    return {site: i for i, site in enumerate(sites)}
+
+
+def per_mask_frontier(topology, scenario, demands, site_index):
+    """The original frontier loop, kept as the reference: one row per
+    routable link mask and relay choice, built from scratch."""
+    alive = alive_routers(topology, scenario)
+    adjacency = regen_adjacency(topology, scenario)
+    ext_links, intra_links, relay_options = [], [], {}
+    for i, a in enumerate(alive):
+        for b in alive[i + 1:]:
+            key = (a.id, b.id) if a.id < b.id else (b.id, a.id)
+            if a.node == b.node:
+                intra_links.append(key)
+                continue
+            src, dst = topology.home(key[0]), topology.home(key[1])
+            hops = {(u, v) for (u, v) in adjacency if v != src and u != dst}
+            paths = _simple_relay_paths(hops, src, dst)
+            if paths:
+                ext_links.append(key)
+                relay_options[key] = paths
+    all_links = ext_links + intra_links
+    ends = [
+        ([r.id for r in alive if r.node == s], [r.id for r in alive if r.node == t])
+        for s, t, volume in demands
+        if volume > REACH_EPS
+    ]
+    rows = []
+    for mask in range(1 << len(all_links)):
+        active = [all_links[i] for i in range(len(all_links)) if mask >> i & 1]
+        if not all(_connects(active, src, dst) for src, dst in ends):
+            continue
+        base = np.zeros(len(site_index), dtype=np.int16)
+        for a, b in active:
+            kind = "port" if topology.home(a) == topology.home(b) else "tail"
+            base[site_index[(kind, a)]] += 1
+            base[site_index[(kind, b)]] += 1
+        for combo in itertools.product(*(relay_options[l] for l in active
+                                         if l in relay_options)):
+            row = base.copy()
+            for interior in combo:
+                for node in interior:
+                    row[site_index[("regen", node)]] += 1
+            rows.append(row)
+    return _minimal_rows(np.vstack(rows))
+
+
 def elementwise_sweep(mat, priced, caps):
     """The original placement-by-placement sweep, kept as the reference."""
     priced_idx = np.flatnonzero(priced)
@@ -245,6 +309,42 @@ class TestOracleInternals:
             dims = [caps + 1] * int(priced.sum())
             got = _dominating_placements(mat[:, priced], dims)
             assert np.array_equal(got, elementwise_sweep(mat, priced, caps))
+
+    def test_frontier_matches_per_mask_loop(self):
+        cases = [micro_instance(seed) for seed in range(0, 60, 4)]
+        topology, demands, costs = toy_network()
+        cases.append((topology, demands, costs))
+        cases.append((topology, DemandMatrix(entries=(("N1", "N2", REACH_EPS),)), costs))
+        # Through a dual-router IP node M, a route of two links (and a port
+        # pair when they land on different routers) competes with one long
+        # link, and each leg has two relay options.
+        transit = Topology(
+            ip_nodes=("N1", "M", "N2"),
+            optical_nodes=("O1", "O2", "O3", "O4"),
+            routers=(Router("A", "N1"), Router("M1", "M"), Router("M2", "M"),
+                     Router("B", "N2")),
+            spans=tuple(Span(u, v, 600.0) for u, v in (
+                ("N1", "O1"), ("N1", "O3"), ("O1", "M"), ("O3", "M"),
+                ("M", "O2"), ("M", "O4"), ("O2", "N2"), ("O4", "N2"))),
+            regen_dist=1000.0,
+        )
+        cases.append((transit, DemandMatrix(entries=(("N1", "N2", 1.0),)), costs))
+        frontiers = 0
+        for topology, demands, _ in cases:
+            dirs = _demand_directions(topology, demands)
+            sites = oracle_sites(topology)
+            for scenario in enumerate_failures(topology):
+                try:
+                    want = per_mask_frontier(topology, scenario, dirs, sites)
+                except ValueError:  # np.vstack of no rows: nothing can serve it
+                    with pytest.raises(OracleError, match="no link configuration"):
+                        _scenario_frontier(topology, scenario, dirs, sites)
+                    continue
+                got = _scenario_frontier(topology, scenario, dirs, sites)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes() and got.shape == want.shape
+                frontiers += 1
+        assert frontiers > 150
 
     def test_reachability_matches_max_flow(self):
         # The oracle's routability rule against max-flow over the network it
