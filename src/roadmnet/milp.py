@@ -12,10 +12,11 @@ Where a node branches into two children and the root LP took at least
 ``_PAIR_MIN_ROOT_S``, the second child's LP goes to a helper process while
 this one solves the first; both results are then used in the usual order,
 so every answer is the same as with one process.  The helper is forked once
-per interpreter, on the first such pair, and gets each compiled model once.
-Without ``fork``, with one usable CPU, or once the helper has died, every LP
-is solved here.  The helper runs the import-time :func:`linprog`, so a patch
-of ``milp.linprog`` sees only the LPs solved in this process.
+per interpreter, on the first such pair, gets each compiled model once and
+lets it go when its solve ends.  Without ``fork``, with one usable CPU, in a
+daemonic process, or once the helper has died or was interrupted mid-exchange,
+every LP is solved here.  The helper runs the import-time :func:`linprog`, so
+a patch of ``milp.linprog`` sees only the LPs solved in this process.
 """
 
 from __future__ import annotations
@@ -338,15 +339,20 @@ def _serve(conn, parent_end, solve_lp=linprog) -> None:
     """The helper process: answer each (model or None, lb, ub, time limit)
     with :func:`linprog`'s result, or with the text of the error it raised.
 
-    A model comes once and stays until the next one.  ``solve_lp`` is bound
-    at import, so a patched ``milp.linprog`` never reaches the helper.
+    A model comes once and stays until the next one, or until a bare None
+    (no reply) lets it go.  ``solve_lp`` is bound at import, so a patched
+    ``milp.linprog`` never reaches the helper.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's
     parent_end.close()  # so that the parent's exit reads here as EOF
     comp = None
     try:
         while True:
-            model, lb, ub, time_limit = conn.recv()
+            message = conn.recv()
+            if message is None:
+                comp = None
+                continue
+            model, lb, ub, time_limit = message
             comp = model if model is not None else comp
             try:
                 reply = solve_lp(comp, lb, ub, time_limit)
@@ -377,25 +383,46 @@ class _Helper:
         held = self.model is not None and self.model() is comp
         try:
             self.conn.send((None if held else comp, lb, ub, time_limit))
-        except OSError:
+        except BaseException as exc:  # a send cut off partway leaves a torn message
             self.lock.release()
             self.drop()
-            return False
+            if isinstance(exc, OSError):
+                return False
+            raise
         self.model = weakref.ref(comp)
         return True
 
     def receive(self) -> OptimizeResult | None:
-        """The result of the LP last sent; None if the helper has died."""
+        """The result of the LP last sent; None if the helper has died.
+
+        An interrupt while waiting retires the helper: its late reply would
+        otherwise be read as the answer to the next LP sent.
+        """
         try:
             reply = self.conn.recv()
-        except (EOFError, OSError):
+        except BaseException as exc:
             self.drop()
-            return None
+            if isinstance(exc, (EOFError, OSError)):
+                return None
+            raise
         finally:
             self.lock.release()
         if not isinstance(reply, OptimizeResult):
             raise SolverError(f"LP helper failed: {reply}")
         return reply
+
+    def release(self, comp: _Compiled) -> None:
+        """Let the helper drop ``comp`` if it holds it and is not busy."""
+        if not self.lock.acquire(blocking=False):
+            return
+        try:
+            if self.model is not None and self.model() is comp:
+                self.model = None
+                self.conn.send(None)
+        except OSError:
+            self.drop()
+        finally:
+            self.lock.release()
 
     def drop(self) -> None:
         """Stop using the helper; every later LP is solved in this process."""
@@ -407,24 +434,32 @@ class _Helper:
 
 _UNSTARTED = object()
 _HELPER: _Helper | None | object = _UNSTARTED
+_HELPER_START = threading.Lock()  # two threads pairing first fork one helper
 
 
 def _pair_helper() -> _Helper | None:
     """This interpreter's helper, forked on first use; None without one."""
     global _HELPER
     if _HELPER is _UNSTARTED:
-        import multiprocessing  # here: a run that never pairs does not load it
-
-        _HELPER = None
-        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-        if "fork" in multiprocessing.get_all_start_methods() and len(cpus) > 1:
-            try:
-                _HELPER = _Helper(multiprocessing.get_context("fork"))
-            except OSError:
-                pass
-    if _HELPER is not None and _HELPER.owner != os.getpid():
+        with _HELPER_START:
+            if _HELPER is _UNSTARTED:
+                _HELPER = _start_helper()
+    helper = _HELPER
+    if helper is not None and helper.owner != os.getpid():
         return None  # a forked copy of this interpreter: the pipe is not ours
-    return _HELPER
+    return helper
+
+
+def _start_helper() -> _Helper | None:
+    import multiprocessing  # here: a run that never pairs does not load it
+
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    if "fork" not in multiprocessing.get_all_start_methods() or len(cpus) < 2:
+        return None
+    try:
+        return _Helper(multiprocessing.get_context("fork"))
+    except Exception:  # no process to be had, or a daemon that may have none
+        return None
 
 
 def _child_lps(comp: _Compiled, children, pair: bool,
@@ -442,7 +477,7 @@ def _child_lps(comp: _Compiled, children, pair: bool,
         return
     try:
         first = linprog(comp, *children[0], remaining())
-    finally:  # read the reply even on an interrupt: the pipe stays in step
+    finally:  # read the reply even on an interrupt; one while reading retires it
         second = helper.receive()
     yield first
     yield second if second is not None else linprog(comp, *children[1], remaining())
@@ -544,6 +579,8 @@ def solve(model: LinearModel, time_limit: float | None = None) -> SolveResult:
             heappush(heap, (child_bound, -counter, res.x, child_lb, child_ub))
         if interrupted_bound is not None:
             break
+    if pair and isinstance(_HELPER, _Helper) and _HELPER.owner == os.getpid():
+        _HELPER.release(comp)
 
     open_bounds = [b for b, *_ in heap]
     if interrupted_bound is not None:

@@ -549,6 +549,10 @@ def helper_pid() -> int | None:
     return helper.process.pid if isinstance(helper, milp._Helper) else None
 
 
+def solved_fingerprint(model):
+    return fingerprint(solve(model)), milp._pair_helper()
+
+
 class TestPairedSiblings:
     @pytest.mark.parametrize("fixture", ["toy_inputs", "grid_inputs"])
     def test_joint_models_solve_the_same_paired_or_local(self, fixture, request,
@@ -630,6 +634,73 @@ class TestPairedSiblings:
         child.join(timeout=10)
         assert not child.is_alive()
         assert fingerprint(solve(model)) == want
+
+    @pytest.mark.parametrize("step", ["send", "recv"])
+    def test_an_interrupted_exchange_retires_the_helper(self, step, toy_inputs, own_helper,
+                                                        monkeypatch):
+        model = joint_model(toy_inputs)
+        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", math.inf)
+        local = fingerprint(solve(model))
+        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
+        assert fingerprint(solve(model)) == local
+        helper = milp._HELPER
+        if helper is None:
+            pytest.skip("no helper process on this machine")
+        real, calls = getattr(helper.conn, step), []
+
+        def interrupted_once(*args):  # Ctrl-C in the middle of the exchange
+            calls.append(None)
+            if len(calls) == 1:  # the helper's reply to a sent LP comes anyway
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(helper.conn, step, interrupted_once)
+        with pytest.raises(KeyboardInterrupt):
+            solve(model)
+        assert fingerprint(solve(model)) == local
+        assert fingerprint(solve(joint_model(toy_inputs))) == local
+        assert milp._HELPER is None  # a late reply cannot answer a later LP
+
+    def test_a_pool_worker_solves_every_lp_itself(self, toy_inputs, own_helper,
+                                                  monkeypatch):
+        model = joint_model(toy_inputs)
+        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", math.inf)
+        want = fingerprint(solve(model))
+        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
+        # a pool worker is a daemon process, which may start no process of its own
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply(solved_fingerprint, (model,)) == (want, None)
+
+    def test_threads_fork_one_helper(self, own_helper, monkeypatch):
+        started = []
+
+        def slow_start():
+            started.append(None)
+            time.sleep(0.05)
+            return None
+
+        monkeypatch.setattr(milp, "_start_helper", slow_start)
+        threads = [threading.Thread(target=milp._pair_helper) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert len(started) == 1
+
+    def test_the_helper_lets_a_solved_model_go(self, toy_inputs, own_helper, monkeypatch):
+        model = joint_model(toy_inputs)
+        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
+        want = fingerprint(solve(model))
+        helper = milp._HELPER
+        if helper is None:
+            pytest.skip("no helper process on this machine")
+        assert helper.model is None
+        sent = []
+        real = helper.conn.send
+        monkeypatch.setattr(helper.conn, "send", lambda obj: (sent.append(obj), real(obj)))
+        assert fingerprint(solve(model)) == want
+        assert sent[0][0] is model._compiled()  # sent again, the helper had let it go
+        assert sent[-1] is None and all(m is None for m, *_ in sent[1:-1])
 
     def test_no_helper_with_one_cpu(self, toy_inputs, own_helper, monkeypatch):
         monkeypatch.setattr(milp.os, "sched_getaffinity", lambda pid: {0})
