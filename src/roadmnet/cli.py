@@ -14,6 +14,7 @@ or HiGHS failed on an LP relaxation ("solver failed: ...").
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from collections import defaultdict
@@ -179,6 +180,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _seconds(text: str) -> float:
+    """A ``--time-limit`` value: seconds > 0 (``inf`` is no limit)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value > 0:  # also false for NaN
+        raise argparse.ArgumentTypeError(f"expected seconds > 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="roadmnet",
@@ -193,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="placement algorithm (default: optimal)",
     )
     p_design.add_argument(
-        "--time-limit", type=float, default=None, metavar="SECONDS",
+        "--time-limit", type=_seconds, default=None, metavar="SECONDS",
         help="per-scenario solver budget",
     )
     p_design.add_argument("--out", default=None, help="design document to write")
@@ -209,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="maximize the fraction served equally to all demands",
     )
     p_tr.add_argument(
-        "--time-limit", type=float, default=None, metavar="SECONDS",
+        "--time-limit", type=_seconds, default=None, metavar="SECONDS",
         help="per-scenario solver budget",
     )
     p_tr.add_argument("--out", default=None, help="CSV to write (default stdout)")
@@ -218,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="run all placement algorithms")
     p_cmp.add_argument("input", help="network input JSON")
     p_cmp.add_argument(
-        "--time-limit", type=float, default=None, metavar="SECONDS",
+        "--time-limit", type=_seconds, default=None, metavar="SECONDS",
         help="per-scenario solver budget (the joint solve gets it per scenario)",
     )
     p_cmp.add_argument("--csv", default=None, help="also write the table as CSV")

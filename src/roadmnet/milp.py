@@ -8,26 +8,24 @@ best-bound-first with FIFO tie-breaks, so identical models always produce
 identical results.  A thin adapter onto :func:`scipy.optimize.milp` is kept
 around as an independent cross-check backend for tests.
 
-Where a node branches into two children and the root LP took at least
-``_PAIR_MIN_ROOT_S``, the second child's LP goes to a helper process while
-this one solves the first; both results are then used in the usual order,
-so every answer is the same as with one process.  The helper is forked once
-per interpreter, on the first such pair, gets each compiled model once and
-lets it go when its solve ends.  Without ``fork``, with one usable CPU, in a
-daemonic process, or once the helper has died or was interrupted mid-exchange,
-every LP is solved here.  The helper runs the import-time :func:`linprog`, so
-a patch of ``milp.linprog`` sees only the LPs solved in this process.
+Where a node branches into two children, the root LP took at least
+``_PAIR_MIN_ROOT_S`` and ``os.sched_getaffinity`` reports two or more CPUs,
+a second thread solves the second child's LP while the calling thread solves
+the first (HiGHS releases the interpreter lock while it runs); both results
+are then used in the usual order, so every answer is the same as with one
+thread.  The solve owns that thread and stops it before it returns or
+raises.  The thread runs the import-time :func:`linprog`, so a patch of
+``milp.linprog`` sees only the LPs solved on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import signal
-import threading
 import time
-import weakref
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -202,35 +200,12 @@ class _Compiled:
     row_lower: np.ndarray
     row_upper: np.ndarray
     n_ub: int  # how many of the rows are "<=" rows
+    lp: highs.HighsLp  # all of the above, as HiGHS takes it
     lb: np.ndarray
     ub: np.ndarray
     int_idx: np.ndarray
     integral_objective: bool
     stamp: tuple[int, int]
-    lp: highs.HighsLp = field(init=False)  # all of the above, as HiGHS takes it
-
-    def __post_init__(self) -> None:
-        # Lists: the bindings copy them into HiGHS about twice as fast as arrays.
-        lp, mat = highs.HighsLp(), highs.HighsSparseMatrix()
-        lp.num_col_ = mat.num_col_ = len(self.c)
-        lp.num_row_ = mat.num_row_ = self.a.shape[0]
-        mat.format_ = highs.MatrixFormat.kColwise
-        a = self.a
-        mat.start_, mat.index_ = a.indptr.tolist(), a.indices.tolist()
-        mat.value_ = a.data.tolist()
-        lp.a_matrix_ = mat  # a copy: mat is complete by now
-        lp.col_cost_ = self.c.tolist()
-        lp.col_lower_, lp.col_upper_ = self.lb.tolist(), self.ub.tolist()
-        lp.row_lower_, lp.row_upper_ = self.row_lower.tolist(), self.row_upper.tolist()
-        self.lp = lp
-
-    # HiGHS's copy does not pickle: the helper process rebuilds it as above.
-    def __getstate__(self) -> dict:
-        return {k: v for k, v in vars(self).items() if k != "lp"}
-
-    def __setstate__(self, state: dict) -> None:
-        vars(self).update(state)
-        self.__post_init__()
 
 
 def _compile(model: LinearModel) -> _Compiled:
@@ -255,12 +230,23 @@ def _compile(model: LinearModel) -> _Compiled:
     lb = np.array([v.lb for v in model._vars])
     ub = np.array([v.ub for v in model._vars])
     int_idx = np.array([i for i, v in enumerate(model._vars) if v.integer], dtype=int)
+
+    # Lists: the bindings copy them into HiGHS about twice as fast as arrays.
+    lp, mat = highs.HighsLp(), highs.HighsSparseMatrix()
+    lp.num_col_ = mat.num_col_ = n
+    lp.num_row_ = mat.num_row_ = len(rows)
+    mat.format_ = highs.MatrixFormat.kColwise
+    mat.start_, mat.index_, mat.value_ = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
+    lp.a_matrix_ = mat  # a copy: mat is complete by now
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c.tolist(), lb.tolist(), ub.tolist()
+    lp.row_lower_, lp.row_upper_ = row_lower.tolist(), row_upper.tolist()
+
     integral = all(
         float(coef).is_integer() and model._vars[model._index[var]].integer
         for var, coef in model._objective.items()
         if coef != 0.0
     )
-    return _Compiled(c, a, row_lower, row_upper, n_ub, lb, ub, int_idx, integral,
+    return _Compiled(c, a, row_lower, row_upper, n_ub, lp, lb, ub, int_idx, integral,
                      (n, len(model._constraints)))
 
 
@@ -331,156 +317,27 @@ def _most_fractional(x: np.ndarray, int_idx: np.ndarray) -> int | None:
 
 
 # Sibling LPs are paired only in solves whose root LP took at least this long:
-# on ~1.5-ms LPs the ~0.1-ms pipe round trip to the helper eats the gain.
+# on ~1.5-ms LPs handing one to the other thread eats the gain.
 _PAIR_MIN_ROOT_S = 0.004
 
 
-def _serve(conn, parent_end, solve_lp=linprog) -> None:
-    """The helper process: answer each (model or None, lb, ub, time limit)
-    with :func:`linprog`'s result, or with the text of the error it raised.
-
-    A model comes once and stays until the next one, or until a bare None
-    (no reply) lets it go.  ``solve_lp`` is bound at import, so a patched
-    ``milp.linprog`` never reaches the helper.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's
-    parent_end.close()  # so that the parent's exit reads here as EOF
-    comp = None
-    try:
-        while True:
-            message = conn.recv()
-            if message is None:
-                comp = None
-                continue
-            model, lb, ub, time_limit = message
-            comp = model if model is not None else comp
-            try:
-                reply = solve_lp(comp, lb, ub, time_limit)
-            except Exception as exc:
-                reply = f"{type(exc).__name__}: {exc}"
-            conn.send(reply)
-    except (EOFError, OSError):
-        return
-
-
-class _Helper:
-    """One forked process that solves one LP at a time for :func:`solve`."""
-
-    def __init__(self, ctx) -> None:
-        self.conn, theirs = ctx.Pipe()
-        self.process = ctx.Process(target=_serve, args=(theirs, self.conn),
-                                   name="roadmnet-lp", daemon=True)
-        self.process.start()  # daemon: multiprocessing ends it at exit
-        theirs.close()
-        self.owner = os.getpid()
-        self.lock = threading.Lock()  # one pair in flight, whichever thread
-        self.model: weakref.ref | None = None  # the model the helper holds
-
-    def send(self, comp: _Compiled, lb, ub, time_limit) -> bool:
-        """Hand the helper one LP; False if it is busy or has died."""
-        if not self.lock.acquire(blocking=False):
-            return False
-        held = self.model is not None and self.model() is comp
-        try:
-            self.conn.send((None if held else comp, lb, ub, time_limit))
-        except BaseException as exc:  # a send cut off partway leaves a torn message
-            self.lock.release()
-            self.drop()
-            if isinstance(exc, OSError):
-                return False
-            raise
-        self.model = weakref.ref(comp)
-        return True
-
-    def receive(self) -> OptimizeResult | None:
-        """The result of the LP last sent; None if the helper has died.
-
-        An interrupt while waiting retires the helper: its late reply would
-        otherwise be read as the answer to the next LP sent.
-        """
-        try:
-            reply = self.conn.recv()
-        except BaseException as exc:
-            self.drop()
-            if isinstance(exc, (EOFError, OSError)):
-                return None
-            raise
-        finally:
-            self.lock.release()
-        if not isinstance(reply, OptimizeResult):
-            raise SolverError(f"LP helper failed: {reply}")
-        return reply
-
-    def release(self, comp: _Compiled) -> None:
-        """Let the helper drop ``comp`` if it holds it and is not busy."""
-        if not self.lock.acquire(blocking=False):
-            return
-        try:
-            if self.model is not None and self.model() is comp:
-                self.model = None
-                self.conn.send(None)
-        except OSError:
-            self.drop()
-        finally:
-            self.lock.release()
-
-    def drop(self) -> None:
-        """Stop using the helper; every later LP is solved in this process."""
-        global _HELPER
-        if _HELPER is self:
-            _HELPER = None
-        self.conn.close()
-
-
-_UNSTARTED = object()
-_HELPER: _Helper | None | object = _UNSTARTED
-_HELPER_START = threading.Lock()  # two threads pairing first fork one helper
-
-
-def _pair_helper() -> _Helper | None:
-    """This interpreter's helper, forked on first use; None without one."""
-    global _HELPER
-    if _HELPER is _UNSTARTED:
-        with _HELPER_START:
-            if _HELPER is _UNSTARTED:
-                _HELPER = _start_helper()
-    helper = _HELPER
-    if helper is not None and helper.owner != os.getpid():
-        return None  # a forked copy of this interpreter: the pipe is not ours
-    return helper
-
-
-def _start_helper() -> _Helper | None:
-    import multiprocessing  # here: a run that never pairs does not load it
-
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    if "fork" not in multiprocessing.get_all_start_methods() or len(cpus) < 2:
-        return None
-    try:
-        return _Helper(multiprocessing.get_context("fork"))
-    except Exception:  # no process to be had, or a daemon that may have none
-        return None
-
-
-def _child_lps(comp: _Compiled, children, pair: bool,
-               remaining) -> Iterator[OptimizeResult]:
+def _child_lps(comp: _Compiled, children, pool: ThreadPoolExecutor | None,
+               remaining, solve_sibling=linprog) -> Iterator[OptimizeResult]:
     """Each child's LP result, in order.
 
-    With ``pair`` and two children the helper solves the second child's LP
-    while this process solves the first; its answer is read before the first
-    is yielded, so the pipe is clear whatever the caller does next.
+    With a pool and two children the pool's thread solves the second child's
+    LP while this thread solves the first; its result is read before the
+    first is yielded, so an error on either thread surfaces here.
+    ``solve_sibling`` is bound at import, so a patched ``milp.linprog`` never
+    runs on the pool's thread.
     """
-    helper = _pair_helper() if pair and len(children) == 2 else None
-    if helper is None or not helper.send(comp, *children[1], remaining()):
+    if pool is None or len(children) < 2:
         for lb, ub in children:
             yield linprog(comp, lb, ub, remaining())
         return
-    try:
-        first = linprog(comp, *children[0], remaining())
-    finally:  # read the reply even on an interrupt; one while reading retires it
-        second = helper.receive()
-    yield first
-    yield second if second is not None else linprog(comp, *children[1], remaining())
+    second = pool.submit(solve_sibling, comp, *children[1], remaining())
+    first = linprog(comp, *children[0], remaining())
+    yield from (first, second.result())
 
 
 def solve(model: LinearModel, time_limit: float | None = None) -> SolveResult:
@@ -512,7 +369,8 @@ def solve(model: LinearModel, time_limit: float | None = None) -> SolveResult:
 
     started = time.perf_counter()
     root = linprog(comp, comp.lb, comp.ub, remaining())
-    pair = time.perf_counter() - started >= _PAIR_MIN_ROOT_S
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    pair = time.perf_counter() - started >= _PAIR_MIN_ROOT_S and len(cpus) >= 2
     if root.status == 2:
         return SolveResult("infeasible", {}, None, math.inf, nodes=1)
     if root.status == 3:
@@ -540,47 +398,47 @@ def solve(model: LinearModel, time_limit: float | None = None) -> SolveResult:
         return incumbent_obj - gap
 
     interrupted_bound: float | None = None
-    while heap:
-        bound, _, x, lb, ub = heappop(heap)
-        if bound > cutoff():
-            continue
-        rem = remaining()
-        if rem is not None and rem <= 0:
-            interrupted_bound = bound
-            break
-        branch = _most_fractional(x, comp.int_idx)
-        if branch is None:
-            if bound < incumbent_obj:
-                incumbent_obj = bound
-                incumbent_x = x
-            continue
-        xv = x[branch]
-        # Push the nearest-rounding child last: it pops first on tied bounds.
-        down_ub, up_lb = ub.copy(), lb.copy()
-        down_ub[branch], up_lb[branch] = math.floor(xv), math.ceil(xv)
-        children = [(lb, down_ub), (up_lb, ub)]
-        if xv - math.floor(xv) < 0.5:
-            children.reverse()
-        children = [(l, u) for l, u in children if l[branch] <= u[branch]]
-        results = _child_lps(comp, children, pair, remaining)
-        for (child_lb, child_ub), res in zip(children, results):
-            nodes += 1
-            if res.status == 2:
+    # The pool's thread solves second siblings; leaving the block stops it.
+    with ThreadPoolExecutor(1, "roadmnet-lp") if pair else nullcontext() as pool:
+        while heap:
+            bound, _, x, lb, ub = heappop(heap)
+            if bound > cutoff():
                 continue
-            if res.status == 1:  # LP hit its own time/iteration limit
+            rem = remaining()
+            if rem is not None and rem <= 0:
                 interrupted_bound = bound
                 break
-            if res.status != 0:
-                raise SolverError(f"LP backend failed with status {res.status}")
-            child_bound = float(res.fun)
-            if child_bound > cutoff():
+            branch = _most_fractional(x, comp.int_idx)
+            if branch is None:
+                if bound < incumbent_obj:
+                    incumbent_obj = bound
+                    incumbent_x = x
                 continue
-            counter += 1
-            heappush(heap, (child_bound, -counter, res.x, child_lb, child_ub))
-        if interrupted_bound is not None:
-            break
-    if pair and isinstance(_HELPER, _Helper) and _HELPER.owner == os.getpid():
-        _HELPER.release(comp)
+            xv = x[branch]
+            # Push the nearest-rounding child last: it pops first on tied bounds.
+            down_ub, up_lb = ub.copy(), lb.copy()
+            down_ub[branch], up_lb[branch] = math.floor(xv), math.ceil(xv)
+            children = [(lb, down_ub), (up_lb, ub)]
+            if xv - math.floor(xv) < 0.5:
+                children.reverse()
+            children = [(l, u) for l, u in children if l[branch] <= u[branch]]
+            results = _child_lps(comp, children, pool, remaining)
+            for (child_lb, child_ub), res in zip(children, results):
+                nodes += 1
+                if res.status == 2:
+                    continue
+                if res.status == 1:  # LP hit its own time/iteration limit
+                    interrupted_bound = bound
+                    break
+                if res.status != 0:
+                    raise SolverError(f"LP backend failed with status {res.status}")
+                child_bound = float(res.fun)
+                if child_bound > cutoff():
+                    continue
+                counter += 1
+                heappush(heap, (child_bound, -counter, res.x, child_lb, child_ub))
+            if interrupted_bound is not None:
+                break
 
     open_bounds = [b for b, *_ in heap]
     if interrupted_bound is not None:

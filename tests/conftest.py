@@ -10,7 +10,6 @@ from roadmnet.algorithms import (
     design_optimal,
     design_simple,
 )
-from roadmnet import milp
 from roadmnet.io import load_inputs
 
 # One line per acceptance criterion, printed after the run (see
@@ -27,22 +26,6 @@ def pytest_terminal_summary(terminalreporter):
 
 def fixture_path(name: str) -> str:
     return str(resources.files("roadmnet") / "data" / f"{name}.json")
-
-
-@pytest.fixture
-def own_helper(monkeypatch):
-    """The next paired solve forks an LP helper process for this test alone.
-
-    The test may patch what the helper runs or kill it; the helper is killed
-    afterwards and the interpreter's shared one comes back.
-    """
-    monkeypatch.setattr(milp, "_HELPER", milp._UNSTARTED)
-    yield
-    helper = milp._HELPER
-    if isinstance(helper, milp._Helper):
-        helper.process.kill()
-        helper.process.join(timeout=10)
-        assert not helper.process.is_alive()
 
 
 @pytest.fixture(scope="session")

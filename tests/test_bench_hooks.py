@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import importlib.util
 import os
+import threading
+from collections import defaultdict
 
 from roadmnet import algorithms, design, milp, operation, verify
 
@@ -51,3 +53,37 @@ def test_instrument_spans_the_library_and_restores_it():
     assert {"milp.solve", "milp.highs", "design.build", "operation.operate",
             "operation.extract_plan", "topology.regen_adjacency"} <= seen
     assert tracer.largest[tracer.pass_id]["vars"] > 0
+
+
+def test_the_sibling_thread_never_enters_the_tracer(grid_inputs, monkeypatch):
+    """Tracer keeps one span stack, so only the calling thread may open spans."""
+    spans = load_spans()
+    tracer = spans.Tracer()
+    opened_on = []
+    real_call = tracer.call
+
+    def call(name, fn, *args, **kwargs):
+        opened_on.append((name, threading.current_thread()))
+        return real_call(name, fn, *args, **kwargs)
+
+    tracer.call = call
+    monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
+    restore = spans.instrument(tracer)
+    try:
+        algorithms.design_optimal(*grid_inputs)
+    finally:
+        restore()
+    highs = [thread for name, thread in opened_on if name == "milp.highs"]
+    assert highs and all(thread is threading.main_thread() for thread in highs)
+    if len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2:
+        nodes = tracer.counters[tracer.pass_id]["milp.bnb.nodes"]
+        assert len(highs) < nodes  # the sibling thread solved the rest
+    children = defaultdict(list)
+    for name, start, end, parent, _ in tracer.spans:
+        assert start <= end
+        if parent >= 0:
+            assert tracer.spans[parent][1] <= start and end <= tracer.spans[parent][2]
+        children[parent].append((start, end))
+    for intervals in children.values():
+        intervals.sort()
+        assert all(a[1] <= b[0] for a, b in zip(intervals, intervals[1:]))

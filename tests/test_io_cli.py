@@ -408,36 +408,19 @@ def test_cli_design_document_matches_golden_hash(tmp_path, capsys, fixture, algo
     assert digest == GOLDEN_DOCUMENTS[(fixture, algorithm)]
 
 
-class TestHelperProcess:
-    """roadmnet design with the LP helper process at work, dead or failing."""
+class TestPairedSiblings:
+    """roadmnet design with sibling LPs on two threads or all on one."""
 
-    @pytest.mark.parametrize("helper", ["paired", "local", "dead"])
-    def test_grid_design_document_is_unchanged(self, helper, tmp_path, capsys,
-                                               own_helper, monkeypatch):
-        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", math.inf if helper == "local" else 0.0)
-        if helper == "dead":  # exits at once: every LP is solved here
-            monkeypatch.setattr(milp, "_serve", lambda conn, parent_end: None)
+    @pytest.mark.parametrize("siblings", ["paired", "local"])
+    def test_grid_design_document_is_unchanged(self, siblings, tmp_path, capsys,
+                                               monkeypatch):
+        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S",
+                            0.0 if siblings == "paired" else math.inf)
         path = tmp_path / "design.json"
         assert main(["design", fixture_path("grid3x3_600"), "--out", str(path)]) == 0
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == GOLDEN_DOCUMENTS[("grid3x3_600", "optimal")]
         assert capsys.readouterr().err == ""
-
-    def test_failing_helper_is_a_clean_exit(self, capsys, own_helper, monkeypatch):
-        def failing(conn, parent_end):
-            parent_end.close()
-            while True:
-                conn.recv()
-                conn.send("MemoryError: out of memory")
-
-        monkeypatch.setattr(milp, "_serve", failing)
-        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
-        if milp._pair_helper() is None:
-            pytest.skip("no helper process on this machine")
-        assert main(["design", fixture_path("grid3x3_600")]) == 4
-        err = capsys.readouterr().err
-        assert "solver failed: LP helper failed: MemoryError: out of memory" in err
-        assert "Traceback" not in err
 
 
 def test_cli_compare(tmp_path, capsys):
@@ -485,9 +468,22 @@ class TestExitCodes:
 
     def test_budget_too_small_for_any_answer(self, capsys):
         assert main([
-            "design", fixture_path("toy2x5"), "--time-limit", "0.0",
+            "design", fixture_path("toy2x5"), "--time-limit", "1e-9",
         ]) == 4
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["design", "in.json"],
+        ["transient", "in.json", "--design", "doc.json"],
+        ["compare", "in.json"],
+    ], ids=lambda command: command[0])
+    @pytest.mark.parametrize("seconds", ["nan", "-1", "0", "-inf", "soon"])
+    def test_time_limit_must_be_positive(self, command, seconds, capsys):
+        assert main([*command, f"--time-limit={seconds}"]) == 2
+        assert "--time-limit: expected seconds > 0" in capsys.readouterr().err
+
+    def test_infinite_time_limit_is_no_limit(self, capsys):
+        assert main(["design", fixture_path("toy2x5"), "--time-limit", "inf"]) == 0
 
     def test_transient_solve_out_of_time(self, tmp_path, capsys, monkeypatch):
         doc = tmp_path / "design.json"

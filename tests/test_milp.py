@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import types
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -32,6 +33,9 @@ from roadmnet.verify import enumerate_milp_minimum
 
 from conftest import fixture_path
 from instances import grid_network, random_integer_model
+
+# Sibling LPs are paired only where two CPUs are usable.
+TWO_CPUS = len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2
 
 
 def knapsackish() -> LinearModel:
@@ -325,13 +329,13 @@ def assert_same_matrix(model: LinearModel):
 def node_lps():
     """Every LP design_optimal solves on both fixtures, and each solve's nodes.
 
-    An LP is (model, lb, ub, result), where result is the helper process's
-    answer for an LP the helper solved and None for one solved here.  Every
-    branching is paired, so the helper solves every second sibling.
+    An LP is (model, lb, ub, result), where result is the sibling thread's
+    answer for an LP that thread solved and None for one solved on the
+    calling thread.  Every branching is paired, so the sibling thread solves
+    every second sibling.
     """
-    recorded, nodes, current, sent = [], [], [], []
+    recorded, nodes, current = [], [], []
     real_solve, real_lp = milp.solve, milp.linprog
-    real_send, real_receive = milp._Helper.send, milp._Helper.receive
 
     def solve_recording(model, time_limit=None):
         current[:] = [model]
@@ -343,23 +347,23 @@ def node_lps():
         recorded.append((current[0], lb.copy(), ub.copy(), None))
         return real_lp(comp, lb, ub, time_limit)
 
-    def send_recording(helper, comp, lb, ub, time_limit):
-        ok = real_send(helper, comp, lb, ub, time_limit)
-        sent[:] = [(current[0], lb.copy(), ub.copy())] if ok else []
-        return ok
+    class RecordingPool(ThreadPoolExecutor):
+        def submit(self, solve_lp, comp, lb, ub, time_limit):
+            lp = (current[0], lb.copy(), ub.copy())
 
-    def receive_recording(helper):
-        result = real_receive(helper)
-        if result is not None:  # else the LP is solved here, and recorded there
-            recorded.append((*sent[0], result))
-        return result
+            def recording():
+                assert threading.current_thread() is not threading.main_thread()
+                result = solve_lp(comp, lb, ub, time_limit)
+                recorded.append((*lp, result))
+                return result
+
+            return super().submit(recording)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(algorithms, "solve", solve_recording)
         mp.setattr(operation, "solve", solve_recording)
         mp.setattr(milp, "linprog", lp_recording)
-        mp.setattr(milp._Helper, "send", send_recording)
-        mp.setattr(milp._Helper, "receive", receive_recording)
+        mp.setattr(milp, "ThreadPoolExecutor", RecordingPool)
         mp.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
         for name in ("toy2x5", "grid3x3_600"):
             algorithms.design_optimal(*load_inputs(fixture_path(name)))
@@ -385,11 +389,11 @@ class TestDirectHighs:
         assert len(lps) == sum(nodes)  # one LP a node, wherever it was solved
         assert {m.name for m, *_ in lps} == {"design", "operation"}
         assert any(not np.array_equal(lb, m._compiled().lb) for m, lb, *_ in lps)
-        if milp._HELPER is not None:
+        if TWO_CPUS:
             assert sum(res is not None for *_, res in lps) > 30
         for model, lb, ub, res in lps:
             got = assert_same_lp(model, lb, ub)
-            if res is not None:  # the helper's answer, bit for bit
+            if res is not None:  # the sibling thread's answer, bit for bit
                 assert (res.status, res.fun) == (got.status, got.fun)
                 assert (res.x is None) == (got.x is None)
                 assert res.x is None or res.x.tobytes() == got.x.tobytes()
@@ -509,9 +513,8 @@ class TestDirectHighs:
         assert "roadmnet needs scipy>=1.15" in proc.stdout
 
 
-
 # ---------------------------------------------------------------------------
-# Sibling LPs solved by the helper process
+# Sibling LPs solved on a second thread
 # ---------------------------------------------------------------------------
 
 
@@ -529,28 +532,39 @@ def joint_model(inputs) -> LinearModel:
     return build_design_model(topology, demands, enumerate_failures(topology), costs).model
 
 
-def paired_and_local(model, monkeypatch, time_limit=None):
-    """(paired result, LPs solved here, all-local result)."""
-    real, local = milp.linprog, []
+def count_lps_here(monkeypatch) -> list:
+    """A list that grows by one for each LP solved on the calling thread."""
+    real, here = milp.linprog, []
 
     def counting(*args):
-        local.append(None)
+        here.append(None)
         return real(*args)
 
     monkeypatch.setattr(milp, "linprog", counting)
+    return here
+
+
+def paired_and_local(model, monkeypatch, time_limit=None):
+    """(paired result, LPs solved on the calling thread, all-local result)."""
+    here = count_lps_here(monkeypatch)
     monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
     paired = solve(model, time_limit)
     monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", math.inf)
-    return paired, len(local), solve(model, time_limit)
+    return paired, len(here), solve(model, time_limit)
 
 
-def helper_pid() -> int | None:
-    helper = milp._HELPER
-    return helper.process.pid if isinstance(helper, milp._Helper) else None
+def sibling_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith("roadmnet-lp")]
 
 
-def solved_fingerprint(model):
-    return fingerprint(solve(model)), milp._pair_helper()
+def paired_in_a_worker(fixture: str):
+    """(fingerprint, LPs solved on the calling thread) of a paired solve of
+    the fixture's joint model."""
+    model = joint_model(load_inputs(fixture_path(fixture)))
+    with pytest.MonkeyPatch.context() as mp:
+        here = count_lps_here(mp)
+        mp.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
+        return fingerprint(solve(model)), len(here)
 
 
 class TestPairedSiblings:
@@ -561,52 +575,22 @@ class TestPairedSiblings:
                                                monkeypatch)
         assert paired.status == "optimal"
         assert fingerprint(paired) == fingerprint(local)
-        if milp._HELPER is not None:
-            assert here < paired.nodes  # the helper solved some of them
+        if TWO_CPUS:
+            assert here < paired.nodes  # the sibling thread solved some of them
 
     def test_random_integer_models_solve_the_same_paired_or_local(self, monkeypatch):
         for seed in range(30):  # criterion 7's suite
             paired, _, local = paired_and_local(random_integer_model(seed), monkeypatch)
             assert fingerprint(paired) == fingerprint(local), f"seed {seed}"
 
-    @pytest.mark.parametrize("when", ["between", "during"])
-    def test_a_killed_helper_changes_no_answer(self, when, toy_inputs, own_helper,
-                                               monkeypatch):
-        model = joint_model(toy_inputs)
-        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
-        first = solve(model)
-        helper = milp._HELPER
-        if helper is None:
-            pytest.skip("no helper process on this machine")
-        real, calls = milp.linprog, []
-
-        def kill():
-            helper.process.kill()
-            helper.process.join(timeout=10)
-            assert not helper.process.is_alive()
-
-        def kill_on_the_fifth(*args):
-            calls.append(None)
-            if len(calls) == 5:
-                kill()
-            return real(*args)
-
-        if when == "between":
-            kill()
-        else:  # after the fifth LP is sent, before its answer is read
-            monkeypatch.setattr(milp, "linprog", kill_on_the_fifth)
-        assert fingerprint(solve(model)) == fingerprint(first)
-        assert milp._HELPER is None  # the rest is solved here
-        assert fingerprint(solve(model)) == fingerprint(first)
-
-    def test_threads_share_the_helper(self, toy_inputs, monkeypatch):
+    def test_four_threads_solve_at_once(self, toy_inputs, monkeypatch):
         model = joint_model(toy_inputs)
         monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
         want = fingerprint(solve(model))
         got = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
-        try:  # a pair in flight makes the other threads solve both children here
+        try:  # each solve pairs on a sibling thread of its own
             threads = [threading.Thread(target=lambda: got.append(fingerprint(solve(model))))
                        for _ in range(4)]
             for thread in threads:
@@ -617,117 +601,63 @@ class TestPairedSiblings:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert got == [want] * 4
+        assert not sibling_threads()
 
-    def test_a_forked_copy_leaves_the_helper_alone(self, toy_inputs, monkeypatch):
-        model = joint_model(toy_inputs)
-        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
-        want = fingerprint(solve(model))
-        if milp._HELPER is None:
-            pytest.skip("no helper process on this machine")
-        ctx = multiprocessing.get_context("fork")
-        ours, theirs = ctx.Pipe()
-        child = ctx.Process(target=lambda: theirs.send(
-            (milp._pair_helper(), fingerprint(solve(model)))))
-        child.start()
-        assert ours.poll(120)
-        assert ours.recv() == (None, want)  # solved in the copy, not through our pipe
-        child.join(timeout=10)
-        assert not child.is_alive()
-        assert fingerprint(solve(model)) == want
-
-    @pytest.mark.parametrize("step", ["send", "recv"])
-    def test_an_interrupted_exchange_retires_the_helper(self, step, toy_inputs, own_helper,
-                                                        monkeypatch):
+    @pytest.mark.parametrize("ending", ["returns", "sibling-raises", "interrupted"])
+    def test_no_sibling_thread_outlives_its_solve(self, ending, toy_inputs, monkeypatch):
+        if not TWO_CPUS:
+            pytest.skip("pairing needs two CPUs")
         model = joint_model(toy_inputs)
         monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", math.inf)
         local = fingerprint(solve(model))
         monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
-        assert fingerprint(solve(model)) == local
-        helper = milp._HELPER
-        if helper is None:
-            pytest.skip("no helper process on this machine")
-        real, calls = getattr(helper.conn, step), []
+        if ending == "returns":
+            assert fingerprint(solve(model)) == local
+        elif ending == "sibling-raises":
+            real = milp.highs._Highs
 
-        def interrupted_once(*args):  # Ctrl-C in the middle of the exchange
-            calls.append(None)
-            if len(calls) == 1:  # the helper's reply to a sent LP comes anyway
-                raise KeyboardInterrupt
-            return real(*args)
+            def failing_off_the_main_thread():
+                if threading.current_thread() is not threading.main_thread():
+                    raise MemoryError("out of memory")
+                return real()
 
-        monkeypatch.setattr(helper.conn, step, interrupted_once)
-        with pytest.raises(KeyboardInterrupt):
-            solve(model)
+            with monkeypatch.context() as mp:
+                mp.setattr(milp.highs, "_Highs", failing_off_the_main_thread)
+                with pytest.raises(MemoryError, match="out of memory"):
+                    solve(model)
+        else:  # Ctrl-C during the first child's LP of the third pair
+            real, calls = milp.linprog, []
+
+            def interrupted(*args):
+                calls.append(None)
+                result = real(*args)
+                if len(calls) == 4:
+                    raise KeyboardInterrupt
+                return result
+
+            with monkeypatch.context() as mp:
+                mp.setattr(milp, "linprog", interrupted)
+                with pytest.raises(KeyboardInterrupt):
+                    solve(model)
+        assert not sibling_threads()
         assert fingerprint(solve(model)) == local
         assert fingerprint(solve(joint_model(toy_inputs))) == local
-        assert milp._HELPER is None  # a late reply cannot answer a later LP
 
-    def test_a_pool_worker_solves_every_lp_itself(self, toy_inputs, own_helper,
-                                                  monkeypatch):
+    def test_a_pool_worker_pairs_too(self, toy_inputs, monkeypatch):
         model = joint_model(toy_inputs)
         monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", math.inf)
-        want = fingerprint(solve(model))
-        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
-        # a pool worker is a daemon process, which may start no process of its own
+        local = solve(model)
         with multiprocessing.get_context("fork").Pool(1) as pool:
-            assert pool.apply(solved_fingerprint, (model,)) == (want, None)
+            paired, here = pool.apply(paired_in_a_worker, ("toy2x5",))
+        assert paired == fingerprint(local)
+        if TWO_CPUS:
+            assert here < local.nodes
 
-    def test_threads_fork_one_helper(self, own_helper, monkeypatch):
-        started = []
-
-        def slow_start():
-            started.append(None)
-            time.sleep(0.05)
-            return None
-
-        monkeypatch.setattr(milp, "_start_helper", slow_start)
-        threads = [threading.Thread(target=milp._pair_helper) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-        assert len(started) == 1
-
-    def test_the_helper_lets_a_solved_model_go(self, toy_inputs, own_helper, monkeypatch):
-        model = joint_model(toy_inputs)
-        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
-        want = fingerprint(solve(model))
-        helper = milp._HELPER
-        if helper is None:
-            pytest.skip("no helper process on this machine")
-        assert helper.model is None
-        sent = []
-        real = helper.conn.send
-        monkeypatch.setattr(helper.conn, "send", lambda obj: (sent.append(obj), real(obj)))
-        assert fingerprint(solve(model)) == want
-        assert sent[0][0] is model._compiled()  # sent again, the helper had let it go
-        assert sent[-1] is None and all(m is None for m, *_ in sent[1:-1])
-
-    def test_no_helper_with_one_cpu(self, toy_inputs, own_helper, monkeypatch):
+    def test_no_helper_with_one_cpu(self, toy_inputs, monkeypatch):
         monkeypatch.setattr(milp.os, "sched_getaffinity", lambda pid: {0})
         paired, here, local = paired_and_local(joint_model(toy_inputs), monkeypatch)
-        assert milp._HELPER is None
         assert here == paired.nodes
         assert fingerprint(paired) == fingerprint(local)
-
-    def test_no_helper_without_fork(self, toy_inputs, own_helper, monkeypatch):
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        paired, here, _ = paired_and_local(joint_model(toy_inputs), monkeypatch)
-        assert milp._HELPER is None
-        assert here == paired.nodes
-
-    def test_helper_errors_are_solver_errors(self, toy_inputs, own_helper, monkeypatch):
-        def failing(conn, parent_end):
-            parent_end.close()
-            while True:
-                conn.recv()
-                conn.send("MemoryError: out of memory")
-
-        monkeypatch.setattr(milp, "_serve", failing)
-        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
-        if milp._pair_helper() is None:
-            pytest.skip("no helper process on this machine")
-        with pytest.raises(milp.SolverError, match="LP helper failed: MemoryError"):
-            solve(joint_model(toy_inputs))
 
     def test_time_limit_holds_on_a_4x4_grid(self, monkeypatch):
         model = joint_model(grid_network(4, 4, ((0, 0), (3, 3))))
@@ -739,38 +669,3 @@ class TestPairedSiblings:
             elapsed = time.monotonic() - start
             assert res.status in ("no_solution", "feasible")
             assert elapsed <= budget + 0.05, (budget, elapsed)
-
-    @pytest.mark.parametrize("ending", ["", "os._exit(0)"])
-    def test_no_helper_outlives_its_interpreter(self, ending):
-        if not os.path.isdir("/proc"):
-            pytest.skip("needs /proc to see the helper")
-        code = (
-            "import os\n"
-            "from roadmnet import milp\n"
-            "from roadmnet.algorithms import design_optimal\n"
-            "from roadmnet.io import load_inputs\n"
-            "milp._PAIR_MIN_ROOT_S = 0.0\n"
-            f"design_optimal(*load_inputs({fixture_path('toy2x5')!r}))\n"
-            "helper = milp._HELPER\n"
-            "print(helper.process.pid if helper else 0, flush=True)\n"
-            f"{ending}\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == ""
-        pid = int(proc.stdout)
-        if not pid:
-            pytest.skip("no helper process on this machine")
-
-        def running() -> bool:  # a zombie left to an init that never reaps it is gone
-            try:
-                with open(f"/proc/{pid}/stat") as fh:
-                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
-            except FileNotFoundError:
-                return False
-
-        deadline = time.monotonic() + 10
-        while running() and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not running()
