@@ -380,7 +380,7 @@ def build_design_model(
         blk = ScenarioBlock(scen)
         dm.blocks.append(blk)
         alive = alive_routers(topology, scen)
-        adjacency = regen_adjacency(topology, scen)
+        adjacency = sorted(regen_adjacency(topology, scen))
 
         # Link capacity variables: ordered pairs, external and intra-node.
         for a in alive:
@@ -447,7 +447,7 @@ def build_design_model(
                 (u, v): m.add_variable(
                     f"H_f{fi}_{a}_{b}_{u}_{v}", ub=box, integer=True
                 )
-                for (u, v) in sorted(adjacency)
+                for (u, v) in adjacency
                 if v != src and u != dst
             }
             link_cap = blk.caps[(a, b)]

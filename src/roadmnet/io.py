@@ -385,7 +385,7 @@ def load_design(path: str) -> DesignDocument:
             regen=_as_number(_require(costs_obj, "regen", "costs"), "costs.regen"),
             port=_as_number(_require(costs_obj, "port", "costs"), "costs.port"),
         )
-    except TopologyError as exc:  # a negative price
+    except TopologyError as exc:  # a negative or non-finite price
         raise InputFormatError(f"costs: {exc}") from exc
     design = Design(
         tails=_int_counts(_require(doc, "tails", path), "tails"),

@@ -1,12 +1,16 @@
 """Small deterministic mixed-integer linear programming toolkit.
 
-Models are assembled variable-by-variable and solved by branch-and-bound:
-each LP relaxation goes straight to scipy's bundled HiGHS (:func:`linprog`,
-with ``scipy.optimize.linprog``'s options and checks), branching follows a
-most-fractional rule with lowest-index tie-breaks, and open nodes are explored
-best-bound-first with FIFO tie-breaks, so identical models always produce
-identical results.  A thin adapter onto :func:`scipy.optimize.milp` is kept
-around as an independent cross-check backend for tests.
+Models are assembled variable-by-variable in columns (each row's names are
+resolved to column indices as the row is added), compiled once with numpy
+into one column-major matrix (a NaN or infinite coefficient, right-hand side
+or objective term is a :class:`ModelError` there), and solved by
+branch-and-bound: each LP relaxation goes straight to scipy's bundled HiGHS
+(:func:`linprog`, with ``scipy.optimize.linprog``'s options and checks),
+branching follows a most-fractional rule with lowest-index tie-breaks, and
+open nodes are explored best-bound-first, newest first on ties, so identical
+models always produce identical results.  A thin adapter onto
+:func:`scipy.optimize.milp` is kept around as an independent cross-check
+backend for tests.
 
 Where a node branches into two children, the root LP took at least
 ``_PAIR_MIN_ROOT_S`` and ``os.sched_getaffinity`` reports two or more CPUs,
@@ -103,6 +107,15 @@ class SolveResult:
 class LinearModel:
     """A minimization MILP built incrementally.
 
+    The model is stored in columns: per variable its lower and upper bound
+    and whether it is integer, indexed by name once in :meth:`add_variable`;
+    per row its column indices and coefficients (flat, with each row's
+    length), sense, right-hand side and name.  Each name in a row is resolved
+    to its column once, in :meth:`add_constraint`, so compiling a model for
+    :func:`solve` is array work without a name lookup.  The
+    :class:`Variable` and :class:`Constraint` records of :attr:`variables`
+    and :attr:`constraints` are built on demand.
+
     Treat a model as frozen once handed to :func:`solve`; nothing here mutates
     it afterwards, which is what makes concurrent solves of independent models
     safe.
@@ -110,11 +123,23 @@ class LinearModel:
 
     def __init__(self, name: str = "model"):
         self.name = name
-        self._vars: list[Variable] = []
-        self._index: dict[str, int] = {}
-        self._constraints: list[Constraint] = []
+        self._index: dict[str, int] = {}  # variable name -> column, in column order
+        self._lb: list[float] = []
+        self._ub: list[float] = []
+        self._integer: list[bool] = []
+        self._cols: list[int] = []  # every row's columns, one row after another
+        self._vals: list[float] = []  # and their coefficients
+        self._row_len: list[int] = []
+        self._senses: list[int] = []  # an index into _SENSES
+        self._rhs: list[float] = []
+        self._row_names: list[str] = []
         self._objective: dict[str, float] = {}
         self._compiled_cache: _Compiled | None = None
+
+    def __getstate__(self) -> dict:
+        # The cache holds a HighsLp, which cannot be pickled; it is rebuilt
+        # on the next solve.
+        return {**self.__dict__, "_compiled_cache": None}
 
     # -- construction ----------------------------------------------------
 
@@ -130,10 +155,12 @@ class LinearModel:
             raise ModelError(f"duplicate variable name {name!r}")
         if not name:
             raise ModelError("variable name must be non-empty")
-        if lb > ub:
-            raise ModelError(f"variable {name!r} has lb {lb} > ub {ub}")
-        self._index[name] = len(self._vars)
-        self._vars.append(Variable(name, float(lb), float(ub), integer))
+        if not lb <= ub:  # also false when either bound is NaN
+            raise ModelError(f"variable {name!r} has bounds lb {lb}, ub {ub}")
+        self._index[name] = len(self._lb)
+        self._lb.append(float(lb))
+        self._ub.append(float(ub))
+        self._integer.append(bool(integer))
         return name
 
     def add_constraint(
@@ -150,15 +177,23 @@ class LinearModel:
             items = list(coeffs)
         if not items:
             raise ModelError(f"constraint {name!r} has no terms")
-        if sense not in ("<=", ">=", "=="):
+        code = _SENSE_CODE.get(sense)
+        if code is None:
             raise ModelError(f"constraint {name!r} has unknown sense {sense!r}")
-        merged: dict[str, float] = {}
+        index = self._index
+        merged: dict[int, float] = {}  # repeated names merge, first occurrence first
         for var, coef in items:
-            if var not in self._index:
+            col = index.get(var)
+            if col is None:
                 raise ModelError(f"constraint {name!r} references unknown variable {var!r}")
-            merged[var] = merged.get(var, 0.0) + float(coef)
-        name = name or f"c{len(self._constraints)}"
-        self._constraints.append(Constraint(name, tuple(merged.items()), sense, float(rhs)))
+            merged[col] = merged.get(col, 0.0) + float(coef)
+        name = name or f"c{len(self._row_names)}"
+        self._cols += merged
+        self._vals += merged.values()
+        self._row_len.append(len(merged))
+        self._senses.append(code)
+        self._rhs.append(float(rhs))
+        self._row_names.append(name)
         return name
 
     def set_objective(self, coeffs: Mapping[str, float]) -> None:
@@ -173,11 +208,18 @@ class LinearModel:
 
     @property
     def variables(self) -> tuple[Variable, ...]:
-        return tuple(self._vars)
+        return tuple(map(Variable, self._index, self._lb, self._ub, self._integer))
 
     @property
     def constraints(self) -> tuple[Constraint, ...]:
-        return tuple(self._constraints)
+        names, out, end = list(self._index), [], 0
+        for row, length in enumerate(self._row_len):
+            start, end = end, end + length
+            coeffs = tuple(zip([names[j] for j in self._cols[start:end]],
+                               self._vals[start:end]))
+            out.append(Constraint(self._row_names[row], coeffs,
+                                  _SENSES[self._senses[row]], self._rhs[row]))
+        return tuple(out)
 
     @property
     def objective(self) -> dict[str, float]:
@@ -187,10 +229,14 @@ class LinearModel:
 
     def _compiled(self) -> "_Compiled":
         cache = self._compiled_cache
-        if cache is None or cache.stamp != (len(self._vars), len(self._constraints)):
+        if cache is None or cache.stamp != (len(self._lb), len(self._row_len)):
             cache = _compile(self)
             self._compiled_cache = cache
         return cache
+
+
+_SENSES = ("<=", ">=", "==")
+_SENSE_CODE = {sense: code for code, sense in enumerate(_SENSES)}
 
 
 @dataclass
@@ -209,45 +255,69 @@ class _Compiled:
 
 
 def _compile(model: LinearModel) -> _Compiled:
-    n = len(model._vars)
+    n, m = len(model._lb), len(model._row_len)
     c = np.zeros(n)
-    for var, coef in model._objective.items():
-        c[model._index[var]] = coef
+    if model._objective:
+        c[[model._index[var] for var in model._objective]] = list(model._objective.values())
+    is_int = np.array(model._integer, dtype=bool)
 
-    rows = [con for con in model._constraints if con.sense != "=="]
-    n_ub = len(rows)
-    rows += [con for con in model._constraints if con.sense == "=="]
-    data, ri, ci, rhs = [], [], [], []
-    for r, con in enumerate(rows):
-        neg = con.sense == ">="  # ">=" becomes "<=" after negation
-        ri += [r] * len(con.coeffs)
-        ci += [model._index[v] for v, _ in con.coeffs]
-        data += [-x if neg else x for _, x in con.coeffs]
-        rhs.append(-con.rhs if neg else con.rhs)
-    a = sparse.csc_array((np.array(data, dtype=float), (ri, ci)), shape=(len(rows), n))
-    row_upper = np.array(rhs, dtype=float)
+    senses = np.array(model._senses, dtype=np.int8)
+    sign = np.where(senses == 1, -1.0, 1.0)  # ">=" becomes "<=" after negation
+    is_eq = senses == 2
+    order = np.argsort(is_eq, kind="stable")  # the "<=" and ">=" rows, then the "==" rows
+    n_ub = m - int(np.count_nonzero(is_eq))
+    row_of = np.empty(m, dtype=np.int64)  # an input row's position in the matrix
+    row_of[order] = np.arange(m)
+
+    lengths = np.array(model._row_len, dtype=np.int64)
+    nz_row = np.repeat(np.arange(m), lengths)  # each coefficient's input row
+    cols = np.array(model._cols, dtype=np.int64)
+    vals = np.array(model._vals, dtype=float)
+    rhs = np.array(model._rhs, dtype=float)
+    _check_finite(model, c, vals, rhs, cols, nz_row)
+
+    # Coefficients in matrix row order, then a stable sort by column: each
+    # column's entries come out in row order.
+    by_row = np.argsort(is_eq[nz_row], kind="stable")
+    entries = by_row[np.argsort(cols[by_row], kind="stable")]
+    rows = nz_row[entries]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    a = sparse.csc_array((vals[entries] * sign[rows], row_of[rows], indptr), shape=(m, n))
+    row_upper = rhs[order] * sign[order]
     row_lower = np.concatenate((np.full(n_ub, -highs.kHighsInf), row_upper[n_ub:]))
-    lb = np.array([v.lb for v in model._vars])
-    ub = np.array([v.ub for v in model._vars])
-    int_idx = np.array([i for i, v in enumerate(model._vars) if v.integer], dtype=int)
+    lb = np.array(model._lb, dtype=float)
+    ub = np.array(model._ub, dtype=float)
+    int_idx = np.flatnonzero(is_int)
 
     # Lists: the bindings copy them into HiGHS about twice as fast as arrays.
     lp, mat = highs.HighsLp(), highs.HighsSparseMatrix()
     lp.num_col_ = mat.num_col_ = n
-    lp.num_row_ = mat.num_row_ = len(rows)
+    lp.num_row_ = mat.num_row_ = m
     mat.format_ = highs.MatrixFormat.kColwise
     mat.start_, mat.index_, mat.value_ = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
     lp.a_matrix_ = mat  # a copy: mat is complete by now
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = c.tolist(), lb.tolist(), ub.tolist()
     lp.row_lower_, lp.row_upper_ = row_lower.tolist(), row_upper.tolist()
 
-    integral = all(
-        float(coef).is_integer() and model._vars[model._index[var]].integer
-        for var, coef in model._objective.items()
-        if coef != 0.0
-    )
-    return _Compiled(c, a, row_lower, row_upper, n_ub, lp, lb, ub, int_idx, integral,
-                     (n, len(model._constraints)))
+    priced = c != 0.0
+    integral = bool(np.all(is_int[priced] & (c[priced] == np.floor(c[priced]))))
+    return _Compiled(c, a, row_lower, row_upper, n_ub, lp, lb, ub, int_idx, integral, (n, m))
+
+
+def _check_finite(model: LinearModel, c, vals, rhs, cols, nz_row) -> None:
+    """Raise ModelError naming the first NaN or infinite objective term,
+    coefficient or right-hand side."""
+    if not np.isfinite(c).all():
+        j = int(np.argmax(~np.isfinite(c)))
+        raise ModelError(f"objective term of {list(model._index)[j]!r} is {c[j]}")
+    if not np.isfinite(vals).all():
+        k = int(np.argmax(~np.isfinite(vals)))
+        raise ModelError(f"constraint {model._row_names[nz_row[k]]!r} has coefficient "
+                         f"{vals[k]} on {list(model._index)[cols[k]]!r}")
+    if not np.isfinite(rhs).all():
+        r = int(np.argmax(~np.isfinite(rhs)))
+        raise ModelError(f"constraint {model._row_names[r]!r} has right-hand side {rhs[r]}")
 
 
 # The HiGHS options, status map and post-solve tolerance of
@@ -349,22 +419,12 @@ def solve(model: LinearModel, time_limit: float | None = None) -> SolveResult:
     proven best_bound so far.
     """
     comp = model._compiled()
-    n = len(model.variables)
     deadline = None if time_limit is None else time.monotonic() + time_limit
 
     def remaining() -> float | None:
         return None if deadline is None else deadline - time.monotonic()
 
-    def values_of(x: np.ndarray) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for i, var in enumerate(model.variables):
-            v = float(x[i])
-            if var.integer and abs(v - round(v)) <= 1e-7:
-                v = float(round(v))
-            out[var.name] = v
-        return out
-
-    if n == 0:
+    if len(comp.c) == 0:
         return SolveResult("optimal", {}, 0.0, 0.0, nodes=0)
 
     started = time.perf_counter()
@@ -458,8 +518,19 @@ def solve(model: LinearModel, time_limit: float | None = None) -> SolveResult:
         status = "optimal"
         best_bound = incumbent_obj
     return SolveResult(
-        status, values_of(incumbent_x), incumbent_obj, best_bound, nodes=nodes
+        status, _values_of(model, comp, incumbent_x), incumbent_obj, best_bound, nodes=nodes
     )
+
+
+def _values_of(model: LinearModel, comp: _Compiled, x: np.ndarray) -> dict[str, float]:
+    """Each variable's value in x by name, integer values within 1e-7 of an
+    integer snapped to it."""
+    near = x[comp.int_idx]
+    rounded = np.round(near)
+    snap = np.abs(near - rounded) <= 1e-7
+    x = x.copy()
+    x[comp.int_idx[snap]] = rounded[snap] + 0.0  # np.round(-1e-9) is -0.0; make it 0.0
+    return dict(zip(model._index, x.tolist()))
 
 
 def validate_solution(
@@ -471,18 +542,18 @@ def validate_solution(
     are reported as violations too; missing variables count as 0 elsewhere.
     """
     out: list[Violation] = []
-    known = model._index
+    known, variables = model._index, model.variables
     for name in values:
         if name not in known:
             out.append(Violation("unknown-variable", name, 0.0))
-    for var in model.variables:
+    for var in variables:
         if var.name not in values:
             out.append(Violation("missing-variable", var.name, 0.0))
 
     def val(name: str) -> float:
         return float(values.get(name, 0.0))
 
-    for var in model.variables:
+    for var in variables:
         x = val(var.name)
         if x < var.lb - tol:
             out.append(Violation("bound", var.name, var.lb - x))
@@ -519,9 +590,10 @@ def export_lp(model: LinearModel) -> str:
         return " ".join(parts)
 
     lines = [f"\\ {model.name}", "Minimize"]
+    variables = model.variables
     obj = [(v, c) for v, c in model._objective.items() if c != 0.0]
-    if not obj and model.variables:
-        obj = [(model.variables[0].name, 0.0)]
+    if not obj and variables:
+        obj = [(variables[0].name, 0.0)]
     lines.append(" obj: " + render(obj))
     lines.append("Subject To")
     sense_txt = {"<=": "<=", ">=": ">=", "==": "="}
@@ -530,7 +602,7 @@ def export_lp(model: LinearModel) -> str:
             f" {con.name}: {render(list(con.coeffs))} {sense_txt[con.sense]} {con.rhs:g}"
         )
     bound_lines = []
-    for var in model.variables:
+    for var in variables:
         default = var.lb == 0.0 and var.ub == math.inf
         if default:
             continue
@@ -543,7 +615,7 @@ def export_lp(model: LinearModel) -> str:
     if bound_lines:
         lines.append("Bounds")
         lines.extend(bound_lines)
-    generals = [v.name for v in model.variables if v.integer]
+    generals = [v.name for v in variables if v.integer]
     if generals:
         lines.append("Generals")
         lines.append(" " + " ".join(generals))
@@ -562,7 +634,7 @@ def solve_with_scipy_milp(
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     comp = model._compiled()
-    n = len(model.variables)
+    n = len(comp.c)
     if n == 0:
         return SolveResult("optimal", {}, 0.0, 0.0)
     constraints = []
@@ -588,7 +660,7 @@ def solve_with_scipy_milp(
         return SolveResult("unbounded", {}, None, -math.inf)
     if res.x is None:
         return SolveResult("no_solution", {}, None, -math.inf)
-    values = {v.name: float(res.x[i]) for i, v in enumerate(model.variables)}
+    values = dict(zip(model._index, res.x.tolist()))
     status = "optimal" if res.status == 0 else "feasible"
     bound = float(res.mip_dual_bound) if res.mip_dual_bound is not None else None
     return SolveResult(status, values, float(res.fun), bound)

@@ -68,7 +68,8 @@ class Topology:
 
     Raises:
         TopologyError: on duplicate ids, dangling references, non-positive
-            mileage or reach, router-less IP nodes, or a disconnected span
+            or non-finite mileage, a non-positive or NaN reach (an infinite
+            one is allowed), router-less IP nodes, or a disconnected span
             graph.
     """
 
@@ -114,11 +115,13 @@ class Topology:
                 raise TopologyError(f"span {s.u!r}-{s.v!r} is a self-loop")
             if s.miles <= 0:
                 raise TopologyError(f"span {s.u!r}-{s.v!r} has non-positive mileage")
+            if not math.isfinite(s.miles):
+                raise TopologyError(f"span {s.u!r}-{s.v!r} has mileage {s.miles}")
             if s.key in seen_spans:
                 raise TopologyError(f"duplicate span {s.u!r}-{s.v!r}")
             seen_spans.add(s.key)
 
-        if self.regen_dist <= 0:
+        if not self.regen_dist > 0:  # also true for NaN; an infinite reach is allowed
             raise TopologyError("regen_dist must be positive")
 
         # Connectivity over every node (a stranded site can never be served).
@@ -167,8 +170,8 @@ class Topology:
 class DemandMatrix:
     """Offered traffic between IP node pairs, in capacity units.
 
-    One entry per ordered (src, dst) pair; units are real-valued multiples of
-    the link capacity unit (0.8 means 80% of one unit).
+    One entry per ordered (src, dst) pair; units are finite, non-negative
+    multiples of the link capacity unit (0.8 means 80% of one unit).
     """
 
     entries: tuple[tuple[str, str, float], ...]
@@ -181,6 +184,8 @@ class DemandMatrix:
                 raise TopologyError(f"demand {src!r}->{dst!r} is a self-demand")
             if units < 0:
                 raise TopologyError(f"demand {src!r}->{dst!r} has negative volume")
+            if not math.isfinite(units):
+                raise TopologyError(f"demand {src!r}->{dst!r} has volume {units}")
             if (src, dst) in seen:
                 raise TopologyError(f"duplicate demand entry {src!r}->{dst!r}")
             seen.add((src, dst))
@@ -203,7 +208,7 @@ class DemandMatrix:
 
 @dataclass(frozen=True)
 class CostModel:
-    """Unit prices for the three placeable resources."""
+    """Unit prices for the three placeable resources, finite and non-negative."""
 
     tail: float = 1.0
     regen: float = 1.0
@@ -211,8 +216,11 @@ class CostModel:
 
     def __post_init__(self) -> None:
         for kind in ("tail", "regen", "port"):
-            if getattr(self, kind) < 0:
+            price = getattr(self, kind)
+            if price < 0:
                 raise TopologyError(f"negative {kind} cost")
+            if not math.isfinite(price):
+                raise TopologyError(f"{kind} cost is {price}")
 
 
 @dataclass(frozen=True)
@@ -333,6 +341,25 @@ def _dijkstra(
     return best
 
 
+def _distances(adj: Mapping[str, list[tuple[str, float]]], source: str) -> dict[str, float]:
+    """Single-source shortest distances: :func:`_dijkstra` without the paths.
+
+    Sums of positive mileages only grow, so each node settles at the same
+    float as in :func:`_dijkstra`, whichever of its equal paths is found.
+    """
+    best: dict[str, float] = {}
+    heap: list[tuple[float, str]] = [(0.0, source)]
+    while heap:
+        dist, node = heapq.heappop(heap)
+        if node in best:
+            continue
+        best[node] = dist
+        for nbr, miles in adj[node]:
+            if nbr not in best:
+                heapq.heappush(heap, (dist + miles, nbr))
+    return best
+
+
 def shortest_distances(
     topology: Topology, scenario: FailureScenario | None = None
 ) -> dict[tuple[str, str], float]:
@@ -344,9 +371,9 @@ def shortest_distances(
     adj = _span_adjacency(topology, scenario)
     out: dict[tuple[str, str], float] = {}
     for src in topology.all_nodes:
-        reach = _dijkstra(adj, src)
+        reach = _distances(adj, src)
         for dst in topology.all_nodes:
-            out[(src, dst)] = reach[dst][0] if dst in reach else math.inf
+            out[(src, dst)] = reach.get(dst, math.inf)
     return out
 
 

@@ -529,7 +529,7 @@ def enumerate_milp_minimum(
     Assignments are swept in chunks so memory stays flat regardless of the
     state count.
     """
-    variables = model.variables
+    variables, constraints = model.variables, model.constraints
     for var in variables:
         if not var.integer:
             raise ValueError(f"variable {var.name!r} is continuous")
@@ -562,7 +562,7 @@ def enumerate_milp_minimum(
         flat = np.arange(start, min(start + chunk, total), dtype=np.int64)
         grid = (flat[:, None] // place[None, :]) % sizes[None, :] + lows[None, :]
         feasible = np.ones(len(flat), dtype=bool)
-        for con in model.constraints:
+        for con in constraints:
             lhs = np.zeros(len(flat))
             for name, coef in con.coeffs:
                 lhs += coef * grid[:, index[name]]

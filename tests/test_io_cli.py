@@ -90,6 +90,45 @@ def test_semantic_errors_come_from_topology(tmp_path):
         load_inputs(str(path))
 
 
+@pytest.mark.parametrize(
+    "mutate,needle",
+    [
+        # Unchecked, these gave "cost 0" (exit 0), an OverflowError
+        # traceback, "cost nan" (exit 0), a "time limit expired" exit 4 with
+        # no limit set, and "infeasible" exits 3.
+        (lambda d: d["demands"][0].__setitem__("units", math.nan), "volume nan"),
+        (lambda d: d["demands"][0].__setitem__("units", math.inf), "volume inf"),
+        (lambda d: d["costs"].__setitem__("port", math.inf), "port cost is inf"),
+        (lambda d: d["costs"].__setitem__("tail", math.nan), "tail cost is nan"),
+        (lambda d: d["spans"][0].__setitem__("miles", math.nan), "mileage nan"),
+        (lambda d: d["spans"][0].__setitem__("miles", math.inf), "mileage inf"),
+        (lambda d: d.__setitem__("regen_dist", math.nan), "regen_dist must be positive"),
+    ],
+    ids=["units-nan", "units-inf", "port-inf", "tail-nan", "miles-nan", "miles-inf",
+         "regen-dist-nan"],
+)
+def test_non_finite_inputs_exit_2(tmp_path, capsys, mutate, needle):
+    with open(fixture_path("toy2x5")) as fh:
+        doc = json.load(fh)
+    mutate(doc)
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity, as Python's json reads them
+    with pytest.raises(TopologyError, match=needle):
+        load_inputs(str(path))
+    assert main(["design", str(path)]) == 2
+    assert needle in capsys.readouterr().err
+
+
+def test_infinite_reach_is_accepted(tmp_path, capsys):
+    with open(fixture_path("toy2x5")) as fh:
+        doc = json.load(fh)
+    doc["regen_dist"] = math.inf  # unlimited reach: no regens needed
+    path = tmp_path / "unlimited.json"
+    path.write_text(json.dumps(doc))
+    assert main(["design", str(path)]) == 0
+    assert "0 regens" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # Design documents
 # ---------------------------------------------------------------------------
@@ -219,6 +258,15 @@ def test_negative_price_in_document_is_a_format_error(tmp_path, toy_document):
     path = tmp_path / "design.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(InputFormatError, match="negative regen cost"):
+        load_design(str(path))
+
+
+def test_nan_price_in_document_is_a_format_error(tmp_path, toy_document):
+    doc = json.loads(json.dumps(toy_document))
+    doc["costs"]["port"] = math.nan
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputFormatError, match="port cost is nan"):
         load_design(str(path))
 
 

@@ -28,7 +28,7 @@ from roadmnet.milp import (
     solve_with_scipy_milp,
     validate_solution,
 )
-from roadmnet.topology import enumerate_failures
+from roadmnet.topology import FailureScenario, enumerate_failures
 from roadmnet.verify import enumerate_milp_minimum
 
 from conftest import fixture_path
@@ -669,3 +669,361 @@ class TestPairedSiblings:
             elapsed = time.monotonic() - start
             assert res.status in ("no_solution", "feasible")
             assert elapsed <= budget + 0.05, (budget, elapsed)
+
+
+# ---------------------------------------------------------------------------
+# Columnar storage against the per-row model it replaced
+# ---------------------------------------------------------------------------
+
+
+class RowModel:
+    """The per-row storage LinearModel had before it was columnar: one
+    Variable per column and one Constraint per row, each row's names merged
+    in first-occurrence order."""
+
+    def __init__(self):
+        self.vars: list[milp.Variable] = []
+        self.cons: list[milp.Constraint] = []
+        self.index: dict[str, int] = {}
+        self.objective: dict[str, float] = {}
+
+    def add_variable(self, name, lb=0.0, ub=math.inf, *, integer=False):
+        self.index[name] = len(self.vars)
+        self.vars.append(milp.Variable(name, float(lb), float(ub), integer))
+
+    def add_constraint(self, coeffs, sense, rhs, name=""):
+        items = list(coeffs.items()) if hasattr(coeffs, "items") else list(coeffs)
+        merged: dict[str, float] = {}
+        for var, coef in items:
+            merged[var] = merged.get(var, 0.0) + float(coef)
+        name = name or f"c{len(self.cons)}"
+        self.cons.append(milp.Constraint(name, tuple(merged.items()), sense, float(rhs)))
+
+    def set_objective(self, coeffs):
+        self.objective = {v: float(c) for v, c in coeffs.items()}
+
+
+def row_compile(old: RowModel) -> dict:
+    """The per-row compile LinearModel had before it was columnar."""
+    n = len(old.vars)
+    c = np.zeros(n)
+    for var, coef in old.objective.items():
+        c[old.index[var]] = coef
+
+    rows = [con for con in old.cons if con.sense != "=="]
+    n_ub = len(rows)
+    rows += [con for con in old.cons if con.sense == "=="]
+    data, ri, ci, rhs = [], [], [], []
+    for r, con in enumerate(rows):
+        neg = con.sense == ">="  # ">=" becomes "<=" after negation
+        ri += [r] * len(con.coeffs)
+        ci += [old.index[v] for v, _ in con.coeffs]
+        data += [-x if neg else x for _, x in con.coeffs]
+        rhs.append(-con.rhs if neg else con.rhs)
+    a = sparse.csc_array((np.array(data, dtype=float), (ri, ci)), shape=(len(rows), n))
+    row_upper = np.array(rhs, dtype=float)
+    row_lower = np.concatenate((np.full(n_ub, -milp.highs.kHighsInf), row_upper[n_ub:]))
+    integral = all(
+        float(coef).is_integer() and old.vars[old.index[var]].integer
+        for var, coef in old.objective.items()
+        if coef != 0.0
+    )
+    return {
+        "c": c, "indptr": a.indptr, "indices": a.indices, "data": a.data,
+        "row_lower": row_lower, "row_upper": row_upper,
+        "lb": np.array([v.lb for v in old.vars]), "ub": np.array([v.ub for v in old.vars]),
+        "int_idx": np.array([i for i, v in enumerate(old.vars) if v.integer], dtype=int),
+        "shape": a.shape, "n_ub": n_ub, "integral": integral,
+    }
+
+
+def row_values_of(old: RowModel, x: np.ndarray) -> dict[str, float]:
+    """The per-variable read-back solve had before the model was columnar."""
+    out: dict[str, float] = {}
+    for i, var in enumerate(old.vars):
+        v = float(x[i])
+        if var.integer and abs(v - round(v)) <= 1e-7:
+            v = float(round(v))
+        out[var.name] = v
+    return out
+
+
+def hexed_items(values: dict[str, float]) -> list:
+    return [(name, float(v).hex()) for name, v in values.items()]
+
+
+def assert_compiles_like_rows(model: LinearModel, old: RowModel):
+    """Every _Compiled field, dtypes included, and every HighsLp list, byte
+    for byte; and the introspection records equal to the per-row ones."""
+    assert model.variables == tuple(old.vars)
+    assert model.constraints == tuple(old.cons)
+    assert repr(model.constraints) == repr(tuple(old.cons))  # signed zeros too
+    comp, want = model._compiled(), row_compile(old)
+    got = {
+        "c": comp.c, "indptr": comp.a.indptr, "indices": comp.a.indices,
+        "data": comp.a.data, "row_lower": comp.row_lower, "row_upper": comp.row_upper,
+        "lb": comp.lb, "ub": comp.ub, "int_idx": comp.int_idx,
+    }
+    for key, array in got.items():
+        assert array.dtype == want[key].dtype, key
+        assert array.shape == want[key].shape, key
+        assert array.tobytes() == want[key].tobytes(), key
+    assert (comp.a.shape, comp.n_ub, comp.integral_objective) == (
+        want["shape"], want["n_ub"], want["integral"])
+
+    def floats(values):
+        return [float(v).hex() for v in values]
+
+    lp, mat = comp.lp, comp.lp.a_matrix_
+    assert (lp.num_col_, lp.num_row_) == (mat.num_col_, mat.num_row_) == want["shape"][::-1]
+    assert mat.format_ == milp.highs.MatrixFormat.kColwise
+    assert mat.start_ == want["indptr"].tolist()
+    assert mat.index_ == want["indices"].tolist()
+    for listed, key in ((mat.value_, "data"), (lp.col_cost_, "c"), (lp.col_lower_, "lb"),
+                        (lp.col_upper_, "ub"), (lp.row_lower_, "row_lower"),
+                        (lp.row_upper_, "row_upper")):
+        assert floats(listed) == floats(want[key].tolist()), key
+
+
+def both(build) -> tuple[LinearModel, RowModel]:
+    """The same construction calls made on a LinearModel and a RowModel."""
+    model, old = LinearModel("toy"), RowModel()
+    build(model)
+    build(old)
+    return model, old
+
+
+@pytest.fixture(scope="module")
+def mirrored_models():
+    """Every model the planner compiles and every solve's read-back, on both
+    fixtures and the 30 random integer models of criterion 7.
+
+    Returns ({id: (model, RowModel)} of compiled models, [(model, x, values)]).
+    """
+    mirrors: dict[int, tuple[LinearModel, RowModel]] = {}
+    compiled: dict[int, tuple[LinearModel, RowModel]] = {}
+    read_back = []
+    real_var, real_con = LinearModel.add_variable, LinearModel.add_constraint
+    real_obj, real_compile, real_values = (LinearModel.set_objective, milp._compile,
+                                           milp._values_of)
+
+    def mirror(model) -> RowModel:
+        return mirrors.setdefault(id(model), (model, RowModel()))[1]
+
+    def add_variable(self, *args, **kwargs):
+        name = real_var(self, *args, **kwargs)
+        mirror(self).add_variable(*args, **kwargs)
+        return name
+
+    def add_constraint(self, coeffs, *args, **kwargs):
+        if not hasattr(coeffs, "items"):
+            coeffs = list(coeffs)  # read twice below
+        name = real_con(self, coeffs, *args, **kwargs)
+        mirror(self).add_constraint(coeffs, *args, **kwargs)
+        return name
+
+    def set_objective(self, coeffs):
+        real_obj(self, coeffs)
+        mirror(self).set_objective(coeffs)
+
+    def compile_recording(model):
+        compiled[id(model)] = mirrors[id(model)]
+        return real_compile(model)
+
+    def values_recording(model, comp, x):
+        values = real_values(model, comp, x)
+        read_back.append((model, x.copy(), values))
+        return values
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LinearModel, "add_variable", add_variable)
+        mp.setattr(LinearModel, "add_constraint", add_constraint)
+        mp.setattr(LinearModel, "set_objective", set_objective)
+        mp.setattr(milp, "_compile", compile_recording)
+        mp.setattr(milp, "_values_of", values_recording)
+        for name in ("toy2x5", "grid3x3_600"):
+            topology, demands, costs = load_inputs(fixture_path(name))
+            design, _ = algorithms.design_optimal(topology, demands, costs)
+            algorithms.design_simple(topology, demands, costs)
+            algorithms.design_greedy(topology, demands, costs)
+            algorithms.design_legacy(topology, demands, costs)
+            base = operation.operate(topology, demands, design, FailureScenario.no_failure())
+            for concurrent in (False, True):
+                operation.transient_reports(topology, demands, base,
+                                            enumerate_failures(topology),
+                                            concurrent=concurrent)
+        for seed in range(30):
+            solve(random_integer_model(seed))
+    return compiled, read_back
+
+
+class TestColumnarModel:
+    def test_planner_models_compile_like_rows(self, mirrored_models):
+        compiled, _ = mirrored_models
+        names = {model.name for model, _ in compiled.values()}
+        assert {"design", "operation", "random_0", "random_29"} <= names
+        assert len(compiled) > 200
+        for model, old in compiled.values():
+            assert_compiles_like_rows(model, old)
+
+    def test_planner_solves_read_back_like_rows(self, mirrored_models):
+        compiled, read_back = mirrored_models
+        assert len(read_back) > 150
+        for model, x, values in read_back:
+            assert hexed_items(values) == hexed_items(row_values_of(compiled[id(model)][1], x))
+
+    def test_merged_zero_coefficients(self):
+        def build(m):
+            m.add_variable("x", ub=4)
+            m.add_variable("y", lb=-1, ub=3, integer=True)
+            m.add_constraint([("x", 1.0), ("y", 2.0), ("x", -1.0)], ">=", 0.5)
+            m.add_constraint({"y": 0.0, "x": -0.0}, "==", 1.25)
+            m.set_objective({"x": 1, "y": 2})
+
+        model, old = both(build)
+        assert_compiles_like_rows(model, old)
+        assert model._compiled().a.nnz == 4
+
+    def test_pair_list_with_a_repeated_name(self):
+        def build(m):
+            for name in ("a", "b", "c"):
+                m.add_variable(name, integer=True, ub=5)
+            m.add_constraint([("c", 1), ("a", 2), ("c", 3), ("b", -1), ("a", 0.5)], "<=", 7)
+            m.add_constraint([("b", 1), ("b", 1)], ">=", 1)
+            m.set_objective({"a": 1, "c": 3})
+
+        model, old = both(build)
+        assert model.constraints[0].coeffs == (("c", 4.0), ("a", 2.5), ("b", -1.0))
+        assert_compiles_like_rows(model, old)
+
+    def test_ge_rows_with_zero_rhs_keep_the_signed_zero(self):
+        def build(m):
+            m.add_variable("x")
+            m.add_variable("y")
+            m.add_constraint({"x": 1, "y": -1}, ">=", 0)
+            m.add_constraint({"x": 1}, "<=", 0)
+            m.add_constraint({"y": 2}, ">=", -0.0)
+            m.set_objective({"x": 1})
+
+        model, old = both(build)
+        assert_compiles_like_rows(model, old)
+        assert [v.hex() for v in model._compiled().row_upper] == [
+            "-0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]
+
+    def test_rows_in_the_old_order(self):
+        def build(m):
+            for i in range(4):
+                m.add_variable(f"x{i}", ub=9, integer=i % 2 == 0)
+            for i, sense in enumerate(("==", ">=", "==", "<=", ">=", "==")):
+                m.add_constraint({f"x{i % 4}": i + 1, f"x{(i + 1) % 4}": -1}, sense, i)
+            m.set_objective({"x0": 2, "x2": -3})
+
+        model, old = both(build)
+        assert_compiles_like_rows(model, old)
+        assert model._compiled().n_ub == 3
+        assert model._compiled().integral_objective
+
+    def test_no_rows(self):
+        def build(m):
+            m.add_variable("x", lb=1, ub=2)
+            m.add_variable("y", integer=True)
+            m.set_objective({"x": 3})
+
+        model, old = both(build)
+        assert_compiles_like_rows(model, old)
+        assert solve(model).values == {"x": 1.0, "y": 0.0}
+
+    def test_equality_rows_only(self):
+        def build(m):
+            m.add_variable("x", ub=5, integer=True)
+            m.add_variable("y", ub=5)
+            m.add_constraint({"x": 1, "y": 1}, "==", 3)
+            m.add_constraint({"y": 2}, "==", 1)
+            m.set_objective({"x": 1.5, "y": 1})
+
+        model, old = both(build)
+        assert_compiles_like_rows(model, old)
+        assert model._compiled().n_ub == 0
+        assert not model._compiled().integral_objective
+
+    def test_empty_model(self):
+        model, old = both(lambda m: None)
+        assert_compiles_like_rows(model, old)
+
+    def test_read_back_snaps_integers_to_unsigned_values(self):
+        def build(m):
+            m.add_variable("i", lb=-5, integer=True)
+            m.add_variable("j", lb=-5, integer=True)
+            m.add_variable("k", integer=True)
+            m.add_variable("u", lb=-5)
+            m.add_variable("v", integer=True)
+
+        model, old = both(build)
+        x = np.array([-1e-9, -0.0, 2.00000005, -0.0, 2.5])
+        got = milp._values_of(model, model._compiled(), x)
+        assert hexed_items(got) == hexed_items(row_values_of(old, x))
+        assert [v.hex() for v in got.values()] == [
+            "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+1", "-0x0.0p+0", "0x1.4000000000000p+1"]
+        assert x[0] == -1e-9  # the solver's point is left as it was
+
+
+class TestNonFiniteModelData:
+    def two_variables(self) -> LinearModel:
+        m = LinearModel()
+        m.add_variable("x", ub=3)
+        m.add_variable("y", ub=3)
+        m.set_objective({"x": 1, "y": 1})
+        return m
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_coefficient(self, bad):
+        # Unchecked, a NaN coefficient solved "optimal" 3.0 and an infinite
+        # one "infeasible".
+        m = self.two_variables()
+        m.add_constraint({"x": 1, "y": 1}, ">=", 3, name="cover")
+        m.add_constraint({"x": 1, "y": bad}, ">=", 3, name="broken")
+        with pytest.raises(ModelError, match=f"'broken' has coefficient {bad} on 'y'"):
+            solve(m)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rhs(self, bad):
+        m = self.two_variables()
+        m.add_constraint({"x": 1}, "<=", bad, name="cap")
+        with pytest.raises(ModelError, match=f"'cap' has right-hand side {bad}"):
+            solve(m)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_objective_term(self, bad):
+        # Unchecked, a NaN objective term gave "no_solution".
+        m = self.two_variables()
+        m.add_constraint({"x": 1, "y": 1}, ">=", 3)
+        m.set_objective({"x": 1, "y": bad})
+        with pytest.raises(ModelError, match=f"objective term of 'y' is {bad}"):
+            solve(m)
+
+    @pytest.mark.parametrize("bounds", [{"lb": math.nan}, {"ub": math.nan},
+                                        {"lb": math.nan, "ub": math.nan}])
+    def test_nan_bound(self, bounds):
+        # Unchecked, a NaN lb gave "infeasible".
+        with pytest.raises(ModelError, match="'z' has bounds"):
+            self.two_variables().add_variable("z", **bounds)
+
+    def test_infinite_bounds_are_fine(self):
+        m = self.two_variables()
+        m.add_variable("free", lb=-math.inf, ub=math.inf)
+        m.add_constraint({"free": 1, "x": 1}, "==", 1)
+        assert solve(m).status == "optimal"
+
+
+def solve_in_a_worker(model: LinearModel):
+    return fingerprint(solve(model))
+
+
+def test_a_solved_model_pickles_without_its_compiled_form(toy_inputs):
+    model = joint_model(toy_inputs)
+    want = fingerprint(solve(model))
+    assert model._compiled_cache is not None
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        got = pool.apply(solve_in_a_worker, (model,))
+    assert got == want
+    assert model._compiled_cache is not None  # pickling left this process's cache alone

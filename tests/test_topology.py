@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
+from roadmnet.io import load_inputs
 from roadmnet.topology import (
     CostModel,
     DemandMatrix,
@@ -22,8 +24,10 @@ from roadmnet.topology import (
     surviving_spans,
     validate_scenario,
 )
+from roadmnet.topology import _dijkstra, _distances, _span_adjacency
 
-from instances import toy_network
+from conftest import fixture_path
+from instances import MICRO_SEEDS, micro_instance, toy_network
 
 
 def small_topology(**overrides) -> Topology:
@@ -200,3 +204,46 @@ def test_demand_matrix_rejects_bad_entries():
 def test_cost_model_defaults():
     costs = CostModel()
     assert (costs.tail, costs.regen, costs.port) == (1.0, 1.0, 0.0)
+
+
+def test_non_finite_numbers_rejected():
+    for miles in (math.nan, math.inf):
+        with pytest.raises(TopologyError, match="mileage"):
+            small_topology(spans=(Span("A", "X", miles), Span("X", "B", 10.0)))
+    with pytest.raises(TopologyError, match="regen_dist"):
+        small_topology(regen_dist=math.nan)
+    assert small_topology(regen_dist=math.inf).regen_dist == math.inf
+    for units in (math.nan, math.inf):
+        with pytest.raises(TopologyError, match="volume"):
+            DemandMatrix(entries=(("A", "B", units),))
+    for price in (math.nan, math.inf):
+        with pytest.raises(TopologyError, match="port cost"):
+            CostModel(port=price)
+
+
+def _uneven_grid(seed: int) -> Topology:
+    """A 3x3 grid with random non-integral mileages, whose path sums round."""
+    rng = random.Random(seed)
+    names = [f"V{i}" for i in range(9)]
+    spans = [Span(names[i], names[i + 1], rng.uniform(0.1, 900.0))
+             for i in range(9) if i % 3 != 2]
+    spans += [Span(names[i], names[i + 3], rng.choice((0.1, 0.2, 0.3, 700.7)))
+              for i in range(6)]
+    return Topology(ip_nodes=("V0", "V8"), optical_nodes=tuple(names[1:8]),
+                    routers=(Router("r0", "V0"), Router("r8", "V8")), spans=tuple(spans))
+
+
+def test_distances_are_the_path_dijkstras_bit_for_bit():
+    topologies = [load_inputs(fixture_path(name))[0] for name in ("toy2x5", "grid3x3_600")]
+    topologies += [micro_instance(seed)[0] for seed in MICRO_SEEDS]
+    topologies += [_uneven_grid(seed) for seed in range(10)]
+    checked = 0
+    for topo in topologies:
+        for scenario in enumerate_failures(topo):
+            adj = _span_adjacency(topo, scenario)
+            for src in topo.all_nodes:
+                want = {node: dist.hex() for node, (dist, _) in _dijkstra(adj, src).items()}
+                got = {node: dist.hex() for node, dist in _distances(adj, src).items()}
+                assert got == want, (scenario, src)
+                checked += 1
+    assert checked > 2000
