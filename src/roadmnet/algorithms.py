@@ -275,6 +275,7 @@ def design_legacy(
             surviving[(link.a, link.b)] += link.units
 
         candidates: dict[tuple[str, str], tuple[float, LegacyLink]] = {}
+        walks: dict[tuple[str, str], tuple[str, ...] | None] = {}  # per pair of nodes
         for i, a in enumerate(alive):
             for b in alive[i + 1:]:
                 key = (a.id, b.id) if a.id < b.id else (b.id, a.id)
@@ -282,7 +283,9 @@ def design_legacy(
                     proto = LegacyLink(key[0], key[1], 1, (), (), ())
                     candidates[key] = (2.0 * costs.port, proto)
                     continue
-                walk = shortest_path(topology, scen, a.node, b.node)
+                if (a.node, b.node) not in walks:
+                    walks[(a.node, b.node)] = shortest_path(topology, scen, a.node, b.node)
+                walk = walks[(a.node, b.node)]
                 if walk is None:
                     continue
                 regens = _farthest_reach_regens(topology, walk)

@@ -16,7 +16,10 @@ unbroken relays from the link's source node to its destination node, and the
 regens consumed at every node are capped by that node's budget.  Hops leaving
 the link's own source node are bookkeeping only -- the transponder launches a
 fresh signal, so no regenerator is consumed there; reported totals exclude
-them while raw totals keep them visible.
+them while raw totals keep them visible.  A link's hops and relay rows
+depend only on its two end nodes, so each failure state works them out once
+per pair of nodes and stamps them onto every router link between them by
+column offset, straight into the model's column and row storage.
 
 Routing is a multi-commodity flow over the per-scenario link capacities, with
 colocated routers bridged by port-based intra-node links.  That flow is built
@@ -215,24 +218,48 @@ class DesignModel:
     blocks: list[ScenarioBlock]
 
 
-def _min_hop_count(
-    hops: Sequence[tuple[str, str]], src: str, dst: str
-) -> int | None:
-    """Fewest hops on any src->dst relay path, or None when unreachable."""
-    out: dict[str, list[str]] = defaultdict(list)
-    for u, v in hops:
-        out[u].append(v)
-    depth = {src: 0}
-    frontier = [src]
-    while frontier:
-        nxt: list[str] = []
-        for u in frontier:
-            for v in out[u]:
-                if v not in depth:
-                    depth[v] = depth[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return depth.get(dst)
+def _relay_shape(adjacency: Sequence[tuple[str, str]], nodes: Sequence[str], src: str,
+                 dst: str, strengthen: bool):
+    """The relay-chain block of each router link from node src to node dst.
+
+    Returns the hops (u, v) a chain may use, in adjacency order, the
+    positions of those that use a regen (all but launch hops), and the rows
+    as ``LinearModel._add_rows`` takes them, with hop positions as columns
+    (-1: the link's capacity) and (kind, suffix) as names: relay rows at
+    intermediate nodes, then launch, land and, when it applies, relaylen.
+    """
+    hops = [(u, v) for u, v in adjacency if v != src and u != dst]
+    by_out: dict[str, list[int]] = defaultdict(list)
+    by_in: dict[str, list[int]] = defaultdict(list)
+    for k, (u, v) in enumerate(hops):
+        by_out[u].append(k)
+        by_in[v].append(k)
+    rows = []  # (hop positions, coefficients, sense, name)
+    # Relays must be contiguous through every intermediate node.
+    for n in nodes:
+        outs, ins = by_out.get(n, []), by_in.get(n, [])
+        if n not in (src, dst) and (outs or ins):
+            signs = [1.0] * len(outs) + [-1.0] * len(ins)
+            rows.append((outs + ins, signs, "==", ("relay", f"_{n}")))
+    # Every unit needs a relay start at the source node and a final hop into
+    # the destination node.
+    for kind, ks in (("launch", by_out.get(src, [])), ("land", by_in.get(dst, []))):
+        rows.append((ks + [-1], [1.0] * len(ks) + [-1.0], ">=", (kind, "")))
+    # Every unit relays through at least k_min real regen hops, where k_min
+    # is one less than the fewest hops on any source-to-destination path.
+    regen = [k for k, (u, _) in enumerate(hops) if u != src]
+    depth, order = {src: 0}, [src]
+    for u in order:  # breadth first: order grows as it is read
+        for v in (hops[k][1] for k in by_out[u]):
+            if v not in depth:
+                depth[v] = depth[u] + 1
+                order.append(v)
+    k_min = depth.get(dst) if strengthen and regen else None
+    if k_min is not None and k_min >= 2:
+        rows.append((regen + [-1], [1.0] * len(regen) + [1.0 - k_min], ">=", ("relaylen", "")))
+    cols, vals, senses, names = zip(*rows)
+    return hops, regen, ([k for ks in cols for k in ks], [x for xs in vals for x in xs],
+                         [len(ks) for ks in cols], senses, [0.0] * len(rows), names)
 
 
 def add_commodity_flow(
@@ -252,12 +279,13 @@ def add_commodity_flow(
     destination node's; a term map is empty when no live router there touches
     an arc.  The caller writes the endpoint rows under its own rule.
     """
-    flows: dict[tuple[str, str], str] = {}
+    arcs = list(arcs)
+    names = [f"{prefix}_{a}_{b}" for a, b in arcs]
+    m._add_columns(names, 0.0, math.inf, False)
+    flows = dict(zip(arcs, names))
     by_out: dict[str, list[str]] = defaultdict(list)
     by_in: dict[str, list[str]] = defaultdict(list)
-    for a, b in arcs:
-        name = m.add_variable(f"{prefix}_{a}_{b}")
-        flows[(a, b)] = name
+    for (a, b), name in flows.items():
         by_out[a].append(name)
         by_in[b].append(name)
     for r in alive:
@@ -383,18 +411,12 @@ def build_design_model(
         adjacency = sorted(regen_adjacency(topology, scen))
 
         # Link capacity variables: ordered pairs, external and intra-node.
-        for a in alive:
-            for b in alive:
-                if a.id == b.id:
-                    continue
-                if a.node != b.node:
-                    blk.caps[(a.id, b.id)] = m.add_variable(
-                        f"X_f{fi}_{a.id}_{b.id}", ub=box, integer=True
-                    )
-                else:
-                    blk.intra[(a.id, b.id)] = m.add_variable(
-                        f"W_f{fi}_{a.id}_{b.id}", ub=box, integer=True
-                    )
+        pairs = [(a, b) for a in alive for b in alive if a.id != b.id]
+        names = [f"{'X' if a.node != b.node else 'W'}_f{fi}_{a.id}_{b.id}" for a, b in pairs]
+        first = m._add_columns(names, 0.0, box, True)
+        col_of = {(a.id, b.id): first + i for i, (a, b) in enumerate(pairs)}
+        for (a, b), name in zip(pairs, names):
+            (blk.caps if a.node != b.node else blk.intra)[(a.id, b.id)] = name
 
         canonical = [(a, b) for a, b in blk.caps if a < b]
 
@@ -436,62 +458,25 @@ def build_design_model(
             add_budget({blk.intra[(r.id, o.id)]: 1.0 for o in mates},
                        ports, r.id, f"port_out_f{fi}_{r.id}")
 
-        # Regen relay chains, one shared chain system per unordered link.
-        # Hops leaving a link's own source node are bookkeeping (fresh
-        # signal) and consume no regen budget.
+        # Regen relay chains, one shared chain system per unordered link,
+        # stamped from one block per pair of end nodes.  Hops leaving a
+        # link's own source node are bookkeeping (fresh signal) and consume
+        # no regen budget.
         regen_use: dict[str, dict[str, float]] = defaultdict(dict)
+        shapes: dict[tuple[str, str], tuple] = {}
         for a, b in canonical:
-            src = topology.home(a)
-            dst = topology.home(b)
-            hops = blk.hops[(a, b)] = {
-                (u, v): m.add_variable(
-                    f"H_f{fi}_{a}_{b}_{u}_{v}", ub=box, integer=True
-                )
-                for (u, v) in adjacency
-                if v != src and u != dst
-            }
-            link_cap = blk.caps[(a, b)]
-            by_out: dict[str, list[str]] = defaultdict(list)
-            by_in: dict[str, list[str]] = defaultdict(list)
-            for (u, v), name in hops.items():
-                by_out[u].append(name)
-                by_in[v].append(name)
-                if u != src:
-                    regen_use[u][name] = 1.0
-            # Relays must be contiguous through every intermediate node.
-            for n in topology.all_nodes:
-                if n in (src, dst):
-                    continue
-                outs = by_out.get(n, [])
-                ins = by_in.get(n, [])
-                if not outs and not ins:
-                    continue
-                coeffs: dict[str, float] = {}
-                for name in outs:
-                    coeffs[name] = coeffs.get(name, 0.0) + 1.0
-                for name in ins:
-                    coeffs[name] = coeffs.get(name, 0.0) - 1.0
-                m.add_constraint(coeffs, "==", 0.0, name=f"relay_f{fi}_{a}_{b}_{n}")
-            # Every unit needs a relay start at the source node and a final
-            # hop into the destination node.
-            start = {name: 1.0 for name in by_out.get(src, [])}
-            start[link_cap] = start.get(link_cap, 0.0) - 1.0
-            m.add_constraint(start, ">=", 0.0, name=f"launch_f{fi}_{a}_{b}")
-            finish = {name: 1.0 for name in by_in.get(dst, [])}
-            finish[link_cap] = finish.get(link_cap, 0.0) - 1.0
-            m.add_constraint(finish, ">=", 0.0, name=f"land_f{fi}_{a}_{b}")
-            if strengthen:
-                # Every unit relays through at least k_min real regen hops,
-                # where k_min is one less than the fewest hops on any
-                # source-to-destination relay path.
-                k_min = _min_hop_count(list(hops), src, dst)
-                if k_min is not None and k_min >= 2:
-                    coeffs = {name: 1.0 for (u, v), name in hops.items() if u != src}
-                    if coeffs:
-                        coeffs[link_cap] = coeffs.get(link_cap, 0.0) - float(k_min - 1)
-                        m.add_constraint(
-                            coeffs, ">=", 0.0, name=f"relaylen_f{fi}_{a}_{b}"
-                        )
+            ends = (topology.home(a), topology.home(b))
+            if ends not in shapes:
+                shapes[ends] = _relay_shape(adjacency, topology.all_nodes, *ends, strengthen)
+            hops, regen, (cols, vals, lengths, senses, rhs, kinds) = shapes[ends]
+            tag = f"_f{fi}_{a}_{b}"
+            names = [f"H{tag}_{u}_{v}" for u, v in hops]
+            base, cap = m._add_columns(names, 0.0, box, True), col_of[(a, b)]
+            blk.hops[(a, b)] = dict(zip(hops, names))
+            for k in regen:
+                regen_use[hops[k][0]][names[k]] = 1.0
+            m._add_rows([base + k if k >= 0 else cap for k in cols], vals, lengths, senses,
+                        rhs, [f"{kind}{tag}{suffix}" for kind, suffix in kinds])
 
         # Node regen budgets.
         for n in topology.all_nodes:

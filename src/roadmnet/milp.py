@@ -5,7 +5,9 @@ resolved to column indices as the row is added), compiled once with numpy
 into one column-major matrix (a NaN or infinite coefficient, right-hand side
 or objective term is a :class:`ModelError` there), and solved by
 branch-and-bound: each LP relaxation goes straight to scipy's bundled HiGHS
-(:func:`linprog`, with ``scipy.optimize.linprog``'s options and checks),
+(:func:`linprog`, with ``scipy.optimize.linprog``'s options and checks) on
+an instance that the solve loads once per thread it uses, that takes only
+the column bounds that changed and whose solver state is cleared per LP,
 branching follows a most-fractional rule with lowest-index tie-breaks, and
 open nodes are explored best-bound-first, newest first on ties, so identical
 models always produce identical results.  A thin adapter onto
@@ -17,9 +19,10 @@ Where a node branches into two children, the root LP took at least
 a second thread solves the second child's LP while the calling thread solves
 the first (HiGHS releases the interpreter lock while it runs); both results
 are then used in the usual order, so every answer is the same as with one
-thread.  The solve owns that thread and stops it before it returns or
-raises.  The thread runs the import-time :func:`linprog`, so a patch of
-``milp.linprog`` sees only the LPs solved on the calling thread.
+thread.  The solve owns that thread and both instances and stops or drops
+them before it returns or raises.  The thread runs the import-time
+:func:`linprog`, so a patch of ``milp.linprog`` sees only the LPs solved on
+the calling thread.
 """
 
 from __future__ import annotations
@@ -137,8 +140,7 @@ class LinearModel:
         self._compiled_cache: _Compiled | None = None
 
     def __getstate__(self) -> dict:
-        # The cache holds a HighsLp, which cannot be pickled; it is rebuilt
-        # on the next solve.
+        # A pickle leaves the compiled form behind; the next solve rebuilds it.
         return {**self.__dict__, "_compiled_cache": None}
 
     # -- construction ----------------------------------------------------
@@ -151,16 +153,7 @@ class LinearModel:
         *,
         integer: bool = False,
     ) -> str:
-        if name in self._index:
-            raise ModelError(f"duplicate variable name {name!r}")
-        if not name:
-            raise ModelError("variable name must be non-empty")
-        if not lb <= ub:  # also false when either bound is NaN
-            raise ModelError(f"variable {name!r} has bounds lb {lb}, ub {ub}")
-        self._index[name] = len(self._lb)
-        self._lb.append(float(lb))
-        self._ub.append(float(ub))
-        self._integer.append(bool(integer))
+        self._add_columns((name,), lb, ub, integer)
         return name
 
     def add_constraint(
@@ -177,8 +170,7 @@ class LinearModel:
             items = list(coeffs)
         if not items:
             raise ModelError(f"constraint {name!r} has no terms")
-        code = _SENSE_CODE.get(sense)
-        if code is None:
+        if sense not in _SENSE_CODE:
             raise ModelError(f"constraint {name!r} has unknown sense {sense!r}")
         index = self._index
         merged: dict[int, float] = {}  # repeated names merge, first occurrence first
@@ -188,13 +180,39 @@ class LinearModel:
                 raise ModelError(f"constraint {name!r} references unknown variable {var!r}")
             merged[col] = merged.get(col, 0.0) + float(coef)
         name = name or f"c{len(self._row_names)}"
-        self._cols += merged
-        self._vals += merged.values()
-        self._row_len.append(len(merged))
-        self._senses.append(code)
-        self._rhs.append(float(rhs))
-        self._row_names.append(name)
+        self._add_rows(list(merged), list(merged.values()), (len(merged),), (sense,),
+                       (float(rhs),), (name,))
         return name
+
+    # The one write path, which the design builder also feeds whole blocks.
+
+    def _add_columns(self, names: Sequence[str], lb: float, ub: float, integer: bool) -> int:
+        """Append a column per name, all alike; returns the first one's index."""
+        start, index = len(self._lb), self._index
+        fresh = dict(zip(names, range(start, start + len(names))))
+        if len(fresh) < len(names) or not index.keys().isdisjoint(fresh):
+            dup = next(n for i, n in enumerate(names) if n in index or n in names[:i])
+            raise ModelError(f"duplicate variable name {dup!r}")
+        if not all(names):
+            raise ModelError("variable name must be non-empty")
+        if not lb <= ub:  # also false when either bound is NaN
+            raise ModelError(f"variable {names[0]!r} has bounds lb {lb}, ub {ub}")
+        index.update(fresh)
+        self._lb += [float(lb)] * len(fresh)
+        self._ub += [float(ub)] * len(fresh)
+        self._integer += [bool(integer)] * len(fresh)
+        return start
+
+    def _add_rows(self, cols: list[int], vals: list[float], lengths: Sequence[int],
+                  senses: Sequence[str], rhs: Sequence[float], names: Sequence[str]) -> None:
+        """Append rows: their columns and float coefficients one row after
+        another, and each row's length, sense, rhs and name."""
+        self._cols += cols
+        self._vals += vals
+        self._row_len += lengths
+        self._senses += [_SENSE_CODE[sense] for sense in senses]
+        self._rhs += rhs
+        self._row_names += names
 
     def set_objective(self, coeffs: Mapping[str, float]) -> None:
         """Minimization objective; unmentioned variables get coefficient 0."""
@@ -242,16 +260,25 @@ _SENSE_CODE = {sense: code for code, sense in enumerate(_SENSES)}
 @dataclass
 class _Compiled:
     c: np.ndarray
-    a: sparse.csc_array  # the "<=" rows (">=" negated), then the "==" rows
+    # The "<=" rows (">=" negated), then the "==" rows, as HiGHS loads them:
+    # values, row indices and column starts, the last two int32.
+    csc: tuple[np.ndarray, np.ndarray, np.ndarray]
     row_lower: np.ndarray
     row_upper: np.ndarray
     n_ub: int  # how many of the rows are "<=" rows
-    lp: highs.HighsLp  # all of the above, as HiGHS takes it
     lb: np.ndarray
     ub: np.ndarray
     int_idx: np.ndarray
     integral_objective: bool
     stamp: tuple[int, int]
+
+    @property
+    def a(self) -> sparse.csc_array:
+        """The matrix as scipy takes it, built on demand (for the cross-check
+        adapter)."""
+        data, rows, starts = self.csc
+        return sparse.csc_array((data, rows.astype(np.int64), starts.astype(np.int64)),
+                                shape=(len(self.row_upper), len(self.c)))
 
 
 def _compile(model: LinearModel) -> _Compiled:
@@ -266,7 +293,7 @@ def _compile(model: LinearModel) -> _Compiled:
     is_eq = senses == 2
     order = np.argsort(is_eq, kind="stable")  # the "<=" and ">=" rows, then the "==" rows
     n_ub = m - int(np.count_nonzero(is_eq))
-    row_of = np.empty(m, dtype=np.int64)  # an input row's position in the matrix
+    row_of = np.empty(m, dtype=np.int32)  # an input row's position in the matrix
     row_of[order] = np.arange(m)
 
     lengths = np.array(model._row_len, dtype=np.int64)
@@ -281,28 +308,17 @@ def _compile(model: LinearModel) -> _Compiled:
     by_row = np.argsort(is_eq[nz_row], kind="stable")
     entries = by_row[np.argsort(cols[by_row], kind="stable")]
     rows = nz_row[entries]
-    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-    a = sparse.csc_array((vals[entries] * sign[rows], row_of[rows], indptr), shape=(m, n))
+    csc = (vals[entries] * sign[rows], row_of[rows], indptr)
     row_upper = rhs[order] * sign[order]
     row_lower = np.concatenate((np.full(n_ub, -highs.kHighsInf), row_upper[n_ub:]))
     lb = np.array(model._lb, dtype=float)
     ub = np.array(model._ub, dtype=float)
     int_idx = np.flatnonzero(is_int)
-
-    # Lists: the bindings copy them into HiGHS about twice as fast as arrays.
-    lp, mat = highs.HighsLp(), highs.HighsSparseMatrix()
-    lp.num_col_ = mat.num_col_ = n
-    lp.num_row_ = mat.num_row_ = m
-    mat.format_ = highs.MatrixFormat.kColwise
-    mat.start_, mat.index_, mat.value_ = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
-    lp.a_matrix_ = mat  # a copy: mat is complete by now
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c.tolist(), lb.tolist(), ub.tolist()
-    lp.row_lower_, lp.row_upper_ = row_lower.tolist(), row_upper.tolist()
-
     priced = c != 0.0
     integral = bool(np.all(is_int[priced] & (c[priced] == np.floor(c[priced]))))
-    return _Compiled(c, a, row_lower, row_upper, n_ub, lp, lb, ub, int_idx, integral, (n, m))
+    return _Compiled(c, csc, row_lower, row_upper, n_ub, lb, ub, int_idx, integral, (n, m))
 
 
 def _check_finite(model: LinearModel, c, vals, rhs, cols, nz_row) -> None:
@@ -333,9 +349,21 @@ _LP_STATUS = {_MS.kOptimal: 0, _MS.kTimeLimit: 1, _MS.kIterationLimit: 1,
 _CHECK_TOL = math.sqrt(1e-9) * 10
 
 
-def linprog(comp: _Compiled, lb: np.ndarray, ub: np.ndarray,
+class _Loaded:
+    """A compiled model in one HiGHS instance, one per thread of a solve.
+
+    The first LP on it loads the model, on the thread that uses it; ``lb``
+    and ``ub`` are the column bounds the instance holds.
+    """
+
+    def __init__(self, comp: _Compiled):
+        self.comp, self.highs, self.ok = comp, None, False
+        self.lb, self.ub = comp.lb.copy(), comp.ub.copy()
+
+
+def linprog(lp: _Loaded, lb: np.ndarray, ub: np.ndarray,
             time_limit: float | None) -> OptimizeResult:
-    """Solve one LP relaxation of a compiled model under column bounds lb/ub.
+    """Solve one LP relaxation of a loaded model under column bounds lb/ub.
 
     This is ``scipy.optimize.linprog(method="highs")`` on the same data with
     the same HiGHS options (dual simplex, presolve on, a time limit of at
@@ -343,24 +371,39 @@ def linprog(comp: _Compiled, lb: np.ndarray, ub: np.ndarray,
     time or iteration limit, 2 infeasible, 3 unbounded, 4 anything else)
     and the same post-solve check, which turns an "optimal" point that
     misses a bound or a row by more than ~3.2e-4 into status 4.  ``x`` and
-    ``fun`` are None unless the status is 0.
+    ``fun`` are None unless the status is 0.  Only the column bounds that
+    differ from the instance's are pushed, and the instance's solver state
+    is cleared first, so every LP starts as it would on a fresh instance.
     """
+    comp, error = lp.comp, highs.HighsStatus.kError
     if not lb.shape == ub.shape == comp.c.shape:  # HiGHS reads len(c) of each
         raise ValueError(f"lb and ub need {len(comp.c)} entries")
-    solver, error = highs._Highs(), highs.HighsStatus.kError
-    solver.passOptions(_LP_OPTIONS)
-    if time_limit is not None:
-        solver.setOptionValue("time_limit", max(time_limit, 0.05))
-    cols = np.arange(len(lb), dtype=np.int32)
-    if (solver.passModel(comp.lp) == error
-            or solver.changeColsBounds(len(cols), cols, lb, ub) == error):
+    if lp.highs is None:
+        lp.highs = highs._Highs()
+        lp.highs.passOptions(_LP_OPTIONS)
+        values, rows, starts = comp.csc
+        continuous = np.zeros(len(comp.c), dtype=np.int32)  # the LP relaxation
+        lp.ok = lp.highs.passModel(
+            len(comp.c), len(comp.row_upper), len(values), highs.MatrixFormat.kColwise,
+            highs.ObjSense.kMinimize, 0.0, comp.c, comp.lb, comp.ub, comp.row_lower,
+            comp.row_upper, starts, rows, values, continuous) != error
+    solver = lp.highs
+    cols = np.flatnonzero((lb != lp.lb) | (ub != lp.ub)).astype(np.int32)
+    if not lp.ok or (cols.size and solver.changeColsBounds(
+            cols.size, cols, lb[cols], ub[cols]) == error):
         return OptimizeResult(status=2, fun=None, x=None)  # linprog's model error
+    lp.lb[cols], lp.ub[cols] = lb[cols], ub[cols]
+    # HiGHS holds the time limit against the instance's run clock, which
+    # adds up over its runs.
+    solver.setOptionValue("time_limit", math.inf if time_limit is None
+                          else solver.getRunTime() + max(time_limit, 0.05))
+    solver.clearSolver()  # no basis or solution carries over to this LP
     ran = solver.run() != error
     status = _LP_STATUS.get(solver.getModelStatus(), 4)
     if status != 0 or not ran:  # a failed run gives no point, so "optimal" is 4
         return OptimizeResult(status=status or 4, fun=None, x=None)
     solution = solver.getSolution()
-    x, fun = np.array(solution.col_value), solver.getInfo().objective_function_value
+    x, fun = np.array(solution.col_value), solver.getObjectiveValue()
     resid = comp.row_upper - np.array(solution.row_value)  # slacks, then residuals
     ok = _within_tolerance(x, fun, resid[:comp.n_ub], resid[comp.n_ub:], lb, ub)
     return OptimizeResult(status=0 if ok else 4, fun=fun, x=x)
@@ -391,22 +434,22 @@ def _most_fractional(x: np.ndarray, int_idx: np.ndarray) -> int | None:
 _PAIR_MIN_ROOT_S = 0.004
 
 
-def _child_lps(comp: _Compiled, children, pool: ThreadPoolExecutor | None,
+def _child_lps(lps: list[_Loaded], children, pool: ThreadPoolExecutor | None,
                remaining, solve_sibling=linprog) -> Iterator[OptimizeResult]:
     """Each child's LP result, in order.
 
     With a pool and two children the pool's thread solves the second child's
-    LP while this thread solves the first; its result is read before the
-    first is yielded, so an error on either thread surfaces here.
-    ``solve_sibling`` is bound at import, so a patched ``milp.linprog`` never
-    runs on the pool's thread.
+    LP on ``lps[1]`` while this thread solves the first on ``lps[0]``; its
+    result is read before the first is yielded, so an error on either thread
+    surfaces here.  ``solve_sibling`` is bound at import, so a patched
+    ``milp.linprog`` never runs on the pool's thread.
     """
     if pool is None or len(children) < 2:
         for lb, ub in children:
-            yield linprog(comp, lb, ub, remaining())
+            yield linprog(lps[0], lb, ub, remaining())
         return
-    second = pool.submit(solve_sibling, comp, *children[1], remaining())
-    first = linprog(comp, *children[0], remaining())
+    second = pool.submit(solve_sibling, lps[1], *children[1], remaining())
+    first = linprog(lps[0], *children[0], remaining())
     yield from (first, second.result())
 
 
@@ -426,9 +469,18 @@ def solve(model: LinearModel, time_limit: float | None = None) -> SolveResult:
 
     if len(comp.c) == 0:
         return SolveResult("optimal", {}, 0.0, 0.0, nodes=0)
+    lps = [_Loaded(comp)]  # this thread's instance, then the sibling thread's
+    try:
+        return _branch_and_bound(model, comp, lps, remaining)
+    finally:
+        for lp in lps:
+            lp.highs = None
 
+
+def _branch_and_bound(model: LinearModel, comp: _Compiled, lps: list[_Loaded],
+                      remaining) -> SolveResult:
     started = time.perf_counter()
-    root = linprog(comp, comp.lb, comp.ub, remaining())
+    root = linprog(lps[0], comp.lb, comp.ub, remaining())
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     pair = time.perf_counter() - started >= _PAIR_MIN_ROOT_S and len(cpus) >= 2
     if root.status == 2:
@@ -460,6 +512,8 @@ def solve(model: LinearModel, time_limit: float | None = None) -> SolveResult:
     interrupted_bound: float | None = None
     # The pool's thread solves second siblings; leaving the block stops it.
     with ThreadPoolExecutor(1, "roadmnet-lp") if pair else nullcontext() as pool:
+        if pair:
+            lps.append(_Loaded(comp))
         while heap:
             bound, _, x, lb, ub = heappop(heap)
             if bound > cutoff():
@@ -482,7 +536,7 @@ def solve(model: LinearModel, time_limit: float | None = None) -> SolveResult:
             if xv - math.floor(xv) < 0.5:
                 children.reverse()
             children = [(l, u) for l, u in children if l[branch] <= u[branch]]
-            results = _child_lps(comp, children, pool, remaining)
+            results = _child_lps(lps, children, pool, remaining)
             for (child_lb, child_ub), res in zip(children, results):
                 nodes += 1
                 if res.status == 2:

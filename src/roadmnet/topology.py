@@ -341,16 +341,22 @@ def _dijkstra(
     return best
 
 
-def _distances(adj: Mapping[str, list[tuple[str, float]]], source: str) -> dict[str, float]:
-    """Single-source shortest distances: :func:`_dijkstra` without the paths.
+def _distances(
+    adj: Mapping[str, list[tuple[str, float]]], source: str, limit: float = math.inf
+) -> dict[str, float]:
+    """Single-source shortest distances up to ``limit``: :func:`_dijkstra`
+    without the paths.
 
     Sums of positive mileages only grow, so each node settles at the same
-    float as in :func:`_dijkstra`, whichever of its equal paths is found.
+    float as in :func:`_dijkstra`, whichever of its equal paths is found,
+    and every node within ``limit`` settles before the search passes it.
     """
     best: dict[str, float] = {}
     heap: list[tuple[float, str]] = [(0.0, source)]
     while heap:
         dist, node = heapq.heappop(heap)
+        if dist > limit:
+            break
         if node in best:
             continue
         best[node] = dist
@@ -401,12 +407,15 @@ def regen_adjacency(
     """Ordered node pairs a signal can cross without regeneration.
 
     (u, v) is included when the surviving shortest-span distance is at most
-    ``regen_dist`` (reaching exactly the boundary is allowed).
+    ``regen_dist`` (reaching exactly the boundary is allowed).  Each search
+    stops at that reach.
     """
-    dist = shortest_distances(topology, scenario or FailureScenario.no_failure())
+    scenario = scenario or FailureScenario.no_failure()
+    adj = _span_adjacency(topology, scenario)
     limit = topology.regen_dist + REACH_EPS
     return frozenset(
         (u, v)
-        for (u, v), d in dist.items()
-        if u != v and d <= limit
+        for u in topology.all_nodes
+        for v in _distances(adj, u, limit)
+        if u != v
     )

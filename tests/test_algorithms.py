@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from roadmnet import algorithms
 from roadmnet import (
     FailureScenario,
     InfeasibleDesignError,
@@ -16,7 +19,7 @@ from roadmnet import (
     enumerate_failures,
 )
 
-from instances import toy_network
+from instances import grid_network, toy_network
 
 NF = FailureScenario.no_failure()
 
@@ -175,3 +178,21 @@ def test_greedy_accumulates_instead_of_rebuying(toy_inputs):
     )
     assert forward.total_cost_reported <= ceiling + 1e-9
     assert reordered.total_cost_reported <= ceiling + 1e-9
+
+
+def test_legacy_finds_each_walk_once_per_failure_state(monkeypatch):
+    # Routers at n22 come first, so walks run from the larger node name.
+    topology, demands, costs = grid_network(3, 3, ((2, 2), (0, 0)))
+    real, walks = algorithms.shortest_path, []
+
+    def counting(topology, scenario, src, dst):
+        walks.append((scenario, src, dst))
+        return real(topology, scenario, src, dst)
+
+    monkeypatch.setattr(algorithms, "shortest_path", counting)
+    result = design_legacy(topology, demands, costs)
+    pairs = sum(a.node != b.node for a in topology.routers for b in topology.routers) // 2
+    assert len(walks) == len(set(walks)) < pairs * len(enumerate_failures(topology))
+    # The design and fleet one shortest_path call per router pair gave.
+    digest = hashlib.sha256(repr(result).encode()).hexdigest()
+    assert digest == "402f3612434a90c15b69fbf2e645ca42e8b6b28ef55ad0827ca5a05aa3a11b7c"

@@ -263,3 +263,64 @@ def test_model_lp_text_matches_golden_hash(request, fixture, kind):
         )
     digest = hashlib.sha256(export_lp(dm.model).encode()).hexdigest()
     assert digest == GOLDEN_MODELS[(fixture, kind)]
+
+
+def model_fingerprint(m: LinearModel) -> str:
+    """sha256 of everything a LinearModel stores, floats as ``float.hex``.
+
+    Unlike the LP text, which prints numbers with ``%g``, this sees every
+    bit of every bound, coefficient, right-hand side and objective term.
+    """
+    def hexed(values):
+        return [float(v).hex() for v in values]
+
+    parts = [
+        m.name, list(m._index.items()), hexed(m._lb), hexed(m._ub), m._integer,
+        m._cols, hexed(m._vals), m._row_len, m._senses, hexed(m._rhs),
+        m._row_names, [(name, float(c).hex()) for name, c in m._objective.items()],
+    ]
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def greedy_second_prior(topology, demands, costs) -> PriorPlacement:
+    """What design_greedy owns when it reaches its second scenario."""
+    dm = build_design_model(topology, demands, enumerate_failures(topology)[:1], costs)
+    first = extract_design(dm, solve(dm.model))
+    return PriorPlacement(first.tails, first.regens_reported, first.ports)
+
+
+# model_fingerprint of the joint sizing model ("sizing"), the same without
+# strengthening ("plain"), greedy's second one-scenario model with what the
+# first scenario bought as a prior ("prior") and the no-failure operating
+# model of the optimal design ("operate"), per shipped fixture.
+MODEL_FINGERPRINTS = {
+    ("toy2x5", "sizing"): "70f5d2574dda2fcface8fcf20a29ee6d7cd6b3a817709d3a177c98968f3cccdb",
+    ("toy2x5", "plain"): "8ffef0281b16b35786694bd620ee35ffd4982dce5cb69de4e7d8ad3380e35787",
+    ("toy2x5", "prior"): "38ba4997c1eaf809f18738e940a0383cc9c7b1125581f54f1a47d156d4da77ef",
+    ("toy2x5", "operate"): "13fc38f3393f745e25096565454a6f419a8e2ecb7145648596c2312e22fcc2a6",
+    ("grid3x3_600", "sizing"): "51f3b36c4ca3f252a21f2f281e5259626bed49d054dfb4634b207eb2eea3727d",
+    ("grid3x3_600", "plain"): "2ae4170452d96d33c289c9474ffffa1b287b65e918122d0707ca7334bb621822",
+    ("grid3x3_600", "prior"): "5031e2a74e6f0eb434047a95825ed3e5200d0387635086d8972a77ea11b145d7",
+    ("grid3x3_600", "operate"): "9e495fdf98f3e9ce44f5adae6ca318379a15dd169fb995a739567674be784f3a",
+}
+
+
+@pytest.mark.parametrize("fixture,kind", sorted(MODEL_FINGERPRINTS))
+def test_model_bytes_match_fingerprint(request, fixture, kind):
+    toy = fixture == "toy2x5"
+    topology, demands, costs = request.getfixturevalue("toy_inputs" if toy else "grid_inputs")
+    failures = enumerate_failures(topology)
+    if kind == "sizing":
+        dm = build_design_model(topology, demands, failures, costs)
+    elif kind == "plain":
+        dm = build_design_model(topology, demands, failures, costs, strengthen=False)
+    elif kind == "prior":
+        prior = greedy_second_prior(topology, demands, costs)
+        assert any(prior.tails.values()) and any(prior.regens.values())
+        dm = build_design_model(topology, demands, failures[1:2], costs, prior)
+    else:
+        design = request.getfixturevalue("toy_optimal" if toy else "grid_optimal")[0]
+        dm = build_design_model(
+            topology, demands, [NF], CostModel(0.0, 0.0, 0.0), fixed_design=design
+        )
+    assert model_fingerprint(dm.model) == MODEL_FINGERPRINTS[(fixture, kind)]

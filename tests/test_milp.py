@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import math
 import multiprocessing
 import os
@@ -9,6 +10,7 @@ import sys
 import threading
 import time
 import types
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -302,8 +304,10 @@ def reference_lp(model: LinearModel, lb, ub, time_limit=None):
     )
 
 
-def assert_same_lp(model: LinearModel, lb, ub, time_limit=None):
-    got = milp.linprog(model._compiled(), lb, ub, time_limit)
+def assert_same_lp(model: LinearModel, lb, ub, time_limit=None, lp=None):
+    """milp.linprog on ``lp`` (a freshly loaded instance by default) gives
+    what scipy.optimize.linprog gives, bit for bit."""
+    got = milp.linprog(lp or milp._Loaded(model._compiled()), lb, ub, time_limit)
     want = reference_lp(model, lb, ub, time_limit)
     assert got.status == want.status
     assert got.fun == want.fun
@@ -423,7 +427,7 @@ class TestDirectHighs:
     def test_bounds_of_the_wrong_length_are_refused(self):
         comp = toy_lp()._compiled()
         with pytest.raises(ValueError, match="3 entries"):
-            milp.linprog(comp, comp.lb[:2], comp.ub[:2], None)
+            milp.linprog(milp._Loaded(comp), comp.lb[:2], comp.ub[:2], None)
 
     def test_no_rows(self):
         m = LinearModel()
@@ -468,7 +472,7 @@ class TestDirectHighs:
     def test_out_of_tolerance_optimum_is_status_4(self, monkeypatch):
         comp = toy_lp()._compiled()
         monkeypatch.setattr(milp, "_CHECK_TOL", -1.0)
-        assert milp.linprog(comp, comp.lb, comp.ub, None).status == 4
+        assert milp.linprog(milp._Loaded(comp), comp.lb, comp.ub, None).status == 4
 
     def test_tolerance_check_is_linprogs(self):
         tol = math.sqrt(1e-9) * 10
@@ -672,6 +676,134 @@ class TestPairedSiblings:
 
 
 # ---------------------------------------------------------------------------
+# One HiGHS instance per thread of a solve
+# ---------------------------------------------------------------------------
+
+
+def lp_bounds(model: LinearModel, monkeypatch) -> list:
+    """The column bounds of every LP an all-local solve of the model runs."""
+    real, seen = milp.linprog, []
+
+    def recording(lp, lb, ub, time_limit):
+        seen.append((lb.copy(), ub.copy()))
+        return real(lp, lb, ub, time_limit)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(milp, "linprog", recording)
+        mp.setattr(milp, "_PAIR_MIN_ROOT_S", math.inf)
+        solve(model)
+    return seen
+
+
+def tracked_highs(monkeypatch, fail=lambda runs: False) -> list:
+    """Weak references to every HiGHS instance made from now on.
+
+    Each instance is wrapped so the test can see it die; ``fail(runs)``
+    decides whether an instance's run raises MemoryError instead.
+    """
+    real, made = milp.highs._Highs, []
+
+    class Tracked:
+        def __init__(self):
+            self.real, self.runs = real(), 0
+            made.append(weakref.ref(self))
+
+        def __getattr__(self, name):
+            return getattr(self.real, name)
+
+        def run(self):
+            self.runs += 1
+            if fail(self.runs):
+                raise MemoryError("out of memory")
+            return self.real.run()
+
+    monkeypatch.setattr(milp.highs, "_Highs", Tracked)
+    return made
+
+
+class TestOneInstancePerThread:
+    def test_a_bound_sequence_on_one_instance_is_fresh_linprog(self, toy_inputs,
+                                                               monkeypatch):
+        model = joint_model(toy_inputs)
+        comp = model._compiled()
+        bounds = lp_bounds(model, monkeypatch)
+        no_links = comp.ub.copy()
+        no_links[[j for name, j in model._index.items() if name.startswith("X_")]] = 0.0
+        calls = [(lb, ub, None) for lb, ub in bounds]
+        calls[3:3] = [(comp.lb, no_links, None)]  # an infeasible child
+        calls += [(lb, ub, 0.0) for lb, ub in bounds[:3]]  # limited, then unlimited
+        calls += [(comp.lb, comp.ub, None), (comp.lb, no_links, 0.0), *calls[:3]]
+        lp, statuses, instances = milp._Loaded(comp), [], set()
+        for lb, ub, limit in calls:
+            statuses.append(assert_same_lp(model, lb, ub, limit, lp).status)
+            instances.add(id(lp.highs))
+        assert len(bounds) > 10 and statuses.count(2) == 2 and statuses.count(0) > 20
+        assert len(instances) == 1
+
+    def test_a_time_limit_counts_only_its_own_run(self, grid_inputs):
+        # HiGHS holds a limit against the instance's run clock, which adds
+        # up over runs: earlier LPs must not eat a later LP's budget.
+        model = joint_model(grid_inputs)
+        comp = model._compiled()
+        lp = milp._Loaded(comp)
+        start = time.perf_counter()
+        assert milp.linprog(lp, comp.lb, comp.ub, None).status == 0
+        budget = max(4 * (time.perf_counter() - start), 0.05)
+        while lp.highs.getRunTime() < 2 * budget:
+            assert milp.linprog(lp, comp.lb, comp.ub, None).status == 0
+        assert assert_same_lp(model, comp.lb, comp.ub, budget, lp).status == 0
+
+    def test_a_solve_loads_the_model_once_per_thread(self, toy_inputs, monkeypatch):
+        model = joint_model(toy_inputs)
+        made = tracked_highs(monkeypatch)
+        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", math.inf)
+        assert solve(model).nodes > 10 and len(made) == 1
+        if TWO_CPUS:
+            monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
+            assert solve(model).nodes > 10 and len(made) == 3
+
+    @pytest.mark.parametrize("ending", ["returns", "sibling-raises", "interrupted"])
+    def test_no_loaded_instance_outlives_its_solve(self, ending, toy_inputs, monkeypatch):
+        if not TWO_CPUS:
+            pytest.skip("pairing needs two CPUs")
+        model = joint_model(toy_inputs)
+        model._compiled()
+        off_main = threading.current_thread
+
+        def sibling_fails(runs):  # the sibling thread's second LP
+            return (ending == "sibling-raises" and runs == 2
+                    and off_main() is not threading.main_thread())
+
+        made = tracked_highs(monkeypatch, sibling_fails)
+        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
+        caught = None
+        if ending == "returns":
+            solve(model)
+        elif ending == "sibling-raises":
+            with pytest.raises(MemoryError, match="out of memory") as caught:
+                solve(model)
+        else:  # Ctrl-C after the fourth LP on the calling thread
+            real, calls = milp.linprog, []
+
+            def interrupted(*args):
+                calls.append(None)
+                result = real(*args)
+                if len(calls) == 4:
+                    raise KeyboardInterrupt
+                return result
+
+            monkeypatch.setattr(milp, "linprog", interrupted)
+            with pytest.raises(KeyboardInterrupt) as caught:
+                solve(model)
+        assert len(made) == 2 and not sibling_threads()
+        if ending != "sibling-raises":  # whose traceback holds the sibling's LP
+            assert [ref() for ref in made] == [None, None]  # with `caught` alive
+        del caught
+        gc.collect()
+        assert [ref() for ref in made] == [None, None]
+
+
+# ---------------------------------------------------------------------------
 # Columnar storage against the per-row model it replaced
 # ---------------------------------------------------------------------------
 
@@ -753,8 +885,8 @@ def hexed_items(values: dict[str, float]) -> list:
 
 
 def assert_compiles_like_rows(model: LinearModel, old: RowModel):
-    """Every _Compiled field, dtypes included, and every HighsLp list, byte
-    for byte; and the introspection records equal to the per-row ones."""
+    """Every _Compiled field, dtypes included, and the arrays HiGHS loads,
+    byte for byte; and the introspection records equal to the per-row ones."""
     assert model.variables == tuple(old.vars)
     assert model.constraints == tuple(old.cons)
     assert repr(model.constraints) == repr(tuple(old.cons))  # signed zeros too
@@ -770,19 +902,11 @@ def assert_compiles_like_rows(model: LinearModel, old: RowModel):
         assert array.tobytes() == want[key].tobytes(), key
     assert (comp.a.shape, comp.n_ub, comp.integral_objective) == (
         want["shape"], want["n_ub"], want["integral"])
-
-    def floats(values):
-        return [float(v).hex() for v in values]
-
-    lp, mat = comp.lp, comp.lp.a_matrix_
-    assert (lp.num_col_, lp.num_row_) == (mat.num_col_, mat.num_row_) == want["shape"][::-1]
-    assert mat.format_ == milp.highs.MatrixFormat.kColwise
-    assert mat.start_ == want["indptr"].tolist()
-    assert mat.index_ == want["indices"].tolist()
-    for listed, key in ((mat.value_, "data"), (lp.col_cost_, "c"), (lp.col_lower_, "lb"),
-                        (lp.col_upper_, "ub"), (lp.row_lower_, "row_lower"),
-                        (lp.row_upper_, "row_upper")):
-        assert floats(listed) == floats(want[key].tolist()), key
+    values, rows, starts = comp.csc  # what passModel gets
+    assert (values.dtype, rows.dtype, starts.dtype) == (np.float64, np.int32, np.int32)
+    assert values.tobytes() == want["data"].tobytes()
+    assert rows.tolist() == want["indices"].tolist()
+    assert starts.tolist() == want["indptr"].tolist()
 
 
 def both(build) -> tuple[LinearModel, RowModel]:
@@ -804,23 +928,52 @@ def mirrored_models():
     compiled: dict[int, tuple[LinearModel, RowModel]] = {}
     read_back = []
     real_var, real_con = LinearModel.add_variable, LinearModel.add_constraint
+    real_cols, real_rows = LinearModel._add_columns, LinearModel._add_rows
     real_obj, real_compile, real_values = (LinearModel.set_objective, milp._compile,
                                            milp._values_of)
+    public = []  # non-empty while add_variable or add_constraint runs
 
     def mirror(model) -> RowModel:
         return mirrors.setdefault(id(model), (model, RowModel()))[1]
 
     def add_variable(self, *args, **kwargs):
-        name = real_var(self, *args, **kwargs)
+        public.append(None)
+        try:
+            name = real_var(self, *args, **kwargs)
+        finally:
+            public.pop()
         mirror(self).add_variable(*args, **kwargs)
         return name
 
     def add_constraint(self, coeffs, *args, **kwargs):
         if not hasattr(coeffs, "items"):
             coeffs = list(coeffs)  # read twice below
-        name = real_con(self, coeffs, *args, **kwargs)
+        public.append(None)
+        try:
+            name = real_con(self, coeffs, *args, **kwargs)
+        finally:
+            public.pop()
         mirror(self).add_constraint(coeffs, *args, **kwargs)
         return name
+
+    # The design builder also writes whole blocks of columns and rows; the
+    # mirror gets them one variable and one named row at a time.
+    def add_columns(self, names, lb, ub, integer):
+        start = real_cols(self, names, lb, ub, integer)
+        if not public:
+            for name in names:
+                mirror(self).add_variable(name, lb, ub, integer=integer)
+        return start
+
+    def add_rows(self, cols, vals, lengths, senses, rhs, names):
+        real_rows(self, cols, vals, lengths, senses, rhs, names)
+        if public:
+            return
+        index, end = list(self._index), 0
+        for length, sense, b, name in zip(lengths, senses, rhs, names):
+            start, end = end, end + length
+            terms = [(index[j], v) for j, v in zip(cols[start:end], vals[start:end])]
+            mirror(self).add_constraint(terms, sense, b, name)
 
     def set_objective(self, coeffs):
         real_obj(self, coeffs)
@@ -838,6 +991,8 @@ def mirrored_models():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(LinearModel, "add_variable", add_variable)
         mp.setattr(LinearModel, "add_constraint", add_constraint)
+        mp.setattr(LinearModel, "_add_columns", add_columns)
+        mp.setattr(LinearModel, "_add_rows", add_rows)
         mp.setattr(LinearModel, "set_objective", set_objective)
         mp.setattr(milp, "_compile", compile_recording)
         mp.setattr(milp, "_values_of", values_recording)

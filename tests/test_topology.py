@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -7,6 +8,7 @@ import pytest
 
 from roadmnet.io import load_inputs
 from roadmnet.topology import (
+    REACH_EPS,
     CostModel,
     DemandMatrix,
     FailureScenario,
@@ -247,3 +249,39 @@ def test_distances_are_the_path_dijkstras_bit_for_bit():
                 assert got == want, (scenario, src)
                 checked += 1
     assert checked > 2000
+
+
+def all_pairs_regen_adjacency(topo: Topology, scenario: FailureScenario):
+    """regen_adjacency as it was: every shortest distance, then a filter."""
+    limit = topo.regen_dist + REACH_EPS
+    return frozenset((u, v) for (u, v), d in shortest_distances(topo, scenario).items()
+                     if u != v and d <= limit)
+
+
+def test_regen_adjacency_stops_at_reach_with_the_same_pairs():
+    topologies = [load_inputs(fixture_path(name))[0] for name in ("toy2x5", "grid3x3_600")]
+    topologies += [micro_instance(seed)[0] for seed in MICRO_SEEDS]
+    for seed in range(10):
+        grid = _uneven_grid(seed)
+        # Reaches that land exactly on some node pair's distance, and none.
+        dists = sorted({d for d in shortest_distances(grid).values() if 0 < d < math.inf})
+        topologies += [dataclasses.replace(grid, regen_dist=reach)
+                       for reach in (dists[0], dists[len(dists) // 2], dists[-1], math.inf)]
+        topologies.append(grid)
+    # A-X-B runs exactly the reach plus REACH_EPS, then 0.1 + 0.2 is
+    # 0.30000000000000004, just past 0.3 but within REACH_EPS.
+    at_reach = small_topology(spans=(Span("A", "X", 400.25), Span("X", "B", 599.75)),
+                              regen_dist=1000.0 - REACH_EPS)
+    assert at_reach.regen_dist + REACH_EPS == 400.25 + 599.75
+    topologies.append(at_reach)
+    topologies.append(small_topology(spans=(Span("A", "X", 0.1), Span("X", "B", 0.2)),
+                                     regen_dist=0.3))
+    checked = 0
+    for topo in topologies:
+        for scenario in enumerate_failures(topo):
+            got = regen_adjacency(topo, scenario)
+            assert got == all_pairs_regen_adjacency(topo, scenario), scenario
+            checked += len(got)
+    assert ("A", "B") in regen_adjacency(at_reach)
+    assert ("A", "B") in regen_adjacency(topologies[-1])
+    assert checked > 10_000
