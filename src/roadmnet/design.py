@@ -18,8 +18,8 @@ the link's own source node are bookkeeping only -- the transponder launches a
 fresh signal, so no regenerator is consumed there; reported totals exclude
 them while raw totals keep them visible.  A link's hops and relay rows
 depend only on its two end nodes, so each failure state works them out once
-per pair of nodes and stamps them onto every router link between them by
-column offset, straight into the model's column and row storage.
+per pair of nodes and adds them to every router link between them as one
+block of columns and rows.
 
 Routing is a multi-commodity flow over the per-scenario link capacities, with
 colocated routers bridged by port-based intra-node links.  That flow is built
@@ -223,28 +223,31 @@ def _relay_shape(adjacency: Sequence[tuple[str, str]], nodes: Sequence[str], src
     """The relay-chain block of each router link from node src to node dst.
 
     Returns the hops (u, v) a chain may use, in adjacency order, the
-    positions of those that use a regen (all but launch hops), and the rows
-    as ``LinearModel._add_rows`` takes them, with hop positions as columns
-    (-1: the link's capacity) and (kind, suffix) as names: relay rows at
-    intermediate nodes, then launch, land and, when it applies, relaylen.
+    positions of those that use a regen (all but launch hops), the rows as
+    ``LinearModel._add_block`` takes them, with hop positions as columns
+    (``len(hops)``: the link's capacity), and a (kind, suffix) name per row:
+    relay rows at intermediate nodes, then launch, land and, when it
+    applies, relaylen.
     """
     hops = [(u, v) for u, v in adjacency if v != src and u != dst]
+    cap = len(hops)
     by_out: dict[str, list[int]] = defaultdict(list)
     by_in: dict[str, list[int]] = defaultdict(list)
     for k, (u, v) in enumerate(hops):
         by_out[u].append(k)
         by_in[v].append(k)
-    rows = []  # (hop positions, coefficients, sense, name)
+    rows, names = [], []
     # Relays must be contiguous through every intermediate node.
     for n in nodes:
         outs, ins = by_out.get(n, []), by_in.get(n, [])
         if n not in (src, dst) and (outs or ins):
-            signs = [1.0] * len(outs) + [-1.0] * len(ins)
-            rows.append((outs + ins, signs, "==", ("relay", f"_{n}")))
+            rows.append((outs + ins, [1.0] * len(outs) + [-1.0] * len(ins), "==", 0.0))
+            names.append(("relay", f"_{n}"))
     # Every unit needs a relay start at the source node and a final hop into
     # the destination node.
     for kind, ks in (("launch", by_out.get(src, [])), ("land", by_in.get(dst, []))):
-        rows.append((ks + [-1], [1.0] * len(ks) + [-1.0], ">=", (kind, "")))
+        rows.append((ks + [cap], [1.0] * len(ks) + [-1.0], ">=", 0.0))
+        names.append((kind, ""))
     # Every unit relays through at least k_min real regen hops, where k_min
     # is one less than the fewest hops on any source-to-destination path.
     regen = [k for k, (u, _) in enumerate(hops) if u != src]
@@ -256,10 +259,9 @@ def _relay_shape(adjacency: Sequence[tuple[str, str]], nodes: Sequence[str], src
                 order.append(v)
     k_min = depth.get(dst) if strengthen and regen else None
     if k_min is not None and k_min >= 2:
-        rows.append((regen + [-1], [1.0] * len(regen) + [1.0 - k_min], ">=", ("relaylen", "")))
-    cols, vals, senses, names = zip(*rows)
-    return hops, regen, ([k for ks in cols for k in ks], [x for xs in vals for x in xs],
-                         [len(ks) for ks in cols], senses, [0.0] * len(rows), names)
+        rows.append((regen + [cap], [1.0] * len(regen) + [1.0 - k_min], ">=", 0.0))
+        names.append(("relaylen", ""))
+    return hops, regen, rows, names
 
 
 def add_commodity_flow(
@@ -279,13 +281,12 @@ def add_commodity_flow(
     destination node's; a term map is empty when no live router there touches
     an arc.  The caller writes the endpoint rows under its own rule.
     """
-    arcs = list(arcs)
-    names = [f"{prefix}_{a}_{b}" for a, b in arcs]
-    m._add_columns(names, 0.0, math.inf, False)
-    flows = dict(zip(arcs, names))
+    flows: dict[tuple[str, str], str] = {}
     by_out: dict[str, list[str]] = defaultdict(list)
     by_in: dict[str, list[str]] = defaultdict(list)
-    for (a, b), name in flows.items():
+    for a, b in arcs:
+        name = m.add_variable(f"{prefix}_{a}_{b}")
+        flows[(a, b)] = name
         by_out[a].append(name)
         by_in[b].append(name)
     for r in alive:
@@ -411,12 +412,18 @@ def build_design_model(
         adjacency = sorted(regen_adjacency(topology, scen))
 
         # Link capacity variables: ordered pairs, external and intra-node.
-        pairs = [(a, b) for a in alive for b in alive if a.id != b.id]
-        names = [f"{'X' if a.node != b.node else 'W'}_f{fi}_{a.id}_{b.id}" for a, b in pairs]
-        first = m._add_columns(names, 0.0, box, True)
-        col_of = {(a.id, b.id): first + i for i, (a, b) in enumerate(pairs)}
-        for (a, b), name in zip(pairs, names):
-            (blk.caps if a.node != b.node else blk.intra)[(a.id, b.id)] = name
+        for a in alive:
+            for b in alive:
+                if a.id == b.id:
+                    continue
+                if a.node != b.node:
+                    blk.caps[(a.id, b.id)] = m.add_variable(
+                        f"X_f{fi}_{a.id}_{b.id}", ub=box, integer=True
+                    )
+                else:
+                    blk.intra[(a.id, b.id)] = m.add_variable(
+                        f"W_f{fi}_{a.id}_{b.id}", ub=box, integer=True
+                    )
 
         canonical = [(a, b) for a, b in blk.caps if a < b]
 
@@ -468,15 +475,14 @@ def build_design_model(
             ends = (topology.home(a), topology.home(b))
             if ends not in shapes:
                 shapes[ends] = _relay_shape(adjacency, topology.all_nodes, *ends, strengthen)
-            hops, regen, (cols, vals, lengths, senses, rhs, kinds) = shapes[ends]
+            hops, regen, rows, kinds = shapes[ends]
             tag = f"_f{fi}_{a}_{b}"
             names = [f"H{tag}_{u}_{v}" for u, v in hops]
-            base, cap = m._add_columns(names, 0.0, box, True), col_of[(a, b)]
+            m._add_block(names, 0.0, box, True, rows, blk.caps[(a, b)],
+                         [f"{kind}{tag}{suffix}" for kind, suffix in kinds])
             blk.hops[(a, b)] = dict(zip(hops, names))
             for k in regen:
                 regen_use[hops[k][0]][names[k]] = 1.0
-            m._add_rows([base + k if k >= 0 else cap for k in cols], vals, lengths, senses,
-                        rhs, [f"{kind}{tag}{suffix}" for kind, suffix in kinds])
 
         # Node regen budgets.
         for n in topology.all_nodes:

@@ -184,7 +184,8 @@ class LinearModel:
                        (float(rhs),), (name,))
         return name
 
-    # The one write path, which the design builder also feeds whole blocks.
+    # The one write path: add_variable, add_constraint and _add_block append
+    # through these two.
 
     def _add_columns(self, names: Sequence[str], lb: float, ub: float, integer: bool) -> int:
         """Append a column per name, all alike; returns the first one's index."""
@@ -213,6 +214,18 @@ class LinearModel:
         self._senses += [_SENSE_CODE[sense] for sense in senses]
         self._rhs += rhs
         self._row_names += names
+
+    def _add_block(self, names: Sequence[str], lb: float, ub: float, integer: bool,
+                   rows: Sequence[tuple[Sequence[int], Sequence[float], str, float]],
+                   outside: str, row_names: Sequence[str]) -> None:
+        """Append a column per name, all alike, and rows (positions, float
+        coefficients, sense, rhs) over them: position k is the k-th new
+        column, and position ``len(names)`` the existing column ``outside``."""
+        start = self._add_columns(names, lb, ub, integer)
+        at = [*range(start, start + len(names)), self._index[outside]].__getitem__
+        positions, vals, senses, rhs = zip(*rows)
+        self._add_rows([at(k) for ks in positions for k in ks], [x for xs in vals for x in xs],
+                       list(map(len, positions)), senses, rhs, row_names)
 
     def set_objective(self, coeffs: Mapping[str, float]) -> None:
         """Minimization objective; unmentioned variables get coefficient 0."""

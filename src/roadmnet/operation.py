@@ -210,19 +210,16 @@ def extract_plan(dm: DesignModel, values: Mapping[str, float], fi: int) -> Opera
 
     regen_chains: dict[tuple[str, str], tuple[tuple[str, ...], ...]] = {}
     span_paths: dict[tuple[str, str], tuple[tuple[SpanKey, ...], ...]] = {}
-    routes: dict[tuple[str, ...], tuple[SpanKey, ...]] = {}  # per waypoint sequence
     for (a, b), hops in blk.hops.items():
         units = link_caps.get((a, b), 0)
         if not units:
             continue
         hop_counts = {uv: units_of(name) for uv, name in hops.items()}
-        src, dst = topology.home(a), topology.home(b)
-        chains = _unit_chains(hop_counts, src, dst, units)
+        chains = _unit_chains(hop_counts, topology.home(a), topology.home(b), units)
         regen_chains[(a, b)] = tuple(chains)
-        for chain in chains:
-            if (src, *chain, dst) not in routes:
-                routes[(src, *chain, dst)] = expand_link_path(topology, scenario, (a, b), chain)
-        span_paths[(a, b)] = tuple(routes[(src, *chain, dst)] for chain in chains)
+        span_paths[(a, b)] = tuple(
+            expand_link_path(topology, scenario, (a, b), chain) for chain in chains
+        )
     return OperationPlan(
         topology=topology,
         scenario=scenario,

@@ -94,6 +94,30 @@ class TestModelBuilding:
         assert m.constraints[0].coeffs == (("y", 2.0), ("x", 1.0))
         assert m.constraints[1].coeffs == (("x", -2.0), ("y", 4.0))
 
+    def test_a_block_reads_its_positions_as_its_columns_and_one_outside(self):
+        rows = [([0, 2], [1.0, -1.0], ">=", 0.0), ([1, 0, 2], [1.0, 1.0, -2.0], "==", 1.0)]
+        blocked, plain = LinearModel(), LinearModel()
+        for m in (blocked, plain):
+            m.add_variable("before")
+            m.add_variable("cap", ub=4, integer=True)
+        blocked._add_block(["h0", "h1"], 0.0, 3.0, True, rows, "cap", ["r0", "r1"])
+        for name in ("h0", "h1"):
+            plain.add_variable(name, ub=3.0, integer=True)
+        for (ks, vals, sense, rhs), name in zip(rows, ("r0", "r1")):
+            plain.add_constraint([(("h0", "h1", "cap")[k], v) for k, v in zip(ks, vals)],
+                                 sense, rhs, name)
+        assert blocked.variables == plain.variables
+        assert blocked.constraints == plain.constraints
+        assert blocked.constraints[1].coeffs == (("h1", 1.0), ("h0", 1.0), ("cap", -2.0))
+
+    def test_a_block_with_a_taken_name_leaves_the_model_alone(self):
+        m = LinearModel()
+        m.add_variable("x")
+        for names in (["y", "x"], ["y", "y"], ["y", ""]):
+            with pytest.raises(ModelError):
+                m._add_block(names, 0.0, 1.0, False, [([0], [1.0], "<=", 1.0)], "x", ["r"])
+        assert [v.name for v in m.variables] == ["x"] and m.constraints == ()
+
     def test_objective_unknown_variable(self):
         with pytest.raises(ModelError):
             LinearModel().set_objective({"ghost": 1})
@@ -928,52 +952,35 @@ def mirrored_models():
     compiled: dict[int, tuple[LinearModel, RowModel]] = {}
     read_back = []
     real_var, real_con = LinearModel.add_variable, LinearModel.add_constraint
-    real_cols, real_rows = LinearModel._add_columns, LinearModel._add_rows
+    real_block = LinearModel._add_block
     real_obj, real_compile, real_values = (LinearModel.set_objective, milp._compile,
                                            milp._values_of)
-    public = []  # non-empty while add_variable or add_constraint runs
 
     def mirror(model) -> RowModel:
         return mirrors.setdefault(id(model), (model, RowModel()))[1]
 
     def add_variable(self, *args, **kwargs):
-        public.append(None)
-        try:
-            name = real_var(self, *args, **kwargs)
-        finally:
-            public.pop()
+        name = real_var(self, *args, **kwargs)
         mirror(self).add_variable(*args, **kwargs)
         return name
 
     def add_constraint(self, coeffs, *args, **kwargs):
         if not hasattr(coeffs, "items"):
             coeffs = list(coeffs)  # read twice below
-        public.append(None)
-        try:
-            name = real_con(self, coeffs, *args, **kwargs)
-        finally:
-            public.pop()
+        name = real_con(self, coeffs, *args, **kwargs)
         mirror(self).add_constraint(coeffs, *args, **kwargs)
         return name
 
-    # The design builder also writes whole blocks of columns and rows; the
+    # The design builder also adds whole blocks of columns and rows; the
     # mirror gets them one variable and one named row at a time.
-    def add_columns(self, names, lb, ub, integer):
-        start = real_cols(self, names, lb, ub, integer)
-        if not public:
-            for name in names:
-                mirror(self).add_variable(name, lb, ub, integer=integer)
-        return start
-
-    def add_rows(self, cols, vals, lengths, senses, rhs, names):
-        real_rows(self, cols, vals, lengths, senses, rhs, names)
-        if public:
-            return
-        index, end = list(self._index), 0
-        for length, sense, b, name in zip(lengths, senses, rhs, names):
-            start, end = end, end + length
-            terms = [(index[j], v) for j, v in zip(cols[start:end], vals[start:end])]
-            mirror(self).add_constraint(terms, sense, b, name)
+    def add_block(self, names, lb, ub, integer, rows, outside, row_names):
+        real_block(self, names, lb, ub, integer, rows, outside, row_names)
+        for name in names:
+            mirror(self).add_variable(name, lb, ub, integer=integer)
+        columns = [*names, outside]
+        for (positions, vals, sense, rhs), name in zip(rows, row_names):
+            terms = [(columns[k], v) for k, v in zip(positions, vals)]
+            mirror(self).add_constraint(terms, sense, rhs, name)
 
     def set_objective(self, coeffs):
         real_obj(self, coeffs)
@@ -991,8 +998,7 @@ def mirrored_models():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(LinearModel, "add_variable", add_variable)
         mp.setattr(LinearModel, "add_constraint", add_constraint)
-        mp.setattr(LinearModel, "_add_columns", add_columns)
-        mp.setattr(LinearModel, "_add_rows", add_rows)
+        mp.setattr(LinearModel, "_add_block", add_block)
         mp.setattr(LinearModel, "set_objective", set_objective)
         mp.setattr(milp, "_compile", compile_recording)
         mp.setattr(milp, "_values_of", values_recording)

@@ -15,7 +15,6 @@ from roadmnet import (
     transient_reports,
     write_transient_csv,
 )
-from roadmnet import operation
 from roadmnet.operation import TransientReport, surviving_link_caps
 from roadmnet.topology import enumerate_failures
 
@@ -222,21 +221,3 @@ def test_csv_rendering():
         "span,O1~O2,1.600000,0.800000,0.500000\n"
         "router,R1,1.600000,0.000000,0.000000\n"
     )
-
-
-def test_extract_plan_expands_each_route_once(monkeypatch):
-    topology, demands, costs = toy_network()
-    big = DemandMatrix(tuple((s, t, 2.6) for s, t, _ in demands.entries))
-    design, _ = design_optimal(topology, big, costs, scenarios=[NF])
-    real, routes = operation.expand_link_path, []
-
-    def counting(topology, scenario, link, chain):
-        routes.append((topology.home(link[0]), *chain, topology.home(link[1])))
-        return real(topology, scenario, link, chain)
-
-    monkeypatch.setattr(operation, "expand_link_path", counting)
-    plan = operate(topology, big, design, NF)
-    units = sum(len(chains) for chains in plan.regen_chains.values())
-    assert len(routes) == len(set(routes)) < units
-    for link, chains in plan.regen_chains.items():
-        assert plan.span_paths[link] == tuple(real(topology, NF, link, c) for c in chains)
