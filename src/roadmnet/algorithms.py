@@ -13,6 +13,11 @@ same failure set, but differ in how much reconfigurability they assume:
 * ``design_legacy`` models a network without reconfigurable optics: links are
   bought with their lightpaths and regens permanently attached, and a failed
   link's equipment cannot be repurposed.
+
+All four take ``per_scenario_time_limit``, seconds per failure state (None:
+no limit).  Every solve over one failure state gets it, ``design_optimal``'s
+follow-up ``operate`` and diagnosis solves included; the joint model gets it
+once per failure state it covers.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .topology import (
     dead_routers,
     enumerate_failures,
     shortest_path,
+    span_key,
 )
 
 
@@ -65,11 +71,12 @@ def _diagnose_infeasible(
     demands: DemandMatrix,
     costs: CostModel,
     scenarios: Sequence[FailureScenario],
+    time_limit: float | None,
 ) -> FailureScenario | None:
     """Find one scenario that is infeasible on its own, for a sharp error."""
     for scen in scenarios:
         dm = build_design_model(topology, demands, [scen], costs)
-        if solve(dm.model).status == "infeasible":
+        if solve(dm.model, time_limit).status == "infeasible":
             return scen
     return None
 
@@ -97,7 +104,7 @@ def design_optimal(
     topology: Topology,
     demands: DemandMatrix,
     costs: CostModel,
-    time_limit: float | None = None,
+    per_scenario_time_limit: float | None = None,
     scenarios: Sequence[FailureScenario] | None = None,
 ) -> tuple[Design, dict[FailureScenario, OperationPlan]]:
     """Jointly optimal placement over all scenarios, with one plan each.
@@ -114,14 +121,15 @@ def design_optimal(
     """
     scens = _scenario_list(topology, scenarios)
     dm = build_design_model(topology, demands, scens, costs)
-    result = solve(dm.model, time_limit)
+    limit = per_scenario_time_limit
+    result = solve(dm.model, None if limit is None else limit * len(scens))
     if result.status == "infeasible":
-        bad = _diagnose_infeasible(topology, demands, costs, scens)
+        bad = _diagnose_infeasible(topology, demands, costs, scens, limit)
         hint = bad.label() if bad else "joint model"
         raise InfeasibleDesignError(f"no placement can serve {hint}", bad)
     check_solve(result, None)
     rough = extract_design(dm, result)
-    plans = {scen: operate(topology, demands, rough, scen) for scen in scens}
+    plans = {scen: operate(topology, demands, rough, scen, limit) for scen in scens}
     design = _design_from_plans(topology, costs, plans, result.status)
     return design, plans
 
@@ -227,7 +235,7 @@ def _farthest_reach_regens(
     limit = topology.regen_dist + REACH_EPS
     pos = [0.0]
     for u, v in zip(walk, walk[1:]):
-        span = topology.span_by_key[(u, v) if u <= v else (v, u)]
+        span = topology.span_by_key[span_key(u, v)]
         pos.append(pos[-1] + span.miles)
     regens: list[str] = []
     anchor = 0.0
@@ -291,10 +299,7 @@ def design_legacy(
                 regens = _farthest_reach_regens(topology, walk)
                 if regens is None:
                     continue
-                spans = tuple(
-                    topology.span_by_key[(u, v) if u <= v else (v, u)].key
-                    for u, v in zip(walk, walk[1:])
-                )
+                spans = tuple(span_key(u, v) for u, v in zip(walk, walk[1:]))
                 proto = LegacyLink(key[0], key[1], 1, tuple(walk), regens, spans)
                 price = 2.0 * costs.tail + costs.regen * len(regens)
                 candidates[key] = (price, proto)

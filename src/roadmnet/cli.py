@@ -87,14 +87,12 @@ def _run_algorithm(
 
     The jointly optimal run has a plan for every scenario; the others record
     the no-failure deployment, which is what transient rating needs.
+    ``time_limit`` is seconds per failure state, as the algorithms take it.
     """
     nf = FailureScenario.no_failure()
     if name == "optimal":
-        scenario_count = len(enumerate_failures(topology))
-        budget = time_limit * scenario_count if time_limit is not None else None
-        design, plans = design_optimal(topology, demands, costs, budget)
-        links = {s.label(): plan_links(p) for s, p in plans.items()}
-        return design, links
+        design, plans = design_optimal(topology, demands, costs, time_limit)
+        return design, {s.label(): plan_links(p) for s, p in plans.items()}
     if name == "simple":
         design = design_simple(topology, demands, costs, time_limit)
     elif name == "greedy":
@@ -197,22 +195,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Survivable IP-over-optical capacity planning.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument(
+        "--time-limit", type=_seconds, default=None, metavar="SECONDS",
+        help="solver budget in seconds per failure state: each solve over one "
+        "state gets it, the joint solve over N states N times it",
+    )
 
-    p_design = sub.add_parser("design", help="place equipment for a network")
+    p_design = sub.add_parser(
+        "design", parents=[budget], help="place equipment for a network"
+    )
     p_design.add_argument("input", help="network input JSON")
     p_design.add_argument(
         "--algorithm", choices=ALGORITHMS, default="optimal",
         help="placement algorithm (default: optimal)",
     )
-    p_design.add_argument(
-        "--time-limit", type=_seconds, default=None, metavar="SECONDS",
-        help="per-scenario solver budget",
-    )
     p_design.add_argument("--out", default=None, help="design document to write")
     p_design.set_defaults(func=_cmd_design)
 
     p_tr = sub.add_parser(
-        "transient", help="rate a design's delivery right after each failure"
+        "transient", parents=[budget],
+        help="rate a design's delivery right after each failure",
     )
     p_tr.add_argument("input", help="network input JSON")
     p_tr.add_argument("--design", required=True, help="design document to rate")
@@ -220,19 +223,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--concurrent", action="store_true",
         help="maximize the fraction served equally to all demands",
     )
-    p_tr.add_argument(
-        "--time-limit", type=_seconds, default=None, metavar="SECONDS",
-        help="per-scenario solver budget",
-    )
     p_tr.add_argument("--out", default=None, help="CSV to write (default stdout)")
     p_tr.set_defaults(func=_cmd_transient)
 
-    p_cmp = sub.add_parser("compare", help="run all placement algorithms")
-    p_cmp.add_argument("input", help="network input JSON")
-    p_cmp.add_argument(
-        "--time-limit", type=_seconds, default=None, metavar="SECONDS",
-        help="per-scenario solver budget (the joint solve gets it per scenario)",
+    p_cmp = sub.add_parser(
+        "compare", parents=[budget], help="run all placement algorithms"
     )
+    p_cmp.add_argument("input", help="network input JSON")
     p_cmp.add_argument("--csv", default=None, help="also write the table as CSV")
     p_cmp.set_defaults(func=_cmd_compare)
     return parser

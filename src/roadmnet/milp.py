@@ -119,9 +119,7 @@ class LinearModel:
     :class:`Variable` and :class:`Constraint` records of :attr:`variables`
     and :attr:`constraints` are built on demand.
 
-    Treat a model as frozen once handed to :func:`solve`; nothing here mutates
-    it afterwards, which is what makes concurrent solves of independent models
-    safe.
+    Each :func:`solve` compiles the model afresh and never mutates it.
     """
 
     def __init__(self, name: str = "model"):
@@ -137,11 +135,6 @@ class LinearModel:
         self._rhs: list[float] = []
         self._row_names: list[str] = []
         self._objective: dict[str, float] = {}
-        self._compiled_cache: _Compiled | None = None
-
-    def __getstate__(self) -> dict:
-        # A pickle leaves the compiled form behind; the next solve rebuilds it.
-        return {**self.__dict__, "_compiled_cache": None}
 
     # -- construction ----------------------------------------------------
 
@@ -233,7 +226,6 @@ class LinearModel:
             if var not in self._index:
                 raise ModelError(f"objective references unknown variable {var!r}")
         self._objective = {v: float(c) for v, c in coeffs.items()}
-        self._compiled_cache = None
 
     # -- introspection ---------------------------------------------------
 
@@ -256,15 +248,6 @@ class LinearModel:
     def objective(self) -> dict[str, float]:
         return dict(self._objective)
 
-    # -- compilation -----------------------------------------------------
-
-    def _compiled(self) -> "_Compiled":
-        cache = self._compiled_cache
-        if cache is None or cache.stamp != (len(self._lb), len(self._row_len)):
-            cache = _compile(self)
-            self._compiled_cache = cache
-        return cache
-
 
 _SENSES = ("<=", ">=", "==")
 _SENSE_CODE = {sense: code for code, sense in enumerate(_SENSES)}
@@ -283,7 +266,6 @@ class _Compiled:
     ub: np.ndarray
     int_idx: np.ndarray
     integral_objective: bool
-    stamp: tuple[int, int]
 
     @property
     def a(self) -> sparse.csc_array:
@@ -331,7 +313,7 @@ def _compile(model: LinearModel) -> _Compiled:
     int_idx = np.flatnonzero(is_int)
     priced = c != 0.0
     integral = bool(np.all(is_int[priced] & (c[priced] == np.floor(c[priced]))))
-    return _Compiled(c, csc, row_lower, row_upper, n_ub, lb, ub, int_idx, integral, (n, m))
+    return _Compiled(c, csc, row_lower, row_upper, n_ub, lb, ub, int_idx, integral)
 
 
 def _check_finite(model: LinearModel, c, vals, rhs, cols, nz_row) -> None:
@@ -470,12 +452,12 @@ def solve(model: LinearModel, time_limit: float | None = None) -> SolveResult:
     """Minimize the model by branch-and-bound over HiGHS LP relaxations.
 
     Deterministic: identical models (same construction order) yield identical
-    results.  With ``time_limit`` (seconds) the search stops at the deadline
-    and reports the incumbent ("feasible") or "no_solution", always with the
-    proven best_bound so far.
+    results.  With ``time_limit`` (seconds from the call, compiling the model
+    included) the search stops at the deadline and reports the incumbent
+    ("feasible") or "no_solution", always with the proven best_bound so far.
     """
-    comp = model._compiled()
     deadline = None if time_limit is None else time.monotonic() + time_limit
+    comp = _compile(model)
 
     def remaining() -> float | None:
         return None if deadline is None else deadline - time.monotonic()
@@ -700,7 +682,7 @@ def solve_with_scipy_milp(
     """
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    comp = model._compiled()
+    comp = _compile(model)
     n = len(comp.c)
     if n == 0:
         return SolveResult("optimal", {}, 0.0, 0.0)

@@ -35,6 +35,7 @@ from .topology import (
     alive_routers,
     dead_routers,
     shortest_path,
+    span_key,
     validate_scenario,
 )
 
@@ -142,7 +143,7 @@ def expand_link_path(
             )
         length = 0.0
         for x, y in zip(walk, walk[1:]):
-            span = topology.span_by_key[(x, y) if x <= y else (y, x)]
+            span = topology.span_by_key[span_key(x, y)]
             length += span.miles
             spans.append(span.key)
         if length > limit:

@@ -29,6 +29,7 @@ from .topology import (
     alive_routers,
     dead_routers,
     regen_adjacency,
+    span_key,
     surviving_spans,
     validate_scenario,
 )
@@ -78,8 +79,7 @@ def check_regen_feasible_path(
     limit = topology.regen_dist + REACH_EPS
     stretch = 0.0
     for u, v in zip(walk, walk[1:]):
-        key = (u, v) if u <= v else (v, u)
-        span = alive.get(key)
+        span = alive.get(span_key(u, v))
         if span is None:
             raise TopologyError(f"walk uses missing or cut span {u}-{v}")
         stretch += span.miles

@@ -77,6 +77,19 @@ def grid_network(
     return topology, demands, CostModel(tail=1.0, regen=1.0, port=0.0)
 
 
+
+def input_payload(topology: Topology, demands: DemandMatrix, costs: CostModel) -> dict:
+    """The network as the JSON input ``load_inputs`` reads."""
+    return {
+        "ip_nodes": list(topology.ip_nodes),
+        "optical_nodes": list(topology.optical_nodes),
+        "routers": [{"id": r.id, "home": r.node} for r in topology.routers],
+        "spans": [{"u": s.u, "v": s.v, "miles": s.miles} for s in topology.spans],
+        "regen_dist": topology.regen_dist,
+        "demands": [{"src": s, "dst": t, "units": u} for s, t, u in demands.entries],
+        "costs": {"tail": costs.tail, "regen": costs.regen, "port": costs.port},
+    }
+
 def micro_instance(seed: int) -> tuple[Topology, DemandMatrix, CostModel]:
     """A small random ring network with demands between two IP nodes.
 

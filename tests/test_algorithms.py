@@ -161,7 +161,7 @@ def test_infeasible_when_only_router_dies():
 def test_no_incumbent_when_budget_exhausted(toy_inputs):
     topology, demands, costs = toy_inputs
     with pytest.raises(NoIncumbentError):
-        design_optimal(topology, demands, costs, time_limit=0.0)
+        design_optimal(topology, demands, costs, per_scenario_time_limit=0.0)
 
 
 def test_greedy_accumulates_instead_of_rebuying(toy_inputs):

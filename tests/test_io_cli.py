@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 
 from roadmnet import algorithms, milp, operation
-from roadmnet.cli import main
+from roadmnet.cli import ALGORITHMS, main
 from roadmnet.io import (
     InputFormatError,
     design_payload,
@@ -24,10 +25,10 @@ from roadmnet.io import (
     save_design,
 )
 from roadmnet.milp import SolveResult
-from roadmnet.topology import FailureScenario, TopologyError
+from roadmnet.topology import FailureScenario, TopologyError, enumerate_failures
 
 from conftest import fixture_path
-from instances import walk_from_spans
+from instances import grid_network, input_payload, walk_from_spans
 
 NF = FailureScenario.no_failure()
 
@@ -581,6 +582,101 @@ class TestExitCodes:
             "design", fixture_path("toy2x5"), "--algorithm", "legacy",
         ]) == 2
         assert "not integral" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# The time budget: seconds per failure state, for every solve
+# ---------------------------------------------------------------------------
+
+
+def record_limits(monkeypatch) -> list:
+    """[(module, failure states of the model, time limit)] of every solve.
+
+    A model that ``algorithms.build_design_model`` built over N failure
+    states counts N; every other model counts one.
+    """
+    states, seen = {}, []
+    real_build = algorithms.build_design_model
+
+    def build(*args, **kwargs):
+        dm = real_build(*args, **kwargs)
+        # Holding the model keeps its id from being reused by a later one.
+        states[id(dm.model)] = (dm.model, len(dm.blocks))
+        return dm
+
+    monkeypatch.setattr(algorithms, "build_design_model", build)
+    for module in (algorithms, operation):
+        def recording(model, time_limit=None, real=module.solve, name=module.__name__):
+            seen.append((name, states.get(id(model), (model, 1))[1], time_limit))
+            return real(model, time_limit)
+
+        monkeypatch.setattr(module, "solve", recording)
+    return seen
+
+
+class TestTimeBudget:
+    @pytest.mark.parametrize("fixture,algorithm", sorted(GOLDEN_DOCUMENTS))
+    def test_every_design_solve_gets_the_per_state_limit(self, tmp_path, capsys,
+                                                         monkeypatch, fixture, algorithm):
+        seen = record_limits(monkeypatch)
+        path = tmp_path / "design.json"
+        assert main([
+            "design", fixture_path(fixture), "--algorithm", algorithm,
+            "--time-limit", "3600", "--out", str(path),
+        ]) == 0
+        n = len(enumerate_failures(load_inputs(fixture_path(fixture))[0]))
+        assert all(limit == states * 3600.0 for _, states, limit in seen)
+        joint = [states for _, states, _ in seen if states > 1]
+        operated = [m for m, *_ in seen if m == "roadmnet.operation"]
+        if algorithm == "optimal":
+            assert joint == [n] and len(operated) == n
+        else:  # a solve per state, then the CLI operates the no-failure state
+            assert joint == [] and len(seen) - len(operated) >= n
+            assert len(operated) == (algorithm != "legacy")
+        # A limit nothing reaches changes no byte.
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == GOLDEN_DOCUMENTS[(fixture, algorithm)]
+
+    def test_compare_and_transient_limit_every_solve(self, tmp_path, capsys,
+                                                     monkeypatch):
+        doc = tmp_path / "design.json"
+        assert main(["design", fixture_path("toy2x5"), "--out", str(doc)]) == 0
+        seen = record_limits(monkeypatch)
+        assert main(["compare", fixture_path("toy2x5"), "--time-limit", "600"]) == 0
+        n = len(enumerate_failures(load_inputs(fixture_path("toy2x5"))[0]))
+        assert [states for _, states, _ in seen if states > 1] == [n]
+        assert all(limit == states * 600.0 for _, states, limit in seen)
+        seen.clear()
+        assert main([
+            "transient", fixture_path("toy2x5"), "--design", str(doc),
+            "--time-limit", "600",
+        ]) == 0
+        assert [limit for *_, limit in seen] == [600.0] * n
+
+    def test_each_diagnosis_solve_gets_the_per_state_limit(self, tmp_path, capsys,
+                                                           monkeypatch):
+        doc = json.loads(open(fixture_path("toy2x5")).read())
+        doc["routers"] = [r for r in doc["routers"] if r["id"] != "R2"]
+        path = tmp_path / "fragile.json"
+        path.write_text(json.dumps(doc))
+        seen = record_limits(monkeypatch)
+        assert main(["design", str(path), "--time-limit", "600"]) == 3
+        n = len(enumerate_failures(load_inputs(str(path))[0]))
+        joint, *diagnosis = seen
+        assert joint[1:] == (n, 600.0 * n)
+        assert diagnosis and all(entry[1:] == (1, 600.0) for entry in diagnosis)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_a_tight_limit_exits_4_promptly(self, tmp_path, capsys, algorithm):
+        path = tmp_path / "grid4x4.json"
+        grid = grid_network(4, 4, ((0, 0), (1, 2), (3, 3)))
+        path.write_text(json.dumps(input_payload(*grid)))
+        start = time.perf_counter()
+        assert main([
+            "design", str(path), "--algorithm", algorithm, "--time-limit", "1e-3",
+        ]) == 4
+        assert time.perf_counter() - start < 2.0
+        assert "no answer within budget" in capsys.readouterr().err
 
 
 def test_module_entry_point():

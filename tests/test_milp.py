@@ -331,7 +331,7 @@ def reference_lp(model: LinearModel, lb, ub, time_limit=None):
 def assert_same_lp(model: LinearModel, lb, ub, time_limit=None, lp=None):
     """milp.linprog on ``lp`` (a freshly loaded instance by default) gives
     what scipy.optimize.linprog gives, bit for bit."""
-    got = milp.linprog(lp or milp._Loaded(model._compiled()), lb, ub, time_limit)
+    got = milp.linprog(lp or milp._Loaded(milp._compile(model)), lb, ub, time_limit)
     want = reference_lp(model, lb, ub, time_limit)
     assert got.status == want.status
     assert got.fun == want.fun
@@ -346,7 +346,7 @@ def assert_same_lp(model: LinearModel, lb, ub, time_limit=None, lp=None):
 def assert_same_matrix(model: LinearModel):
     _, a_ub, _, a_eq, _ = old_matrices(model)
     want = sparse.csc_array(sparse.vstack([a for a in (a_ub, a_eq) if a is not None]))
-    got = model._compiled().a
+    got = milp._compile(model).a
     assert got.shape == want.shape
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
@@ -416,7 +416,7 @@ class TestDirectHighs:
         assert len(lps) > 90
         assert len(lps) == sum(nodes)  # one LP a node, wherever it was solved
         assert {m.name for m, *_ in lps} == {"design", "operation"}
-        assert any(not np.array_equal(lb, m._compiled().lb) for m, lb, *_ in lps)
+        assert any(not np.array_equal(lb, milp._compile(m).lb) for m, lb, *_ in lps)
         if TWO_CPUS:
             assert sum(res is not None for *_, res in lps) > 30
         for model, lb, ub, res in lps:
@@ -436,12 +436,13 @@ class TestDirectHighs:
         m.add_constraint([("x", 1.0), ("z", 2.0), ("x", -1.0)], ">=", 0.5)
         m.add_constraint({"y": 0.0, "z": 1.0}, "==", 1.25)
         assert_same_matrix(m)
-        assert m._compiled().a.nnz == 10  # the two zero entries stay stored
-        assert assert_same_lp(m, m._compiled().lb, m._compiled().ub).status == 0
+        comp = milp._compile(m)
+        assert comp.a.nnz == 10  # the two zero entries stay stored
+        assert assert_same_lp(m, comp.lb, comp.ub).status == 0
 
     def test_toy_lp_with_and_without_time_limit(self):
         m = toy_lp()
-        comp = m._compiled()
+        comp = milp._compile(m)
         assert assert_same_lp(m, comp.lb, comp.ub).status == 0
         assert assert_same_lp(m, comp.lb, comp.ub, time_limit=0.0).status == 0
         lb = comp.lb.copy()
@@ -449,7 +450,7 @@ class TestDirectHighs:
         assert assert_same_lp(m, lb, comp.ub).status == 0
 
     def test_bounds_of_the_wrong_length_are_refused(self):
-        comp = toy_lp()._compiled()
+        comp = milp._compile(toy_lp())
         with pytest.raises(ValueError, match="3 entries"):
             milp.linprog(milp._Loaded(comp), comp.lb[:2], comp.ub[:2], None)
 
@@ -457,7 +458,7 @@ class TestDirectHighs:
         m = LinearModel()
         m.add_variable("x", lb=1, ub=2)
         m.set_objective({"x": 3})
-        comp = m._compiled()
+        comp = milp._compile(m)
         assert assert_same_lp(m, comp.lb, comp.ub).fun == 3.0
 
     def test_infeasible(self):
@@ -466,7 +467,7 @@ class TestDirectHighs:
         m.add_variable("y", ub=1)
         m.add_constraint({"x": 1, "y": 1}, ">=", 3)
         m.set_objective({"x": 1})
-        comp = m._compiled()
+        comp = milp._compile(m)
         assert assert_same_lp(m, comp.lb, comp.ub).status == 2
 
     def test_unbounded(self):
@@ -475,7 +476,7 @@ class TestDirectHighs:
         m.add_variable("y")
         m.add_constraint({"x": 1, "y": -1}, "<=", 1)
         m.set_objective({"x": -1})
-        comp = m._compiled()
+        comp = milp._compile(m)
         assert assert_same_lp(m, comp.lb, comp.ub).status == 3
 
     def test_time_limited(self):
@@ -489,12 +490,12 @@ class TestDirectHighs:
             m.add_constraint({f"x{j}": rng.uniform(0.1, 1) for j in picks}, "<=",
                              rng.uniform(5, 10))
         m.set_objective({f"x{i}": -rng.uniform(0.5, 1.5) for i in range(n)})
-        comp = m._compiled()
+        comp = milp._compile(m)
         got = assert_same_lp(m, comp.lb, comp.ub, time_limit=0.0)
         assert (got.status, got.fun, got.x) == (1, None, None)
 
     def test_out_of_tolerance_optimum_is_status_4(self, monkeypatch):
-        comp = toy_lp()._compiled()
+        comp = milp._compile(toy_lp())
         monkeypatch.setattr(milp, "_CHECK_TOL", -1.0)
         assert milp.linprog(milp._Loaded(comp), comp.lb, comp.ub, None).status == 4
 
@@ -689,7 +690,6 @@ class TestPairedSiblings:
 
     def test_time_limit_holds_on_a_4x4_grid(self, monkeypatch):
         model = joint_model(grid_network(4, 4, ((0, 0), (3, 3))))
-        model._compiled()
         monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
         for budget in (0.3, 2.0):
             start = time.monotonic()
@@ -749,7 +749,7 @@ class TestOneInstancePerThread:
     def test_a_bound_sequence_on_one_instance_is_fresh_linprog(self, toy_inputs,
                                                                monkeypatch):
         model = joint_model(toy_inputs)
-        comp = model._compiled()
+        comp = milp._compile(model)
         bounds = lp_bounds(model, monkeypatch)
         no_links = comp.ub.copy()
         no_links[[j for name, j in model._index.items() if name.startswith("X_")]] = 0.0
@@ -768,7 +768,7 @@ class TestOneInstancePerThread:
         # HiGHS holds a limit against the instance's run clock, which adds
         # up over runs: earlier LPs must not eat a later LP's budget.
         model = joint_model(grid_inputs)
-        comp = model._compiled()
+        comp = milp._compile(model)
         lp = milp._Loaded(comp)
         start = time.perf_counter()
         assert milp.linprog(lp, comp.lb, comp.ub, None).status == 0
@@ -791,7 +791,6 @@ class TestOneInstancePerThread:
         if not TWO_CPUS:
             pytest.skip("pairing needs two CPUs")
         model = joint_model(toy_inputs)
-        model._compiled()
         off_main = threading.current_thread
 
         def sibling_fails(runs):  # the sibling thread's second LP
@@ -914,7 +913,7 @@ def assert_compiles_like_rows(model: LinearModel, old: RowModel):
     assert model.variables == tuple(old.vars)
     assert model.constraints == tuple(old.cons)
     assert repr(model.constraints) == repr(tuple(old.cons))  # signed zeros too
-    comp, want = model._compiled(), row_compile(old)
+    comp, want = milp._compile(model), row_compile(old)
     got = {
         "c": comp.c, "indptr": comp.a.indptr, "indices": comp.a.indices,
         "data": comp.a.data, "row_lower": comp.row_lower, "row_upper": comp.row_upper,
@@ -1043,7 +1042,7 @@ class TestColumnarModel:
 
         model, old = both(build)
         assert_compiles_like_rows(model, old)
-        assert model._compiled().a.nnz == 4
+        assert milp._compile(model).a.nnz == 4
 
     def test_pair_list_with_a_repeated_name(self):
         def build(m):
@@ -1068,7 +1067,7 @@ class TestColumnarModel:
 
         model, old = both(build)
         assert_compiles_like_rows(model, old)
-        assert [v.hex() for v in model._compiled().row_upper] == [
+        assert [v.hex() for v in milp._compile(model).row_upper] == [
             "-0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]
 
     def test_rows_in_the_old_order(self):
@@ -1081,8 +1080,9 @@ class TestColumnarModel:
 
         model, old = both(build)
         assert_compiles_like_rows(model, old)
-        assert model._compiled().n_ub == 3
-        assert model._compiled().integral_objective
+        comp = milp._compile(model)
+        assert comp.n_ub == 3
+        assert comp.integral_objective
 
     def test_no_rows(self):
         def build(m):
@@ -1104,8 +1104,9 @@ class TestColumnarModel:
 
         model, old = both(build)
         assert_compiles_like_rows(model, old)
-        assert model._compiled().n_ub == 0
-        assert not model._compiled().integral_objective
+        comp = milp._compile(model)
+        assert comp.n_ub == 0
+        assert not comp.integral_objective
 
     def test_empty_model(self):
         model, old = both(lambda m: None)
@@ -1121,7 +1122,7 @@ class TestColumnarModel:
 
         model, old = both(build)
         x = np.array([-1e-9, -0.0, 2.00000005, -0.0, 2.5])
-        got = milp._values_of(model, model._compiled(), x)
+        got = milp._values_of(model, milp._compile(model), x)
         assert hexed_items(got) == hexed_items(row_values_of(old, x))
         assert [v.hex() for v in got.values()] == [
             "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+1", "-0x0.0p+0", "0x1.4000000000000p+1"]
@@ -1180,11 +1181,10 @@ def solve_in_a_worker(model: LinearModel):
     return fingerprint(solve(model))
 
 
-def test_a_solved_model_pickles_without_its_compiled_form(toy_inputs):
+def test_a_solved_model_pickles_and_solves_the_same_in_a_fork_worker(toy_inputs):
     model = joint_model(toy_inputs)
     want = fingerprint(solve(model))
-    assert model._compiled_cache is not None
     with multiprocessing.get_context("fork").Pool(1) as pool:
         got = pool.apply(solve_in_a_worker, (model,))
     assert got == want
-    assert model._compiled_cache is not None  # pickling left this process's cache alone
+    assert fingerprint(solve(model)) == want
