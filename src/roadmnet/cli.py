@@ -54,7 +54,11 @@ EXIT_NO_INCUMBENT = 4
 
 
 def _legacy_links(topology: Topology, fleet) -> tuple[LinkRecord, ...]:
-    """The owned legacy fleet as link records (same-pair purchases merged)."""
+    """The owned legacy fleet as link records (same-pair purchases merged).
+
+    A record's chains and span paths run from ``home(a)``; a link walked from
+    ``home(b)`` has its spans and regens written in reverse.
+    """
     units: dict[tuple[str, str], int] = defaultdict(int)
     chains: dict[tuple[str, str], list[tuple[str, ...]]] = defaultdict(list)
     paths: dict[tuple[str, str], list[tuple]] = defaultdict(list)
@@ -62,8 +66,9 @@ def _legacy_links(topology: Topology, fleet) -> tuple[LinkRecord, ...]:
         key = (link.a, link.b)
         units[key] += link.units
         if not link.intra:
-            chains[key].extend([link.regens] * link.units)
-            paths[key].extend([link.spans] * link.units)
+            step = 1 if link.path[0] == topology.home(link.a) else -1
+            chains[key].extend([link.regens[::step]] * link.units)
+            paths[key].extend([link.spans[::step]] * link.units)
     return tuple(
         LinkRecord(
             a=a,
@@ -142,15 +147,23 @@ def _cmd_transient(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    """A row per algorithm, also for one that ran out of time (exit 4 after
+    the table)."""
     topology, demands, costs = load_inputs(args.input)
-    rows = []
+    rows, unanswered = [], []
     for name in ALGORITHMS:
         start = time.perf_counter()
-        design, _ = _run_algorithm(name, topology, demands, costs, args.time_limit)
+        try:
+            design, _ = _run_algorithm(name, topology, demands, costs, args.time_limit)
+        except NoIncumbentError as exc:
+            unanswered.append(f"{name} ({exc})")
+            rows.append((name, "no answer"))
+            continue
         elapsed = time.perf_counter() - start
         rows.append(
             (
                 name,
+                design.solve_status,
                 design.total_cost_reported,
                 design.tail_count,
                 design.regen_count,
@@ -158,24 +171,35 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                 elapsed,
             )
         )
-    header = ("algorithm", "cost", "tails", "regens", "ports", "seconds")
+    header = ("algorithm", "status", "cost", "tails", "regens", "ports", "seconds")
     widths = [max(len(header[i]), 9) for i in range(len(header))]
-    fmt = "  ".join(f"{{:<{w}}}" if i == 0 else f"{{:>{w}}}"
+    fmt = "  ".join(f"{{:<{w}}}" if i < 2 else f"{{:>{w}}}"
                     for i, w in enumerate(widths))
     print(fmt.format(*header))
-    for name, cost, tails, regens, ports, secs in rows:
-        print(fmt.format(name, f"{cost:g}", tails, regens, ports, f"{secs:.2f}"))
+    for name, status, *numbers in rows:
+        print(fmt.format(name, status, *_compare_cells(numbers, ".2f", "-")))
     if args.csv:
         import csv
 
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            for name, cost, tails, regens, ports, secs in rows:
-                writer.writerow([name, f"{cost:g}", tails, regens, ports,
-                                 f"{secs:.3f}"])
+            for name, status, *numbers in rows:
+                writer.writerow([name, status, *_compare_cells(numbers, ".3f", "")])
         print(f"saved: {args.csv}")
+    if unanswered:
+        print(f"no answer within budget: {'; '.join(unanswered)}", file=sys.stderr)
+        return EXIT_NO_INCUMBENT
     return EXIT_OK
+
+
+def _compare_cells(numbers: list, seconds: str, missing: str) -> list:
+    """A compare row's cost, tails, regens, ports and seconds as printed, or
+    ``missing`` in each for an algorithm with no answer."""
+    if not numbers:
+        return [missing] * 5
+    cost, tails, regens, ports, secs = numbers
+    return [f"{cost:g}", tails, regens, ports, format(secs, seconds)]
 
 
 def _seconds(text: str) -> float:

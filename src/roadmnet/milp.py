@@ -14,15 +14,14 @@ models always produce identical results.  A thin adapter onto
 :func:`scipy.optimize.milp` is kept around as an independent cross-check
 backend for tests.
 
-Where a node branches into two children, the root LP took at least
-``_PAIR_MIN_ROOT_S`` and ``os.sched_getaffinity`` reports two or more CPUs,
-a second thread solves the second child's LP while the calling thread solves
-the first (HiGHS releases the interpreter lock while it runs); both results
-are then used in the usual order, so every answer is the same as with one
-thread.  The solve owns that thread and both instances and stops or drops
-them before it returns or raises.  The thread runs the import-time
-:func:`linprog`, so a patch of ``milp.linprog`` sees only the LPs solved on
-the calling thread.
+Where a node branches into two children and ``os.sched_getaffinity``
+reports two or more CPUs, a second thread solves the second child's LP while
+the calling thread solves the first (HiGHS releases the interpreter lock
+while it runs); both results are then used in the usual order, so every
+answer is the same as with one thread.  The solve owns that thread and both
+instances and stops or drops them before it returns or raises.  The thread
+runs the import-time :func:`linprog`, so a patch of ``milp.linprog`` sees
+only the LPs solved on the calling thread.
 """
 
 from __future__ import annotations
@@ -424,11 +423,6 @@ def _most_fractional(x: np.ndarray, int_idx: np.ndarray) -> int | None:
     return int(int_idx[j])
 
 
-# Sibling LPs are paired only in solves whose root LP took at least this long:
-# on ~1.5-ms LPs handing one to the other thread eats the gain.
-_PAIR_MIN_ROOT_S = 0.004
-
-
 def _child_lps(lps: list[_Loaded], children, pool: ThreadPoolExecutor | None,
                remaining, solve_sibling=linprog) -> Iterator[OptimizeResult]:
     """Each child's LP result, in order.
@@ -464,20 +458,22 @@ def solve(model: LinearModel, time_limit: float | None = None) -> SolveResult:
 
     if len(comp.c) == 0:
         return SolveResult("optimal", {}, 0.0, 0.0, nodes=0)
-    lps = [_Loaded(comp)]  # this thread's instance, then the sibling thread's
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    # This thread's instance, then the sibling thread's, loaded at its first LP.
+    lps = [_Loaded(comp), _Loaded(comp)]
     try:
-        return _branch_and_bound(model, comp, lps, remaining)
+        # The pool's thread solves second siblings; leaving the block stops it
+        # before the instances are dropped.
+        with ThreadPoolExecutor(1, "roadmnet-lp") if len(cpus) >= 2 else nullcontext() as pool:
+            return _branch_and_bound(model, comp, lps, pool, remaining)
     finally:
         for lp in lps:
             lp.highs = None
 
 
 def _branch_and_bound(model: LinearModel, comp: _Compiled, lps: list[_Loaded],
-                      remaining) -> SolveResult:
-    started = time.perf_counter()
+                      pool: ThreadPoolExecutor | None, remaining) -> SolveResult:
     root = linprog(lps[0], comp.lb, comp.ub, remaining())
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    pair = time.perf_counter() - started >= _PAIR_MIN_ROOT_S and len(cpus) >= 2
     if root.status == 2:
         return SolveResult("infeasible", {}, None, math.inf, nodes=1)
     if root.status == 3:
@@ -505,49 +501,45 @@ def _branch_and_bound(model: LinearModel, comp: _Compiled, lps: list[_Loaded],
         return incumbent_obj - gap
 
     interrupted_bound: float | None = None
-    # The pool's thread solves second siblings; leaving the block stops it.
-    with ThreadPoolExecutor(1, "roadmnet-lp") if pair else nullcontext() as pool:
-        if pair:
-            lps.append(_Loaded(comp))
-        while heap:
-            bound, _, x, lb, ub = heappop(heap)
-            if bound > cutoff():
+    while heap:
+        bound, _, x, lb, ub = heappop(heap)
+        if bound > cutoff():
+            continue
+        rem = remaining()
+        if rem is not None and rem <= 0:
+            interrupted_bound = bound
+            break
+        branch = _most_fractional(x, comp.int_idx)
+        if branch is None:
+            if bound < incumbent_obj:
+                incumbent_obj = bound
+                incumbent_x = x
+            continue
+        xv = x[branch]
+        # Push the nearest-rounding child last: it pops first on tied bounds.
+        down_ub, up_lb = ub.copy(), lb.copy()
+        down_ub[branch], up_lb[branch] = math.floor(xv), math.ceil(xv)
+        children = [(lb, down_ub), (up_lb, ub)]
+        if xv - math.floor(xv) < 0.5:
+            children.reverse()
+        children = [(l, u) for l, u in children if l[branch] <= u[branch]]
+        results = _child_lps(lps, children, pool, remaining)
+        for (child_lb, child_ub), res in zip(children, results):
+            nodes += 1
+            if res.status == 2:
                 continue
-            rem = remaining()
-            if rem is not None and rem <= 0:
+            if res.status == 1:  # LP hit its own time/iteration limit
                 interrupted_bound = bound
                 break
-            branch = _most_fractional(x, comp.int_idx)
-            if branch is None:
-                if bound < incumbent_obj:
-                    incumbent_obj = bound
-                    incumbent_x = x
+            if res.status != 0:
+                raise SolverError(f"LP backend failed with status {res.status}")
+            child_bound = float(res.fun)
+            if child_bound > cutoff():
                 continue
-            xv = x[branch]
-            # Push the nearest-rounding child last: it pops first on tied bounds.
-            down_ub, up_lb = ub.copy(), lb.copy()
-            down_ub[branch], up_lb[branch] = math.floor(xv), math.ceil(xv)
-            children = [(lb, down_ub), (up_lb, ub)]
-            if xv - math.floor(xv) < 0.5:
-                children.reverse()
-            children = [(l, u) for l, u in children if l[branch] <= u[branch]]
-            results = _child_lps(lps, children, pool, remaining)
-            for (child_lb, child_ub), res in zip(children, results):
-                nodes += 1
-                if res.status == 2:
-                    continue
-                if res.status == 1:  # LP hit its own time/iteration limit
-                    interrupted_bound = bound
-                    break
-                if res.status != 0:
-                    raise SolverError(f"LP backend failed with status {res.status}")
-                child_bound = float(res.fun)
-                if child_bound > cutoff():
-                    continue
-                counter += 1
-                heappush(heap, (child_bound, -counter, res.x, child_lb, child_ub))
-            if interrupted_bound is not None:
-                break
+            counter += 1
+            heappush(heap, (child_bound, -counter, res.x, child_lb, child_ub))
+        if interrupted_bound is not None:
+            break
 
     open_bounds = [b for b, *_ in heap]
     if interrupted_bound is not None:

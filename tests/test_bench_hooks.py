@@ -67,7 +67,6 @@ def test_the_sibling_thread_never_enters_the_tracer(grid_inputs, monkeypatch):
         return real_call(name, fn, *args, **kwargs)
 
     tracer.call = call
-    monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
     restore = spans.instrument(tracer)
     try:
         algorithms.design_optimal(*grid_inputs)

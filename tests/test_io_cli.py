@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 
-from roadmnet import algorithms, milp, operation
+from roadmnet import algorithms, cli, milp, operation
 from roadmnet.cli import ALGORITHMS, main
+from roadmnet.design import NoIncumbentError
 from roadmnet.io import (
     InputFormatError,
     design_payload,
@@ -424,6 +425,22 @@ def test_cli_legacy_transient_rides_out_failures(tmp_path):
     assert all(row.endswith(",1.000000") for row in rows)
 
 
+def test_cli_legacy_round_trip_with_routers_against_name_order(tmp_path, capsys):
+    # n22a/n22b are listed before n00a/n00b, so legacy walks a link from the
+    # home of the router whose id sorts second.
+    inputs, design_path = tmp_path / "grid.json", tmp_path / "legacy.json"
+    inputs.write_text(json.dumps(input_payload(*grid_network(3, 3, ((2, 2), (0, 0))))))
+    assert main([
+        "design", str(inputs), "--algorithm", "legacy", "--out", str(design_path),
+    ]) == 0
+    csv_path = tmp_path / "tr.csv"
+    assert main([
+        "transient", str(inputs), "--design", str(design_path), "--out", str(csv_path),
+    ]) == 0
+    rows = csv_path.read_text().splitlines()[1:]
+    assert len(rows) == 17 and all(row.endswith(",1.000000") for row in rows)
+
+
 def test_cli_design_rewrites_identically(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["design", fixture_path("toy2x5"), "--out", str(a)])
@@ -463,8 +480,8 @@ class TestPairedSiblings:
     @pytest.mark.parametrize("siblings", ["paired", "local"])
     def test_grid_design_document_is_unchanged(self, siblings, tmp_path, capsys,
                                                monkeypatch):
-        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S",
-                            0.0 if siblings == "paired" else math.inf)
+        if siblings == "local":
+            monkeypatch.setattr(milp.os, "sched_getaffinity", lambda pid: {0})
         path = tmp_path / "design.json"
         assert main(["design", fixture_path("grid3x3_600"), "--out", str(path)]) == 0
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -480,11 +497,31 @@ def test_cli_compare(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "optimal" in out and "legacy" in out
     header = csv_path.read_text().splitlines()[0]
-    assert header == "algorithm,cost,tails,regens,ports,seconds"
+    assert header == "algorithm,status,cost,tails,regens,ports,seconds"
     rows = csv_path.read_text().splitlines()[1:]
     assert [r.split(",")[0] for r in rows] == [
         "optimal", "simple", "greedy", "legacy",
     ]
+    assert all(r.split(",")[1] == "optimal" for r in rows)
+
+
+def test_cli_compare_keeps_going_when_one_algorithm_runs_out_of_time(
+        tmp_path, capsys, monkeypatch):
+    def out_of_time(*args):
+        raise NoIncumbentError("time limit expired with no placement found (joint model)")
+
+    monkeypatch.setattr(cli, "design_optimal", out_of_time)
+    csv_path = tmp_path / "cmp.csv"
+    assert main(["compare", fixture_path("toy2x5"), "--csv", str(csv_path)]) == 4
+    out, err = capsys.readouterr()
+    table = out.splitlines()[1:5]
+    assert [line.split()[0] for line in table] == list(ALGORITHMS)
+    assert table[0].split() == ["optimal", "no", "answer", "-", "-", "-", "-", "-"]
+    assert all(line.split()[1] == "optimal" for line in table[1:])
+    rows = csv_path.read_text().splitlines()[1:]
+    assert rows[0] == "optimal,no answer,,,,,"
+    assert [row.split(",")[1] for row in rows[1:]] == ["optimal"] * 3
+    assert err.count("\n") == 1 and err.startswith("no answer within budget: optimal (")
 
 
 class TestExitCodes:

@@ -30,7 +30,7 @@ from roadmnet.milp import (
     solve_with_scipy_milp,
     validate_solution,
 )
-from roadmnet.topology import FailureScenario, enumerate_failures
+from roadmnet.topology import CostModel, FailureScenario, enumerate_failures
 from roadmnet.verify import enumerate_milp_minimum
 
 from conftest import fixture_path
@@ -392,7 +392,6 @@ def node_lps():
         mp.setattr(operation, "solve", solve_recording)
         mp.setattr(milp, "linprog", lp_recording)
         mp.setattr(milp, "ThreadPoolExecutor", RecordingPool)
-        mp.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
         for name in ("toy2x5", "grid3x3_600"):
             algorithms.design_optimal(*load_inputs(fixture_path(name)))
     return recorded, nodes
@@ -573,12 +572,16 @@ def count_lps_here(monkeypatch) -> list:
     return here
 
 
+def one_cpu(monkeypatch) -> None:
+    """Make solves see one CPU, so they solve every LP on the calling thread."""
+    monkeypatch.setattr(milp.os, "sched_getaffinity", lambda pid: {0})
+
+
 def paired_and_local(model, monkeypatch, time_limit=None):
     """(paired result, LPs solved on the calling thread, all-local result)."""
     here = count_lps_here(monkeypatch)
-    monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
     paired = solve(model, time_limit)
-    monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", math.inf)
+    one_cpu(monkeypatch)
     return paired, len(here), solve(model, time_limit)
 
 
@@ -592,7 +595,6 @@ def paired_in_a_worker(fixture: str):
     model = joint_model(load_inputs(fixture_path(fixture)))
     with pytest.MonkeyPatch.context() as mp:
         here = count_lps_here(mp)
-        mp.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
         return fingerprint(solve(model)), len(here)
 
 
@@ -614,7 +616,6 @@ class TestPairedSiblings:
 
     def test_four_threads_solve_at_once(self, toy_inputs, monkeypatch):
         model = joint_model(toy_inputs)
-        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
         want = fingerprint(solve(model))
         got = []
         interval = sys.getswitchinterval()
@@ -637,9 +638,9 @@ class TestPairedSiblings:
         if not TWO_CPUS:
             pytest.skip("pairing needs two CPUs")
         model = joint_model(toy_inputs)
-        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", math.inf)
-        local = fingerprint(solve(model))
-        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
+        with monkeypatch.context() as mp:
+            one_cpu(mp)
+            local = fingerprint(solve(model))
         if ending == "returns":
             assert fingerprint(solve(model)) == local
         elif ending == "sibling-raises":
@@ -674,8 +675,9 @@ class TestPairedSiblings:
 
     def test_a_pool_worker_pairs_too(self, toy_inputs, monkeypatch):
         model = joint_model(toy_inputs)
-        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", math.inf)
-        local = solve(model)
+        with monkeypatch.context() as mp:  # undone before the fork
+            one_cpu(mp)
+            local = solve(model)
         with multiprocessing.get_context("fork").Pool(1) as pool:
             paired, here = pool.apply(paired_in_a_worker, ("toy2x5",))
         assert paired == fingerprint(local)
@@ -683,14 +685,13 @@ class TestPairedSiblings:
             assert here < local.nodes
 
     def test_no_helper_with_one_cpu(self, toy_inputs, monkeypatch):
-        monkeypatch.setattr(milp.os, "sched_getaffinity", lambda pid: {0})
+        one_cpu(monkeypatch)
         paired, here, local = paired_and_local(joint_model(toy_inputs), monkeypatch)
         assert here == paired.nodes
         assert fingerprint(paired) == fingerprint(local)
 
     def test_time_limit_holds_on_a_4x4_grid(self, monkeypatch):
         model = joint_model(grid_network(4, 4, ((0, 0), (3, 3))))
-        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
         for budget in (0.3, 2.0):
             start = time.monotonic()
             res = solve(model, time_limit=budget)
@@ -714,7 +715,7 @@ def lp_bounds(model: LinearModel, monkeypatch) -> list:
 
     with monkeypatch.context() as mp:
         mp.setattr(milp, "linprog", recording)
-        mp.setattr(milp, "_PAIR_MIN_ROOT_S", math.inf)
+        one_cpu(mp)
         solve(model)
     return seen
 
@@ -780,11 +781,28 @@ class TestOneInstancePerThread:
     def test_a_solve_loads_the_model_once_per_thread(self, toy_inputs, monkeypatch):
         model = joint_model(toy_inputs)
         made = tracked_highs(monkeypatch)
-        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", math.inf)
-        assert solve(model).nodes > 10 and len(made) == 1
+        with monkeypatch.context() as mp:
+            one_cpu(mp)
+            assert solve(model).nodes > 10 and len(made) == 1
         if TWO_CPUS:
-            monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
             assert solve(model).nodes > 10 and len(made) == 3
+
+    def test_a_small_model_that_branches_pairs_too(self, grid_inputs, grid_designs,
+                                                    monkeypatch):
+        # Pairing follows the CPUs alone, not how long the root LP takes: a
+        # one-scenario operate model, whose LPs take a millisecond or two,
+        # solves its second sibling on the sibling thread's instance.
+        if not TWO_CPUS:
+            pytest.skip("pairing needs two CPUs")
+        topology, demands, _ = grid_inputs
+        models = (build_design_model(topology, demands, [scenario], CostModel(0.0, 0.0, 0.0),
+                                     fixed_design=grid_designs["simple"]).model
+                  for scenario in enumerate_failures(topology))
+        with monkeypatch.context() as mp:
+            one_cpu(mp)
+            model = next(m for m in models if solve(m).nodes > 1)
+        made = tracked_highs(monkeypatch)
+        assert solve(model).nodes > 1 and len(made) == 2
 
     @pytest.mark.parametrize("ending", ["returns", "sibling-raises", "interrupted"])
     def test_no_loaded_instance_outlives_its_solve(self, ending, toy_inputs, monkeypatch):
@@ -798,7 +816,6 @@ class TestOneInstancePerThread:
                     and off_main() is not threading.main_thread())
 
         made = tracked_highs(monkeypatch, sibling_fails)
-        monkeypatch.setattr(milp, "_PAIR_MIN_ROOT_S", 0.0)
         caught = None
         if ending == "returns":
             solve(model)
