@@ -142,7 +142,8 @@ def test_adding_scenarios_never_cheapens(toy_inputs):
     assert last == pytest.approx(6.0)
 
 
-def test_infeasible_when_only_router_dies():
+@pytest.mark.parametrize("name", ["optimal", "simple", "greedy", "legacy"])
+def test_infeasible_when_only_router_dies(name):
     topology, demands, costs = toy_network()
     lonely = Topology(
         ip_nodes=topology.ip_nodes,
@@ -152,10 +153,9 @@ def test_infeasible_when_only_router_dies():
         regen_dist=topology.regen_dist,
     )
     with pytest.raises(InfeasibleDesignError) as info:
-        design_optimal(lonely, demands, costs)
-    assert info.value.scenario is not None
-    assert info.value.scenario.kind == "router"
-    assert info.value.scenario.target == "R1"
+        getattr(algorithms, f"design_{name}")(lonely, demands, costs)
+    assert info.value.scenario == FailureScenario.router_down("R1")
+    assert str(info.value) == "no placement can serve router:R1"
 
 
 def test_no_incumbent_when_budget_exhausted(toy_inputs):

@@ -13,10 +13,12 @@ import os
 import threading
 from collections import defaultdict
 
-from roadmnet import algorithms, design, milp, operation, verify
+from roadmnet import FailureScenario, algorithms, design, milp, operation, verify
+from roadmnet.topology import enumerate_failures
 
 from instances import toy_network
 
+NF = FailureScenario.no_failure()
 SPANS = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "perfbench", "spans.py",
@@ -43,16 +45,33 @@ def test_instrument_spans_the_library_and_restores_it():
     spans = load_spans()
     before = hooked_names()
     tracer = spans.Tracer()
+    topology, demands, costs = toy_network()
+    failures = enumerate_failures(topology)
+    solves = []  # milp.solve spans recorded after each call
+
+    def solve_spans():
+        solves.append(sum(span[0] == "milp.solve" for span in tracer.spans))
+
     restore = spans.instrument(tracer)
     try:
-        algorithms.design_optimal(*toy_network())
+        _, plans = algorithms.design_optimal(topology, demands, costs)
+        solve_spans()
+        for concurrent in (False, True):
+            operation.transient_reports(topology, demands, plans[NF], failures,
+                                        concurrent=concurrent)
+            solve_spans()
+        algorithms.design_legacy(topology, demands, costs)
+        solve_spans()
     finally:
         restore()
     assert hooked_names() == before
     seen = {span[0] for span in tracer.spans}
     assert {"milp.solve", "milp.highs", "design.build", "operation.operate",
-            "operation.extract_plan", "topology.regen_adjacency"} <= seen
+            "operation.extract_plan", "topology.regen_adjacency",
+            "topology.shortest_path"} <= seen
     assert tracer.largest[tracer.pass_id]["vars"] > 0
+    # Each transient rating and each legacy step is one solve per failure state.
+    assert [b - a for a, b in zip(solves, solves[1:])] == [len(failures)] * 3
 
 
 def test_the_sibling_thread_never_enters_the_tracer(grid_inputs, monkeypatch):

@@ -6,6 +6,7 @@ import hashlib
 
 import pytest
 
+from roadmnet import algorithms, operation
 from roadmnet.design import (
     Design,
     PriorPlacement,
@@ -15,7 +16,7 @@ from roadmnet.design import (
     iround,
     source_side_usage,
 )
-from roadmnet.milp import LinearModel, export_lp, solve, validate_solution
+from roadmnet.milp import LinearModel, _compile, export_lp, solve, validate_solution
 from roadmnet.topology import (
     CostModel,
     FailureScenario,
@@ -324,3 +325,56 @@ def test_model_bytes_match_fingerprint(request, fixture, kind):
             topology, demands, [NF], CostModel(0.0, 0.0, 0.0), fixed_design=design
         )
     assert model_fingerprint(dm.model) == MODEL_FINGERPRINTS[(fixture, kind)]
+
+
+def compiled_fingerprint(models) -> str:
+    """sha256 of the arrays HiGHS is given for each model, in order.
+
+    Covers the objective, the CSC triple, the row and column bounds and the
+    integer columns, each with its dtype and shape; names do not feed it.
+    """
+    digest = hashlib.sha256()
+    for model in models:
+        comp = _compile(model)
+        for arr in (comp.c, *comp.csc, comp.row_lower, comp.row_upper, comp.lb, comp.ub,
+                    comp.int_idx):
+            digest.update(f"{arr.dtype.str}{arr.shape}".encode())
+            digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+# compiled_fingerprint of every model that transient rating solves, over each
+# enumerated failure from the optimal design's no-failure plan, maximizing the
+# total ("transient") or the common fraction ("concurrent"), and of every
+# model design_legacy solves ("legacy"), per shipped fixture.
+COMPILED_FINGERPRINTS = {
+    ("toy2x5", "transient"): "902f881f13b048099b237b350ccc03bd27f1938d72289dfb92ed97e520585bbc",
+    ("toy2x5", "concurrent"): "8378d3bc0acd69294cd016c9aa89cab6d23b12d62d5c944518f7ff2196bc318f",
+    ("toy2x5", "legacy"): "b5744b7e907258b212f9c2e2aa66c16b3fa430ddb61b6bd0c9a2ff48fe8d3c69",
+    ("grid3x3_600", "transient"): "257ba75a70aa2c7752524538002b933f204e90d23ce7f675ac02dd8d54322c3e",
+    ("grid3x3_600", "concurrent"): "60c48527290363e13831910ee9cc24dbd5d7c009738258a358104214fc254fe1",
+    ("grid3x3_600", "legacy"): "fc8e1fa8a20a3b7b53611e2593dc1d8faba93acadcc22210f148ccb015f13f86",
+}
+
+
+@pytest.mark.parametrize("fixture,kind", sorted(COMPILED_FINGERPRINTS))
+def test_solved_arrays_match_fingerprint(request, monkeypatch, fixture, kind):
+    toy = fixture == "toy2x5"
+    topology, demands, costs = request.getfixturevalue("toy_inputs" if toy else "grid_inputs")
+    failures = enumerate_failures(topology)
+    plan = request.getfixturevalue("toy_optimal" if toy else "grid_optimal")[1][NF]
+    module = algorithms if kind == "legacy" else operation
+    models, real = [], module.solve
+
+    def recording(model, *args):
+        models.append(model)
+        return real(model, *args)
+
+    monkeypatch.setattr(module, "solve", recording)
+    if kind == "legacy":
+        algorithms.design_legacy(topology, demands, costs)
+    else:
+        operation.transient_reports(topology, demands, plan, failures,
+                                    concurrent=kind == "concurrent")
+    assert len(models) == len(failures)
+    assert compiled_fingerprint(models) == COMPILED_FINGERPRINTS[(fixture, kind)]
