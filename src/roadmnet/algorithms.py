@@ -30,7 +30,7 @@ from .design import (
     Design,
     InfeasibleDesignError,
     PriorPlacement,
-    add_commodity_flow,
+    add_routing,
     build_design_model,
     check_solve,
     extract_design,
@@ -308,32 +308,12 @@ def design_legacy(
         buy_vars: dict[tuple[str, str], str] = {}
         for key in sorted(candidates):
             buy_vars[key] = m.add_variable(f"buy_{key[0]}_{key[1]}", integer=True)
-        pairs = sorted(set(surviving) | set(candidates))
-        arcs = [arc for u, v in pairs for arc in ((u, v), (v, u))]
-        arc_load: dict[tuple[str, str], dict[str, float]] = defaultdict(dict)
-        for s, t, volume in demands.pairs:
-            fvars, out_src, in_dst = add_commodity_flow(
-                m, f"y_{s}_{t}", arcs, alive, s, t
-            )
-            for arc, name in fvars.items():
-                arc_load[arc][name] = 1.0
-            for coeffs in (out_src, in_dst):
-                if not coeffs:
-                    raise InfeasibleDesignError(
-                        f"no placement can serve {scen.label()}", scen
-                    )
-                m.add_constraint(coeffs, "==", volume)
-        for u, v in pairs:
-            base = float(surviving.get((u, v), 0))
-            for arc in ((u, v), (v, u)):
-                loads = arc_load.get(arc)
-                if not loads:
-                    continue
-                coeffs = dict(loads)
-                key = (u, v)
-                if key in buy_vars:
-                    coeffs[buy_vars[key]] = coeffs.get(buy_vars[key], 0.0) - 1.0
-                m.add_constraint(coeffs, "<=", base)
+        # Each direction of a link fits its surviving units plus those bought.
+        arcs: dict[tuple[str, str], tuple[str | None, float]] = {}
+        for u, v in sorted(set(surviving) | set(candidates)):
+            capacity = (buy_vars.get((u, v)), float(surviving.get((u, v), 0)))
+            arcs[(u, v)] = arcs[(v, u)] = capacity
+        add_routing(m, "f0", arcs, alive, demands)
         m.set_objective(
             {name: candidates[key][0] for key, name in buy_vars.items()}
         )

@@ -22,11 +22,14 @@ per pair of nodes and adds them to every router link between them as one
 block of columns and rows.
 
 Routing is a multi-commodity flow over the per-scenario link capacities, with
-colocated routers bridged by port-based intra-node links.  That flow is built
-by ``add_commodity_flow``, which the fixed-link baseline (``design_legacy``)
-and transient rating (``evaluate_transient``) share; each caller keeps its own
-rule for the rows at the demand's endpoints.  Every placement, whichever
-algorithm produced it, is priced by ``Design.priced``.
+colocated routers bridged by port-based intra-node links.  ``add_routing``
+writes every flow model in the package: its flow variables, conservation,
+endpoint and arc-capacity rows, for sizing and operating here, for the
+fixed-link baseline (``design_legacy``) and for transient rating
+(``evaluate_transient``).  A caller gives each arc's capacity, a column, a
+constant or both, and transient rating also the column a demand's endpoint
+rows serve.  Every placement, whichever algorithm produced it, is priced by
+``Design.priced``.
 
 The built ``DesignModel`` keeps the shared placement variables once and one
 ``ScenarioBlock`` per failure state holding that state's capacity, hop and
@@ -42,7 +45,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .milp import LinearModel, SolveResult
 from .topology import (
@@ -264,60 +267,81 @@ def _relay_shape(adjacency: Sequence[tuple[str, str]], nodes: Sequence[str], src
     return hops, regen, rows, names
 
 
-def add_commodity_flow(
+def add_routing(
     m: LinearModel,
-    prefix: str,
-    arcs: Iterable[tuple[str, str]],
+    tag: str,
+    arcs: Mapping[tuple[str, str], tuple[str | None, float]],
     alive: Sequence[Router],
-    src: str,
-    dst: str,
-) -> tuple[dict[tuple[str, str], str], dict[str, float], dict[str, float]]:
-    """Flow of one demand from node ``src`` to node ``dst`` over ``arcs``.
+    demands: DemandMatrix,
+    served: Callable[[str, str, float], tuple[str, float]] | None = None,
+) -> dict[tuple[str, str], dict[tuple[str, str], str]]:
+    """Route every demand over ``arcs``; returns each demand's arc -> flow map.
 
-    Adds a variable ``{prefix}_{a}_{b}`` per directed router arc, in the given
-    order, and a conservation row at every live router homed away from both
-    endpoints.  Returns the arc -> variable map plus the net-outflow terms at
-    the source node's live routers and the net-inflow terms at the
-    destination node's; a term map is empty when no live router there touches
-    an arc.  The caller writes the endpoint rows under its own rule.
+    ``arcs`` maps each directed router arc to its capacity, ``(column,
+    constant)``: the arc's total flow fits the column (None: no column) plus
+    the constant.  ``tag``, the failure state (``f{index}``), goes into every
+    variable and row name.  Per demand (s, t), in order, this adds a variable
+    ``Y_{tag}_{s}_{t}_{a}_{b}`` per arc, a conservation row at every live
+    router homed away from both endpoints, then the source row (net outflow
+    of node s's live routers) and the destination row (net inflow of node
+    t's).  Each endpoint row asks for the demand's volume; with ``served``,
+    called as ``served(s, t, volume)`` just before the demand's flows and
+    returning ``(column, weight)``, it asks instead for weight times that
+    column.  The arc-capacity rows follow the last demand.
+
+    When no live router at an endpoint touches an arc, the endpoint row
+    has no flow term: with ``served`` it degenerates to served = 0, and
+    otherwise a variable pinned to 0 is required to equal 1, which cleanly
+    encodes "this state cannot be served" inside a well-formed model.
     """
-    flows: dict[tuple[str, str], str] = {}
-    by_out: dict[str, list[str]] = defaultdict(list)
-    by_in: dict[str, list[str]] = defaultdict(list)
-    for a, b in arcs:
-        name = m.add_variable(f"{prefix}_{a}_{b}")
-        flows[(a, b)] = name
-        by_out[a].append(name)
-        by_in[b].append(name)
-    for r in alive:
-        if r.node in (src, dst):
-            continue
-        coeffs: dict[str, float] = {}
-        for name in by_in[r.id]:
-            coeffs[name] = coeffs.get(name, 0.0) + 1.0
-        for name in by_out[r.id]:
-            coeffs[name] = coeffs.get(name, 0.0) - 1.0
-        if coeffs:
-            m.add_constraint(coeffs, "==", 0.0, name=f"balance_{prefix}_{r.id}")
-    ends: list[dict[str, float]] = []
-    for node, sign in ((src, 1.0), (dst, -1.0)):
-        coeffs = {}
+    by_out: dict[str, list[int]] = defaultdict(list)
+    by_in: dict[str, list[int]] = defaultdict(list)
+    for k, (a, b) in enumerate(arcs):
+        by_out[a].append(k)
+        by_in[b].append(k)
+    routes: dict[tuple[str, str], dict[tuple[str, str], str]] = {}
+    loads: list[dict[str, float]] = [{} for _ in arcs]
+    for s, t, volume in demands.pairs:
+        if served is None:
+            rhs, served_term = volume, {}
+        else:
+            column, weight = served(s, t, volume)
+            rhs, served_term = 0.0, {column: -weight}
+        prefix = f"Y_{tag}_{s}_{t}"
+        names = [m.add_variable(f"{prefix}_{a}_{b}") for a, b in arcs]
+        routes[(s, t)] = dict(zip(arcs, names))
+        for load, name in zip(loads, names):
+            load[name] = 1.0
         for r in alive:
-            if r.node != node:
+            if r.node in (s, t):
                 continue
-            for name in by_out[r.id]:
-                coeffs[name] = coeffs.get(name, 0.0) + sign
-            for name in by_in[r.id]:
-                coeffs[name] = coeffs.get(name, 0.0) - sign
-        ends.append(coeffs)
-    return flows, ends[0], ends[1]
-
-
-def _add_infeasible_row(m: LinearModel, tag: str) -> None:
-    # A variable pinned to 0 required to equal 1: cleanly encodes "this
-    # scenario cannot be served" inside an otherwise well-formed model.
-    z = m.add_variable(f"impossible_{tag}", lb=0.0, ub=0.0)
-    m.add_constraint({z: 1.0}, "==", 1.0, name=f"impossible_{tag}")
+            coeffs = {names[k]: 1.0 for k in by_in[r.id]}
+            coeffs.update((names[k], -1.0) for k in by_out[r.id])
+            if coeffs:
+                m.add_constraint(coeffs, "==", 0.0, name=f"balance_{prefix}_{r.id}")
+        for end, node, sign in (("src", s, 1.0), ("dst", t, -1.0)):
+            # Summed, not set: an arc between two routers at the endpoint nets
+            # out to a 0.0 term, which the row keeps.
+            coeffs = {}
+            for r in alive:
+                if r.node != node:
+                    continue
+                for k in by_out[r.id]:
+                    coeffs[names[k]] = coeffs.get(names[k], 0.0) + sign
+                for k in by_in[r.id]:
+                    coeffs[names[k]] = coeffs.get(names[k], 0.0) - sign
+            coeffs.update(served_term)
+            if coeffs:
+                m.add_constraint(coeffs, "==", rhs, name=f"flow_{end}_{tag}_{s}_{t}")
+            else:
+                z = m.add_variable(f"impossible_{tag}_{s}_{t}_{end}", lb=0.0, ub=0.0)
+                m.add_constraint({z: 1.0}, "==", 1.0, name=f"impossible_{tag}_{s}_{t}_{end}")
+    for ((a, b), (column, constant)), load in zip(arcs.items(), loads):
+        if load:
+            if column is not None:
+                load[column] = -1.0
+            m.add_constraint(load, "<=", constant, name=f"cap_{tag}_{a}_{b}")
+    return routes
 
 
 def build_design_model(
@@ -490,30 +514,11 @@ def build_design_model(
                 add_budget(regen_use[n], regens, n, f"regen_f{fi}_{n}")
 
         # Multi-commodity flow over the per-scenario links.
-        arcs = {**blk.caps, **blk.intra}
-        arc_load: dict[str, dict[str, float]] = defaultdict(dict)
-        for s, t, volume in demands.pairs:
-            fvars, out_src, in_dst = add_commodity_flow(
-                m, f"Y_f{fi}_{s}_{t}", arcs, alive, s, t
-            )
-            blk.flows[(s, t)] = fvars
-            for ab, name in fvars.items():
-                arc_load[arcs[ab]][name] = 1.0
-            for tag, coeffs in (("src", out_src), ("dst", in_dst)):
-                if coeffs:
-                    m.add_constraint(
-                        coeffs, "==", volume, name=f"flow_{tag}_f{fi}_{s}_{t}"
-                    )
-                else:
-                    _add_infeasible_row(m, f"f{fi}_{s}_{t}_{tag}")
-        # Total flow on each directed arc fits its capacity.
-        for (a, b), cap_name in arcs.items():
-            loads = arc_load.get(cap_name)
-            if not loads:
-                continue
-            coeffs = dict(loads)
-            coeffs[cap_name] = coeffs.get(cap_name, 0.0) - 1.0
-            m.add_constraint(coeffs, "<=", 0.0, name=f"cap_f{fi}_{a}_{b}")
+        blk.flows = add_routing(
+            m, f"f{fi}",
+            {ab: (name, 0.0) for ab, name in (*blk.caps.items(), *blk.intra.items())},
+            alive, demands,
+        )
 
         if strengthen:
             # Capacity leaving a demand endpoint's routers is an integer at

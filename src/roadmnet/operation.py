@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 from .design import (
     Design,
     DesignModel,
-    add_commodity_flow,
+    add_routing,
     build_design_model,
     check_solve,
     iround,
@@ -313,34 +313,26 @@ def evaluate_transient(
     if offered <= 0:
         return TransientReport(scenario, 0.0, 0.0, 1.0, caps)
 
-    alive = alive_routers(topology, scenario)
     m = LinearModel("transient")
-    tvar = m.add_variable("served_fraction", ub=1.0) if concurrent else None
-    arcs = sorted(caps)
-    arc_load: dict[tuple[str, str], dict[str, float]] = defaultdict(dict)
-    total_terms: dict[str, float] = {}
-    for s, t, volume in demands.pairs:
-        if concurrent:
-            served, weight = tvar, volume
-        else:
-            served, weight = m.add_variable(f"d_{s}_{t}", ub=volume), 1.0
-            total_terms[served] = 1.0
-        fvars, out_src, in_dst = add_commodity_flow(
-            m, f"y_{s}_{t}", arcs, alive, s, t
-        )
-        for arc, name in fvars.items():
-            arc_load[arc][name] = 1.0
-        # With no usable attachment a row degenerates to served = 0.
-        for coeffs in (out_src, in_dst):
-            coeffs[served] = -weight
-            m.add_constraint(coeffs, "==", 0.0)
-    for (a, b), loads in arc_load.items():
-        m.add_constraint(loads, "<=", float(caps[(a, b)]))
-
+    # A demand's net flow is its volume times the common served fraction,
+    # or its own delivered volume d_{s}_{t}.
     if concurrent:
-        m.set_objective({tvar: -offered})
+        tvar = m.add_variable("served_fraction", ub=1.0)
+        objective = {tvar: -offered}
+
+        def served(s: str, t: str, volume: float) -> tuple[str, float]:
+            return tvar, volume
     else:
-        m.set_objective({name: -1.0 for name in total_terms})
+        objective = {}
+
+        def served(s: str, t: str, volume: float) -> tuple[str, float]:
+            d = m.add_variable(f"d_{s}_{t}", ub=volume)
+            objective[d] = -1.0
+            return d, 1.0
+
+    arcs = {arc: (None, float(caps[arc])) for arc in sorted(caps)}
+    add_routing(m, "f0", arcs, alive_routers(topology, scenario), demands, served)
+    m.set_objective(objective)
     result = solve(m, time_limit)
     check_solve(result, scenario, "transient routing")
     delivered = -result.objective_value

@@ -10,15 +10,16 @@ from roadmnet import algorithms, operation
 from roadmnet.design import (
     Design,
     PriorPlacement,
-    add_commodity_flow,
+    add_routing,
     build_design_model,
     extract_design,
     iround,
     source_side_usage,
 )
-from roadmnet.milp import LinearModel, _compile, export_lp, solve, validate_solution
+from roadmnet.milp import LinearModel, Variable, _compile, export_lp, solve, validate_solution
 from roadmnet.topology import (
     CostModel,
+    DemandMatrix,
     FailureScenario,
     Router,
     Topology,
@@ -190,29 +191,65 @@ FLOW_ROUTERS = tuple(
 FLOW_ARCS = (("a1", "c1"), ("c1", "b1"), ("c1", "c2"), ("c2", "b1"), ("b1", "a1"))
 
 
+ONE_DEMAND = DemandMatrix(entries=(("A", "B", 0.5),))
+
+
+def flow_capacities(m: LinearModel) -> dict:
+    """Two units on every FLOW_ARCS arc, but a column x on arc c1 -> c2."""
+    m.add_variable("x")
+    return {arc: ("x", 0.0) if arc == ("c1", "c2") else (None, 2.0) for arc in FLOW_ARCS}
+
+
+def y(a: str, b: str) -> str:
+    return f"Y_t_A_B_{a}_{b}"
+
+
 def test_commodity_flow_balances_only_transit_routers():
     m = LinearModel()
-    flows, out_src, in_dst = add_commodity_flow(
-        m, "y", FLOW_ARCS, FLOW_ROUTERS, "A", "B"
-    )
-    assert flows == {arc: f"y_{arc[0]}_{arc[1]}" for arc in FLOW_ARCS}
-    assert [v.name for v in m.variables] == list(flows.values())
-    rows = [(dict(c.coeffs), c.sense, c.rhs) for c in m.constraints]
+    routes = add_routing(m, "t", flow_capacities(m), FLOW_ROUTERS, ONE_DEMAND)
+    assert routes == {("A", "B"): {arc: y(*arc) for arc in FLOW_ARCS}}
+    assert [v.name for v in m.variables] == ["x", *(y(*arc) for arc in FLOW_ARCS)]
+    rows = [(c.name, dict(c.coeffs), c.sense, c.rhs) for c in m.constraints]
     assert rows == [
-        ({"y_a1_c1": 1.0, "y_c1_b1": -1.0, "y_c1_c2": -1.0}, "==", 0.0),
-        ({"y_c1_c2": 1.0, "y_c2_b1": -1.0}, "==", 0.0),
+        ("balance_Y_t_A_B_c1",
+         {y("a1", "c1"): 1.0, y("c1", "b1"): -1.0, y("c1", "c2"): -1.0}, "==", 0.0),
+        ("balance_Y_t_A_B_c2", {y("c1", "c2"): 1.0, y("c2", "b1"): -1.0}, "==", 0.0),
+        ("flow_src_t_A_B", {y("a1", "c1"): 1.0, y("b1", "a1"): -1.0}, "==", 0.5),
+        ("flow_dst_t_A_B",
+         {y("c1", "b1"): 1.0, y("c2", "b1"): 1.0, y("b1", "a1"): -1.0}, "==", 0.5),
+        ("cap_t_a1_c1", {y("a1", "c1"): 1.0}, "<=", 2.0),
+        ("cap_t_c1_b1", {y("c1", "b1"): 1.0}, "<=", 2.0),
+        ("cap_t_c1_c2", {y("c1", "c2"): 1.0, "x": -1.0}, "<=", 0.0),
+        ("cap_t_c2_b1", {y("c2", "b1"): 1.0}, "<=", 2.0),
+        ("cap_t_b1_a1", {y("b1", "a1"): 1.0}, "<=", 2.0),
     ]
-    assert out_src == {"y_a1_c1": 1.0, "y_b1_a1": -1.0}
-    assert in_dst == {"y_c1_b1": 1.0, "y_c2_b1": 1.0, "y_b1_a1": -1.0}
 
 
 def test_commodity_flow_endpoint_terms_empty_when_its_router_is_down():
-    m = LinearModel()
     alive = tuple(r for r in FLOW_ROUTERS if r.id != "a1")
-    _, out_src, in_dst = add_commodity_flow(m, "y", FLOW_ARCS, alive, "A", "B")
-    assert out_src == {}
-    assert in_dst == {"y_c1_b1": 1.0, "y_c2_b1": 1.0, "y_b1_a1": -1.0}
-    assert len(m.constraints) == 2
+    m = LinearModel()
+    add_routing(m, "t", flow_capacities(m), alive, ONE_DEMAND)
+    rows = {c.name: (dict(c.coeffs), c.sense, c.rhs) for c in m.constraints}
+    assert m.variables[-1] == Variable("impossible_t_A_B_src", 0.0, 0.0, False)
+    assert rows["impossible_t_A_B_src"] == ({"impossible_t_A_B_src": 1.0}, "==", 1.0)
+    assert "flow_src_t_A_B" not in rows
+    assert rows["flow_dst_t_A_B"] == (
+        {y("c1", "b1"): 1.0, y("c2", "b1"): 1.0, y("b1", "a1"): -1.0}, "==", 0.5)
+    assert rows["cap_t_c1_c2"] == ({y("c1", "c2"): 1.0, "x": -1.0}, "<=", 0.0)
+    assert rows["cap_t_b1_a1"] == ({y("b1", "a1"): 1.0}, "<=", 2.0)
+    assert len(rows) == 2 + 2 + len(FLOW_ARCS)
+
+    # With a served column the empty endpoint row degenerates to served = 0.
+    m = LinearModel()
+    add_routing(m, "t", flow_capacities(m), alive, ONE_DEMAND,
+                lambda s, t, volume: (m.add_variable(f"d_{s}_{t}", ub=volume), 1.0))
+    rows = {c.name: (dict(c.coeffs), c.sense, c.rhs) for c in m.constraints}
+    assert [v.name for v in m.variables[:2]] == ["x", "d_A_B"]
+    assert rows["flow_src_t_A_B"] == ({"d_A_B": -1.0}, "==", 0.0)
+    assert rows["flow_dst_t_A_B"] == (
+        {y("c1", "b1"): 1.0, y("c2", "b1"): 1.0, y("b1", "a1"): -1.0, "d_A_B": -1.0}, "==", 0.0)
+    assert not any(v.name.startswith("impossible") for v in m.variables)
+    assert len(rows) == 2 + 2 + len(FLOW_ARCS)
 
 
 def test_priced_design_rolls_up_costs_and_status():
