@@ -147,16 +147,17 @@ def _cmd_transient(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    """A row per algorithm, also for one that ran out of time (exit 4 after
-    the table)."""
+    """A row per algorithm, also for one that ran out of time or whose solver
+    failed (exit 4 after the table, with one line on stderr)."""
     topology, demands, costs = load_inputs(args.input)
     rows, unanswered = [], []
     for name in ALGORITHMS:
         start = time.perf_counter()
         try:
             design, _ = _run_algorithm(name, topology, demands, costs, args.time_limit)
-        except NoIncumbentError as exc:
-            unanswered.append(f"{name} ({exc})")
+        except (NoIncumbentError, SolverError) as exc:
+            why = "solver failed" if isinstance(exc, SolverError) else "no answer within budget"
+            unanswered.append(f"{why}: {name} ({exc})")
             rows.append((name, "no answer"))
             continue
         elapsed = time.perf_counter() - start
@@ -188,7 +189,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                 writer.writerow([name, status, *_compare_cells(numbers, ".3f", "")])
         print(f"saved: {args.csv}")
     if unanswered:
-        print(f"no answer within budget: {'; '.join(unanswered)}", file=sys.stderr)
+        print("; ".join(unanswered), file=sys.stderr)
         return EXIT_NO_INCUMBENT
     return EXIT_OK
 

@@ -287,7 +287,8 @@ def add_routing(
     t's).  Each endpoint row asks for the demand's volume; with ``served``,
     called as ``served(s, t, volume)`` just before the demand's flows and
     returning ``(column, weight)``, it asks instead for weight times that
-    column.  The arc-capacity rows follow the last demand.
+    column.  The arc-capacity rows follow the last demand.  Rows go in by
+    column position: one block per demand, one for the capacity rows.
 
     When no live router at an endpoint touches an arc, the endpoint row
     has no flow term: with ``served`` it degenerates to served = 0, and
@@ -299,48 +300,58 @@ def add_routing(
     for k, (a, b) in enumerate(arcs):
         by_out[a].append(k)
         by_in[b].append(k)
+    # Each router's conservation row over arc positions, alike for every demand.
+    balance = {r.id: (by_in[r.id] + by_out[r.id],
+                      [1.0] * len(by_in[r.id]) + [-1.0] * len(by_out[r.id]), "==", 0.0)
+               for r in alive}
     routes: dict[tuple[str, str], dict[tuple[str, str], str]] = {}
-    loads: list[dict[str, float]] = [{} for _ in arcs]
+    starts = []  # each demand's first flow column
     for s, t, volume in demands.pairs:
-        if served is None:
-            rhs, served_term = volume, {}
-        else:
-            column, weight = served(s, t, volume)
-            rhs, served_term = 0.0, {column: -weight}
         prefix = f"Y_{tag}_{s}_{t}"
-        names = [m.add_variable(f"{prefix}_{a}_{b}") for a, b in arcs]
-        routes[(s, t)] = dict(zip(arcs, names))
-        for load, name in zip(loads, names):
-            load[name] = 1.0
-        for r in alive:
-            if r.node in (s, t):
-                continue
-            coeffs = {names[k]: 1.0 for k in by_in[r.id]}
-            coeffs.update((names[k], -1.0) for k in by_out[r.id])
-            if coeffs:
-                m.add_constraint(coeffs, "==", 0.0, name=f"balance_{prefix}_{r.id}")
-        for end, node, sign in (("src", s, 1.0), ("dst", t, -1.0)):
+        names = [f"{prefix}_{a}_{b}" for a, b in arcs]
+        transit = [r.id for r in alive if r.node not in (s, t) and balance[r.id][0]]
+        rows, row_names = [balance[r] for r in transit], [f"balance_{prefix}_{r}" for r in transit]
+        rhs, outside, served_term = float(volume), (), ([], [])
+        if served is not None:
+            column, weight = served(s, t, volume)
+            rhs, outside, served_term = 0.0, (m._index[column],), ([len(names)], [-float(weight)])
+        ends = []
+        for node, sign in ((s, 1.0), (t, -1.0)):
             # Summed, not set: an arc between two routers at the endpoint nets
             # out to a 0.0 term, which the row keeps.
-            coeffs = {}
+            terms: dict[int, float] = {}
             for r in alive:
-                if r.node != node:
-                    continue
-                for k in by_out[r.id]:
-                    coeffs[names[k]] = coeffs.get(names[k], 0.0) + sign
-                for k in by_in[r.id]:
-                    coeffs[names[k]] = coeffs.get(names[k], 0.0) - sign
-            coeffs.update(served_term)
-            if coeffs:
-                m.add_constraint(coeffs, "==", rhs, name=f"flow_{end}_{tag}_{s}_{t}")
+                if r.node == node:
+                    for k in by_out[r.id]:
+                        terms[k] = terms.get(k, 0.0) + sign
+                    for k in by_in[r.id]:
+                        terms[k] = terms.get(k, 0.0) - sign
+            ends.append((list(terms) + served_term[0], list(terms.values()) + served_term[1]))
+        if all(ks for ks, _ in ends):
+            rows += [(ks, vs, "==", rhs) for ks, vs in ends]
+            row_names += [f"flow_{end}_{tag}_{s}_{t}" for end in ("src", "dst")]
+            ends = []
+        starts.append(m._add_block(names, 0.0, math.inf, False, rows, outside, row_names))
+        routes[(s, t)] = dict(zip(arcs, names))
+        # An endpoint no live router reaches (never with ``served``) goes by name.
+        for (ks, vs), end in zip(ends, ("src", "dst")):
+            if ks:
+                m.add_constraint({names[k]: v for k, v in zip(ks, vs)}, "==", rhs,
+                                 name=f"flow_{end}_{tag}_{s}_{t}")
             else:
                 z = m.add_variable(f"impossible_{tag}_{s}_{t}_{end}", lb=0.0, ub=0.0)
-                m.add_constraint({z: 1.0}, "==", 1.0, name=f"impossible_{tag}_{s}_{t}_{end}")
-    for ((a, b), (column, constant)), load in zip(arcs.items(), loads):
-        if load:
+                m.add_constraint({z: 1.0}, "==", 1.0, name=z)
+    if starts:  # each arc's flow under every demand, then its capacity column
+        n, rows = len(arcs), []
+        outside = [j + k for j in starts for k in range(n)]
+        for k, (column, constant) in enumerate(arcs.values()):
+            ks, vs = list(range(k, len(starts) * n, n)), [1.0] * len(starts)
             if column is not None:
-                load[column] = -1.0
-            m.add_constraint(load, "<=", constant, name=f"cap_{tag}_{a}_{b}")
+                ks, vs = ks + [len(outside)], vs + [-1.0]
+                outside.append(m._index[column])
+            rows.append((ks, vs, "<=", float(constant)))
+        m._add_block((), 0.0, math.inf, False, rows, outside,
+                     [f"cap_{tag}_{a}_{b}" for a, b in arcs])
     return routes
 
 
@@ -502,7 +513,7 @@ def build_design_model(
             hops, regen, rows, kinds = shapes[ends]
             tag = f"_f{fi}_{a}_{b}"
             names = [f"H{tag}_{u}_{v}" for u, v in hops]
-            m._add_block(names, 0.0, box, True, rows, blk.caps[(a, b)],
+            m._add_block(names, 0.0, box, True, rows, (m._index[blk.caps[(a, b)]],),
                          [f"{kind}{tag}{suffix}" for kind, suffix in kinds])
             blk.hops[(a, b)] = dict(zip(hops, names))
             for k in regen:

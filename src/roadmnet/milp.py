@@ -6,8 +6,8 @@ into one column-major matrix (a NaN or infinite coefficient, right-hand side
 or objective term is a :class:`ModelError` there), and solved by
 branch-and-bound: each LP relaxation goes straight to scipy's bundled HiGHS
 (:func:`linprog`, with ``scipy.optimize.linprog``'s options and checks) on
-an instance that the solve loads once per thread it uses, that takes only
-the column bounds that changed and whose solver state is cleared per LP,
+the instance each thread keeps across solves (loaded once per solve, given
+only the changed column bounds, its solver state cleared per LP),
 branching follows a most-fractional rule with lowest-index tie-breaks, and
 open nodes are explored best-bound-first, newest first on ties, so identical
 models always produce identical results.  A thin adapter onto
@@ -18,16 +18,18 @@ Where a node branches into two children and ``os.sched_getaffinity``
 reports two or more CPUs, a second thread solves the second child's LP while
 the calling thread solves the first (HiGHS releases the interpreter lock
 while it runs); both results are then used in the usual order, so every
-answer is the same as with one thread.  The solve owns that thread and both
-instances and stops or drops them before it returns or raises.  The thread
-runs the import-time :func:`linprog`, so a patch of ``milp.linprog`` sees
-only the LPs solved on the calling thread.
+answer is the same as with one thread.  The solve owns that thread, whose
+instance dies with it, and clears the calling thread's instance of its model
+before it returns or raises; a solve nested in another on one thread gets
+an instance of its own.  The thread runs the import-time :func:`linprog`, so
+a patch of ``milp.linprog`` sees only the LPs solved on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -209,15 +211,19 @@ class LinearModel:
 
     def _add_block(self, names: Sequence[str], lb: float, ub: float, integer: bool,
                    rows: Sequence[tuple[Sequence[int], Sequence[float], str, float]],
-                   outside: str, row_names: Sequence[str]) -> None:
+                   outside: Sequence[int], row_names: Sequence[str]) -> int:
         """Append a column per name, all alike, and rows (positions, float
         coefficients, sense, rhs) over them: position k is the k-th new
-        column, and position ``len(names)`` the existing column ``outside``."""
+        column, and position ``len(names) + i`` the existing column
+        ``outside[i]``.  Returns the first new column's index."""
         start = self._add_columns(names, lb, ub, integer)
-        at = [*range(start, start + len(names)), self._index[outside]].__getitem__
-        positions, vals, senses, rhs = zip(*rows)
-        self._add_rows([at(k) for ks in positions for k in ks], [x for xs in vals for x in xs],
-                       list(map(len, positions)), senses, rhs, row_names)
+        if rows:
+            at = [*range(start, start + len(names)), *outside].__getitem__
+            positions, vals, senses, rhs = zip(*rows)
+            self._add_rows([at(k) for ks in positions for k in ks],
+                           [x for xs in vals for x in xs], list(map(len, positions)),
+                           senses, rhs, row_names)
+        return start
 
     def set_objective(self, coeffs: Mapping[str, float]) -> None:
         """Minimization objective; unmentioned variables get coefficient 0."""
@@ -341,13 +347,14 @@ _MS = highs.HighsModelStatus
 _LP_STATUS = {_MS.kOptimal: 0, _MS.kTimeLimit: 1, _MS.kIterationLimit: 1,
               _MS.kInfeasible: 2, _MS.kModelError: 2, _MS.kUnbounded: 3}
 _CHECK_TOL = math.sqrt(1e-9) * 10
+_IDLE = threading.local()  # each thread's HiGHS instance while no solve holds it
 
 
 class _Loaded:
     """A compiled model in one HiGHS instance, one per thread of a solve.
 
-    The first LP on it loads the model, on the thread that uses it; ``lb``
-    and ``ub`` are the column bounds the instance holds.
+    The first LP on it loads the model into its thread's instance, replacing
+    any model there; ``lb`` and ``ub`` are the column bounds the instance holds.
     """
 
     def __init__(self, comp: _Compiled):
@@ -372,9 +379,11 @@ def linprog(lp: _Loaded, lb: np.ndarray, ub: np.ndarray,
     comp, error = lp.comp, highs.HighsStatus.kError
     if not lb.shape == ub.shape == comp.c.shape:  # HiGHS reads len(c) of each
         raise ValueError(f"lb and ub need {len(comp.c)} entries")
-    if lp.highs is None:
-        lp.highs = highs._Highs()
-        lp.highs.passOptions(_LP_OPTIONS)
+    if lp.highs is None:  # this thread's instance, or a new one while a solve holds it
+        lp.highs, _IDLE.highs = getattr(_IDLE, "highs", None), None
+        if lp.highs is None:
+            lp.highs = highs._Highs()
+            lp.highs.passOptions(_LP_OPTIONS)
         values, rows, starts = comp.csc
         continuous = np.zeros(len(comp.c), dtype=np.int32)  # the LP relaxation
         lp.ok = lp.highs.passModel(
@@ -467,8 +476,12 @@ def solve(model: LinearModel, time_limit: float | None = None) -> SolveResult:
         with ThreadPoolExecutor(1, "roadmnet-lp") if len(cpus) >= 2 else nullcontext() as pool:
             return _branch_and_bound(model, comp, lps, pool, remaining)
     finally:
-        for lp in lps:
-            lp.highs = None
+        mine, lps[0].highs, lps[1].highs = lps[0].highs, None, None
+        if mine is not None:  # no model, solver state or option outlives the solve
+            mine.clear()
+            mine.passOptions(_LP_OPTIONS)
+            if getattr(_IDLE, "highs", None) is None:  # else a nested solve's is kept
+                _IDLE.highs = mine
 
 
 def _branch_and_bound(model: LinearModel, comp: _Compiled, lps: list[_Loaded],
@@ -478,8 +491,10 @@ def _branch_and_bound(model: LinearModel, comp: _Compiled, lps: list[_Loaded],
         return SolveResult("infeasible", {}, None, math.inf, nodes=1)
     if root.status == 3:
         return SolveResult("unbounded", {}, None, -math.inf, nodes=1)
-    if root.status != 0:
+    if root.status == 1:  # the LP hit its own time/iteration limit
         return SolveResult("no_solution", {}, None, -math.inf, nodes=1)
+    if root.status != 0:
+        raise SolverError(f"LP backend failed with status {root.status}")
 
     incumbent_x: np.ndarray | None = None
     incumbent_obj = math.inf

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -524,6 +525,48 @@ def test_cli_compare_keeps_going_when_one_algorithm_runs_out_of_time(
     assert err.count("\n") == 1 and err.startswith("no answer within budget: optimal (")
 
 
+def test_cli_compare_keeps_going_when_one_algorithms_solver_fails(
+        tmp_path, capsys, monkeypatch):
+    def solver_fails(*args):
+        raise milp.SolverError("LP backend failed with status 4")
+
+    monkeypatch.setattr(cli, "design_greedy", solver_fails)
+    csv_path = tmp_path / "cmp.csv"
+    assert main(["compare", fixture_path("toy2x5"), "--csv", str(csv_path)]) == 4
+    out, err = capsys.readouterr()
+    table = out.splitlines()[1:5]
+    assert [line.split()[1] for line in table] == ["optimal", "optimal", "no", "optimal"]
+    assert table[2].split() == ["greedy", "no", "answer", "-", "-", "-", "-", "-"]
+    rows = csv_path.read_text().splitlines()[1:]
+    assert rows[2] == "greedy,no answer,,,,,"
+    assert err == "solver failed: greedy (LP backend failed with status 4)\n"
+
+
+def test_cli_compare_reports_time_outs_and_solver_failures_on_one_line(capsys, monkeypatch):
+    # Every child LP on the calling thread fails: each solve that branches
+    # raises SolverError (greedy's toy solves never branch).  design_optimal
+    # runs out of time before it would.
+    real = milp.linprog
+
+    def fail_children(lp, lb, ub, time_limit):
+        if np.array_equal(lb, lp.comp.lb) and np.array_equal(ub, lp.comp.ub):
+            return real(lp, lb, ub, time_limit)
+        return OptimizeResult(status=4, fun=None, x=None)
+
+    def out_of_time(*args):
+        raise NoIncumbentError("time limit expired with no placement found (joint model)")
+
+    monkeypatch.setattr(milp, "linprog", fail_children)
+    monkeypatch.setattr(cli, "design_optimal", out_of_time)
+    assert main(["compare", fixture_path("toy2x5")]) == 4
+    out, err = capsys.readouterr()
+    assert [line.split()[:2] for line in out.splitlines()[1:5]] == [
+        ["optimal", "no"], ["simple", "no"], ["greedy", "optimal"], ["legacy", "no"]]
+    assert err == ("no answer within budget: optimal (time limit expired with no placement "
+                   "found (joint model)); solver failed: simple (LP backend failed with "
+                   "status 4); solver failed: legacy (LP backend failed with status 4)\n")
+
+
 class TestExitCodes:
     def test_missing_input(self, capsys):
         assert main(["design", "/no/such/file.json"]) == 2
@@ -600,6 +643,19 @@ class TestExitCodes:
         assert main(["design", fixture_path("toy2x5")]) == 4
         err = capsys.readouterr().err
         assert "solver failed: LP backend failed with status 4" in err
+
+    @pytest.mark.parametrize("command", [
+        ["design", fixture_path("toy2x5")],
+        ["compare", fixture_path("toy2x5")],
+    ], ids=lambda command: command[0])
+    def test_failed_root_lp_is_a_solver_failure_not_a_time_out(self, command, capsys,
+                                                             monkeypatch):
+        monkeypatch.setattr(milp, "linprog",
+                            lambda *args: OptimizeResult(status=4, fun=None, x=None))
+        assert main(command) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("solver failed: ") and err.count("\n") == 1
+        assert "LP backend failed with status 4" in err and "time limit" not in err
 
     def test_fractional_legacy_purchase_is_rejected(self, toy_inputs, capsys, monkeypatch):
         real = algorithms.solve

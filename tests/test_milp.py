@@ -20,7 +20,7 @@ from scipy import sparse
 from scipy.optimize._linprog_util import _check_result
 
 from roadmnet import algorithms, milp, operation
-from roadmnet.design import build_design_model
+from roadmnet.design import PriorPlacement, build_design_model
 from roadmnet.io import load_inputs
 from roadmnet.milp import (
     LinearModel,
@@ -100,7 +100,7 @@ class TestModelBuilding:
         for m in (blocked, plain):
             m.add_variable("before")
             m.add_variable("cap", ub=4, integer=True)
-        blocked._add_block(["h0", "h1"], 0.0, 3.0, True, rows, "cap", ["r0", "r1"])
+        assert blocked._add_block(["h0", "h1"], 0.0, 3.0, True, rows, [1], ["r0", "r1"]) == 2
         for name in ("h0", "h1"):
             plain.add_variable(name, ub=3.0, integer=True)
         for (ks, vals, sense, rhs), name in zip(rows, ("r0", "r1")):
@@ -110,12 +110,28 @@ class TestModelBuilding:
         assert blocked.constraints == plain.constraints
         assert blocked.constraints[1].coeffs == (("h1", 1.0), ("h0", 1.0), ("cap", -2.0))
 
+    def test_a_block_reads_positions_past_its_columns_as_the_outside_ones_in_order(self):
+        m = LinearModel()
+        for name in ("a", "b", "c"):
+            m.add_variable(name)
+        m._add_block(["h"], 0.0, 1.0, False, [([3, 0, 1, 2], [4.0, 1.0, 2.0, 3.0], "<=", 5.0)],
+                     [2, 0, 1], ["r"])
+        assert m.constraints[0].coeffs == (("b", 4.0), ("h", 1.0), ("c", 2.0), ("a", 3.0))
+
+    def test_a_block_of_rows_only_or_columns_only(self):
+        m = LinearModel()
+        m.add_variable("x")
+        assert m._add_block((), 0.0, 1.0, False, [([0], [2.0], "<=", 3.0)], [0], ["r"]) == 1
+        assert m._add_block(["y"], 0.0, 1.0, False, [], [], []) == 1
+        assert [v.name for v in m.variables] == ["x", "y"]
+        assert m.constraints == (milp.Constraint("r", (("x", 2.0),), "<=", 3.0),)
+
     def test_a_block_with_a_taken_name_leaves_the_model_alone(self):
         m = LinearModel()
         m.add_variable("x")
         for names in (["y", "x"], ["y", "y"], ["y", ""]):
             with pytest.raises(ModelError):
-                m._add_block(names, 0.0, 1.0, False, [([0], [1.0], "<=", 1.0)], "x", ["r"])
+                m._add_block(names, 0.0, 1.0, False, [([0], [1.0], "<=", 1.0)], [0], ["r"])
         assert [v.name for v in m.variables] == ["x"] and m.constraints == ()
 
     def test_objective_unknown_variable(self):
@@ -723,18 +739,24 @@ def lp_bounds(model: LinearModel, monkeypatch) -> list:
 def tracked_highs(monkeypatch, fail=lambda runs: False) -> list:
     """Weak references to every HiGHS instance made from now on.
 
-    Each instance is wrapped so the test can see it die; ``fail(runs)``
-    decides whether an instance's run raises MemoryError instead.
+    Each instance is wrapped so the test can see it die and count the models
+    loaded into it; ``fail(runs)`` decides whether an instance's run raises
+    MemoryError instead.  The calling thread starts with no instance of its
+    own, and gets back the one it had when the test ends.
     """
     real, made = milp.highs._Highs, []
 
     class Tracked:
         def __init__(self):
-            self.real, self.runs = real(), 0
+            self.real, self.runs, self.loads = real(), 0, 0
             made.append(weakref.ref(self))
 
         def __getattr__(self, name):
             return getattr(self.real, name)
+
+        def passModel(self, *args):
+            self.loads += 1
+            return self.real.passModel(*args)
 
         def run(self):
             self.runs += 1
@@ -743,7 +765,70 @@ def tracked_highs(monkeypatch, fail=lambda runs: False) -> list:
             return self.real.run()
 
     monkeypatch.setattr(milp.highs, "_Highs", Tracked)
+    monkeypatch.setattr(milp._IDLE, "highs", None, raising=False)
     return made
+
+
+def assert_idle_and_empty(instance) -> None:
+    """The calling thread keeps ``instance``, with no model and the LP
+    options passed again."""
+    assert milp._IDLE.highs is instance
+    assert (instance.getNumCol(), instance.getNumRow(), instance.getNumNz()) == (0, 0, 0)
+    for option in ("presolve", "simplex_strategy", "output_flag", "time_limit"):
+        assert instance.getOptionValue(option)[1] == getattr(milp._LP_OPTIONS, option)
+
+
+def lp_trace(models, fresh: bool) -> list:
+    """(status, fun, bytes of x, instance) of every LP of an all-local solve
+    of each model in turn, each solve on a fresh instance or not."""
+    real, seen = milp.linprog, []
+
+    def recording(lp, lb, ub, time_limit):
+        res = real(lp, lb, ub, time_limit)
+        x = None if res.x is None else res.x.tobytes()
+        fun = None if res.fun is None else float(res.fun).hex()
+        seen.append((res.status, fun, x, id(lp.highs)))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(milp, "linprog", recording)
+        one_cpu(mp)
+        for model in models:
+            if fresh:
+                mp.setattr(milp._IDLE, "highs", None)
+            solve(model)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def planner_models(toy_inputs, grid_inputs, toy_optimal, grid_optimal) -> list[LinearModel]:
+    """Differently sized models of both fixtures, interleaved: joint sizing,
+    one-state sizing with a prior, no-failure operate, and every transient
+    (total and concurrent) and legacy model, the fixtures taking turns."""
+    per_fixture = []
+    for (topology, demands, costs), (design, plans) in ((toy_inputs, toy_optimal),
+                                                        (grid_inputs, grid_optimal)):
+        failures = enumerate_failures(topology)
+        first = algorithms.design_greedy(topology, demands, costs, scenarios=failures[:1])
+        prior = PriorPlacement(first.tails, first.regens_reported, first.ports)
+        models = [
+            joint_model((topology, demands, costs)),
+            build_design_model(topology, demands, failures[1:2], costs, prior).model,
+            build_design_model(topology, demands, [FailureScenario.no_failure()],
+                               CostModel(0.0, 0.0, 0.0), fixed_design=design).model,
+        ]
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (operation, algorithms):
+                mp.setattr(module, "solve", lambda model, *args: models.append(model) or
+                           solve(model, *args))
+            base = plans[FailureScenario.no_failure()]
+            for concurrent in (False, True):
+                operation.transient_reports(topology, demands, base, failures,
+                                            concurrent=concurrent)
+            algorithms.design_legacy(topology, demands, costs)
+        per_fixture.append(models)
+    toy, grid = per_fixture
+    return [m for pair in zip(toy, grid) for m in pair] + toy[len(grid):] + grid[len(toy):]
 
 
 class TestOneInstancePerThread:
@@ -778,14 +863,28 @@ class TestOneInstancePerThread:
             assert milp.linprog(lp, comp.lb, comp.ub, None).status == 0
         assert assert_same_lp(model, comp.lb, comp.ub, budget, lp).status == 0
 
+    def test_a_reused_instance_solves_like_a_fresh_one(self, planner_models, monkeypatch):
+        made = tracked_highs(monkeypatch)
+        reused = lp_trace(planner_models, fresh=False)
+        assert len(made) == 1 and {lp[3] for lp in reused} == {id(made[0]())}
+        fresh = lp_trace(planner_models, fresh=True)
+        assert len(made) == 1 + len(planner_models)
+        assert len(planner_models) > 60 and len(reused) > 150
+        assert [lp[:3] for lp in fresh] == [lp[:3] for lp in reused]
+
     def test_a_solve_loads_the_model_once_per_thread(self, toy_inputs, monkeypatch):
         model = joint_model(toy_inputs)
         made = tracked_highs(monkeypatch)
         with monkeypatch.context() as mp:
             one_cpu(mp)
-            assert solve(model).nodes > 10 and len(made) == 1
-        if TWO_CPUS:
-            assert solve(model).nodes > 10 and len(made) == 3
+            for _ in range(2):
+                assert solve(model).nodes > 10 and len(made) == 1
+            assert made[0]().loads == 2
+        if TWO_CPUS:  # and the sibling thread's instance per solve
+            for solves in (1, 2):
+                assert solve(model).nodes > 10 and len(made) == 1 + solves
+                assert made[0]().loads == 2 + solves and made[solves]() is None
+        assert_idle_and_empty(made[0]())
 
     def test_a_small_model_that_branches_pairs_too(self, grid_inputs, grid_designs,
                                                     monkeypatch):
@@ -836,11 +935,43 @@ class TestOneInstancePerThread:
             with pytest.raises(KeyboardInterrupt) as caught:
                 solve(model)
         assert len(made) == 2 and not sibling_threads()
+        assert_idle_and_empty(made[0]())
         if ending != "sibling-raises":  # whose traceback holds the sibling's LP
-            assert [ref() for ref in made] == [None, None]  # with `caught` alive
+            assert made[1]() is None  # with `caught` alive
         del caught
         gc.collect()
-        assert [ref() for ref in made] == [None, None]
+        assert made[1]() is None
+
+    def test_a_solve_inside_a_solve_gets_its_own_instance(self, toy_inputs, monkeypatch):
+        outer, inner = joint_model(toy_inputs), random_integer_model(3)
+        one_cpu(monkeypatch)
+        want = fingerprint(solve(outer)), fingerprint(solve(inner))
+        made = tracked_highs(monkeypatch)
+        solve(inner)  # the thread now keeps an instance, which the outer solve takes
+        real, depth, nested = milp.linprog, [0], []
+        instances: dict[str, set] = {"outer": set(), "inner": set()}
+
+        def nesting(lp, *args):  # an inner solve after each of the outer's first 3 LPs
+            result = real(lp, *args)
+            instances["inner" if depth[0] else "outer"].add(id(lp.highs))
+            if not depth[0] and len(nested) < 3:
+                depth[0] += 1
+                try:
+                    nested.append(fingerprint(solve(inner)))
+                finally:
+                    depth[0] -= 1
+            return result
+
+        monkeypatch.setattr(milp, "linprog", nesting)
+        assert fingerprint(solve(outer)) == want[0]
+        assert nested == [want[1]] * 3
+        assert len(instances["outer"]) == len(instances["inner"]) == 1
+        assert instances["outer"] != instances["inner"]
+        assert len(made) == 2  # the inner solves take turns with one of their own
+        gc.collect()
+        kept = [ref() for ref in made if ref() is not None]
+        assert len(kept) == 1
+        assert_idle_and_empty(kept[0])
 
 
 # ---------------------------------------------------------------------------
@@ -988,15 +1119,18 @@ def mirrored_models():
         return name
 
     # The design builder also adds whole blocks of columns and rows; the
-    # mirror gets them one variable and one named row at a time.
+    # mirror gets them one variable and one named row at a time, each
+    # outside column by the name the mirror holds at its position.
     def add_block(self, names, lb, ub, integer, rows, outside, row_names):
-        real_block(self, names, lb, ub, integer, rows, outside, row_names)
+        start = real_block(self, names, lb, ub, integer, rows, outside, row_names)
+        known = mirror(self).vars
+        columns = [*names, *(known[j].name for j in outside)]
         for name in names:
             mirror(self).add_variable(name, lb, ub, integer=integer)
-        columns = [*names, outside]
         for (positions, vals, sense, rhs), name in zip(rows, row_names):
             terms = [(columns[k], v) for k, v in zip(positions, vals)]
             mirror(self).add_constraint(terms, sense, rhs, name)
+        return start
 
     def set_objective(self, coeffs):
         real_obj(self, coeffs)
