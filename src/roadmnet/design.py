@@ -35,9 +35,11 @@ The built ``DesignModel`` keeps the shared placement variables once and one
 ``ScenarioBlock`` per failure state holding that state's capacity, hop and
 flow variables, so every row of a scenario, and every reader of its solution
 (``source_side_usage``, ``operation.extract_plan``), touches only its own
-block.  The tail, port and regen budget rows follow one rule: usage fits what
-is bought plus the prior when sizing, or the fixed design plus the prior when
-operating.
+block.  Every tail, port and regen budget row follows one rule: usage minus
+the purchase column is at most what is owned when sizing, and usage is at
+most what is owned when operating, where owned is the prior's count plus,
+when operating, the fixed design's.  External links (ended by tails) and
+intra-node links (ended by ports) are built alike, by one loop over the two.
 """
 
 from __future__ import annotations
@@ -403,8 +405,6 @@ def build_design_model(
         blocks=[],
     )
 
-    multi_nodes = {n for n in topology.ip_nodes if len(topology.routers_at[n]) >= 2}
-
     # No minimal operation ever needs more units on one link than the total
     # offered volume, so capacities and hops live in a box of that size.
     box = float(math.ceil(demands.total_offered - 1e-9)) if strengthen else math.inf
@@ -420,25 +420,22 @@ def build_design_model(
         for n in topology.all_nodes:
             dm.regen_vars[n] = m.add_variable(f"R_{n}", integer=True)
         for r in topology.routers:
-            if r.node in multi_nodes:
+            if len(topology.routers_at[r.node]) >= 2:
                 dm.port_vars[r.id] = m.add_variable(f"P_{r.id}", integer=True)
 
-    # Per budgeted resource: its purchase variables, the fixed design's
-    # counts (None when sizing) and the prior's counts.
-    tails = (dm.tail_vars, fixed_design and fixed_design.tails, prior.tail)
-    ports = (dm.port_vars, fixed_design and fixed_design.ports, prior.port)
-    regens = (dm.regen_vars, fixed_design and fixed_design.regens_reported, prior.regen)
+    # The budget rule of the module docstring.  Per resource: its purchase
+    # columns (none when operating), the fixed design's counts (none when
+    # sizing) and the prior's.
+    fixed = fixed_design or Design.priced(costs, {}, {}, {}, {}, ())
+    tails = (dm.tail_vars, fixed.tails, prior.tail)
+    ports = (dm.port_vars, fixed.ports, prior.port)
+    regens = (dm.regen_vars, fixed.regens_reported, prior.regen)
 
     def add_budget(coeffs: dict[str, float], resource, key: str, name: str) -> None:
-        # Usage fits what is bought plus the prior when sizing, and the fixed
-        # design's count plus the prior when operating.
-        bought, fixed, owned = resource
-        if fixed is None:
+        bought, counts, prior_count = resource
+        if fixed_design is None:
             coeffs[bought[key]] = -1.0
-            rhs = float(owned(key))
-        else:
-            rhs = float(fixed.get(key, 0) + owned(key))
-        m.add_constraint(coeffs, "<=", rhs, name=name)
+        m.add_constraint(coeffs, "<=", float(counts.get(key, 0) + prior_count(key)), name=name)
 
     for fi, scen in enumerate(scenarios):
         blk = ScenarioBlock(scen)
@@ -446,59 +443,41 @@ def build_design_model(
         alive = alive_routers(topology, scen)
         adjacency = sorted(regen_adjacency(topology, scen))
 
-        # Link capacity variables: ordered pairs, external and intra-node.
+        # The two link families: external links between nodes, ended by
+        # tails, and intra-node links between colocated routers, ended by
+        # ports.  Each: its columns, their name prefix, its symmetry and
+        # budget row prefixes, its resource and each router's peers.
+        families = ((blk.caps, "X", "sym", "tail", tails, defaultdict(list)),
+                    (blk.intra, "W", "symw", "port", ports, defaultdict(list)))
+
+        # Link capacity columns, one per ordered pair of live routers.
+        names = []
         for a in alive:
             for b in alive:
-                if a.id == b.id:
-                    continue
-                if a.node != b.node:
-                    blk.caps[(a.id, b.id)] = m.add_variable(
-                        f"X_f{fi}_{a.id}_{b.id}", ub=box, integer=True
-                    )
-                else:
-                    blk.intra[(a.id, b.id)] = m.add_variable(
-                        f"W_f{fi}_{a.id}_{b.id}", ub=box, integer=True
-                    )
-
-        canonical = [(a, b) for a, b in blk.caps if a < b]
+                if a.id != b.id:
+                    cols, prefix, _, _, _, peers = families[a.node == b.node]
+                    cols[(a.id, b.id)] = name = f"{prefix}_f{fi}_{a.id}_{b.id}"
+                    names.append(name)
+                    peers[a.id].append(b.id)
+        m._add_block(names, 0.0, box, True, (), (), ())
 
         # A link unit is usable in both directions: tie the two orientations.
-        for a, b in canonical:
-            m.add_constraint(
-                {blk.caps[(a, b)]: 1.0, blk.caps[(b, a)]: -1.0},
-                "==",
-                0.0,
-                name=f"sym_f{fi}_{a}_{b}",
-            )
-        for a, b in blk.intra:
-            if a < b:
-                m.add_constraint(
-                    {blk.intra[(a, b)]: 1.0, blk.intra[(b, a)]: -1.0},
-                    "==",
-                    0.0,
-                    name=f"symw_f{fi}_{a}_{b}",
-                )
+        for cols, _, sym, _, _, _ in families:
+            for a, b in cols:
+                if a < b:
+                    m.add_constraint({cols[(a, b)]: 1.0, cols[(b, a)]: -1.0}, "==", 0.0,
+                                     name=f"{sym}_f{fi}_{a}_{b}")
 
-        # Tails terminate external link units, one per unit per direction;
-        # ports terminate intra-node link units the same way.
-        for r in alive:
-            others = [o for o in alive if o.node != r.node]
-            if not others:
-                continue
-            add_budget({blk.caps[(o.id, r.id)]: 1.0 for o in others},
-                       tails, r.id, f"tail_in_f{fi}_{r.id}")
-            add_budget({blk.caps[(r.id, o.id)]: 1.0 for o in others},
-                       tails, r.id, f"tail_out_f{fi}_{r.id}")
-        for r in alive:
-            if r.node not in multi_nodes:
-                continue
-            mates = [o for o in alive if o.node == r.node and o.id != r.id]
-            if not mates:
-                continue
-            add_budget({blk.intra[(o.id, r.id)]: 1.0 for o in mates},
-                       ports, r.id, f"port_in_f{fi}_{r.id}")
-            add_budget({blk.intra[(r.id, o.id)]: 1.0 for o in mates},
-                       ports, r.id, f"port_out_f{fi}_{r.id}")
+        # Every link unit takes one tail (external) or port (intra-node) at
+        # each end router, per direction.
+        for cols, _, _, end, resource, peers in families:
+            for r, others in peers.items():
+                add_budget({cols[(o, r)]: 1.0 for o in others},
+                           resource, r, f"{end}_in_f{fi}_{r}")
+                add_budget({cols[(r, o)]: 1.0 for o in others},
+                           resource, r, f"{end}_out_f{fi}_{r}")
+
+        canonical = [(a, b) for a, b in blk.caps if a < b]
 
         # Regen relay chains, one shared chain system per unordered link,
         # stamped from one block per pair of end nodes.  Hops leaving a

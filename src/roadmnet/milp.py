@@ -596,6 +596,8 @@ def validate_solution(
 
     Unknown names in ``values`` and model variables missing from ``values``
     are reported as violations too; missing variables count as 0 elsewhere.
+    A NaN or infinite value is a bound violation, and a row it makes NaN a
+    constraint violation, each by ``inf``.
     """
     out: list[Violation] = []
     known, variables = model._index, model.variables
@@ -611,6 +613,9 @@ def validate_solution(
 
     for var in variables:
         x = val(var.name)
+        if not math.isfinite(x):  # NaN compares false with every bound
+            out.append(Violation("bound", var.name, math.inf))
+            continue
         if x < var.lb - tol:
             out.append(Violation("bound", var.name, var.lb - x))
         elif x > var.ub + tol:
@@ -626,7 +631,9 @@ def validate_solution(
             excess = con.rhs - lhs
         else:
             excess = abs(lhs - con.rhs)
-        if excess > tol:
+        if math.isnan(excess):
+            out.append(Violation("constraint", con.name, math.inf))
+        elif excess > tol:
             out.append(Violation("constraint", con.name, excess))
     return out
 

@@ -136,22 +136,14 @@ def check_plan_within_design(
     for (a, b), units in plan.link_caps.items():
         if plan.link_caps.get((b, a)) != units:
             violations.append(f"asymmetric capacity on {a}-{b}")
-    for rid, used in plan.tail_usage().items():
-        if used > design.tails.get(rid, 0):
-            violations.append(
-                f"router {rid} uses {used} tails of {design.tails.get(rid, 0)}"
-            )
-    for rid, used in plan.port_usage().items():
-        if used > design.ports.get(rid, 0):
-            violations.append(
-                f"router {rid} uses {used} ports of {design.ports.get(rid, 0)}"
-            )
-    for node, used in plan.regen_usage().items():
-        if used > design.regens_reported.get(node, 0):
-            violations.append(
-                f"node {node} uses {used} regens of "
-                f"{design.regens_reported.get(node, 0)}"
-            )
+    for holder, unit, usage, budget in (
+        ("router", "tails", plan.tail_usage(), design.tails),
+        ("router", "ports", plan.port_usage(), design.ports),
+        ("node", "regens", plan.regen_usage(), design.regens_reported),
+    ):
+        for key, used in usage.items():
+            if used > budget.get(key, 0):
+                violations.append(f"{holder} {key} uses {used} {unit} of {budget.get(key, 0)}")
     load: dict[tuple[str, str], float] = defaultdict(float)
     for (_, _, a, b), v in plan.flows.items():
         load[(a, b)] += v
@@ -537,8 +529,11 @@ def enumerate_milp_minimum(
             raise ValueError(f"variable {var.name!r} is unbounded")
     if len(variables) == 0:
         return 0.0, {}
-    lows = np.array([int(v.lb) for v in variables], dtype=np.int64)
-    highs = np.array([int(v.ub) for v in variables], dtype=np.int64)
+    # An integer variable takes the integers within its bounds.
+    lows = np.array([math.ceil(v.lb) for v in variables], dtype=np.int64)
+    highs = np.array([math.floor(v.ub) for v in variables], dtype=np.int64)
+    if (highs < lows).any():
+        return None, None
     sizes = highs - lows + 1
     # Count states in exact integer arithmetic; int64 would wrap silently.
     total = math.prod(int(s) for s in sizes)

@@ -154,6 +154,27 @@ def test_fixed_design_mode_feasible_and_tight(toy):
     assert solve(broken.model).status == "infeasible"
 
 
+def test_operating_with_prior_budgets_design_plus_prior(toy):
+    topology, demands, costs = toy
+    sized = build_design_model(topology, demands, [NF], costs)
+    design = extract_design(sized, solve(sized.model))
+    prior = PriorPlacement(tails={"R1": 1, "R3": 2}, regens={"O2": 1, "O4": 3},
+                           ports={"R2": 1, "R4": 2})
+    dm = build_design_model(topology, demands, [NF], costs, prior, fixed_design=design)
+    budgets = {"tail": (design.tails, prior.tail), "port": (design.ports, prior.port),
+               "regen": (design.regens_reported, prior.regen)}
+    seen = set()
+    for con in dm.model.constraints:
+        kind, *_, key = con.name.split("_")
+        if kind in budgets:
+            counts, prior_count = budgets[kind]
+            assert con.sense == "<="
+            assert con.rhs == counts.get(key, 0) + prior_count(key), con.name
+            assert all(not v.startswith(("T_", "R_", "P_")) for v, _ in con.coeffs)
+            seen.add(kind)
+    assert seen == set(budgets)
+
+
 def test_iround_rejects_fractional_values():
     assert iround(2.0000001, "x") == 2
     with pytest.raises(TopologyError, match="x is not integral"):

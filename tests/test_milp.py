@@ -258,6 +258,20 @@ class TestValidateSolution:
         # a + 2b >= 3 still holds, so nothing else is.
         assert [(v.kind, v.name) for v in out] == [("missing-variable", "b")]
 
+    def test_non_finite_values_are_violations(self):
+        m = LinearModel()
+        m.add_variable("x", ub=3.0)
+        m.add_variable("n", ub=3.0, integer=True)
+        m.add_constraint({"x": 1}, ">=", 1, name="xrow")
+        m.add_constraint({"n": 1}, "<=", 2, name="nrow")
+        nan = float("nan")
+        out = validate_solution(m, {"x": nan, "n": nan})
+        assert [(v.kind, v.name) for v in out] == [
+            ("bound", "x"), ("bound", "n"), ("constraint", "xrow"), ("constraint", "nrow")]
+        assert all(v.amount == math.inf for v in out)
+        out = validate_solution(m, {"x": math.inf, "n": 1.0})
+        assert [(v.kind, v.name) for v in out] == [("bound", "x")]
+
 
 class TestExport:
     def test_lp_text(self):

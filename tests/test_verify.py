@@ -520,6 +520,21 @@ class TestEnumeration:
         m.add_constraint({"x": 2}, "==", 3)
         assert enumerate_milp_minimum(m) == (None, None)
 
+    def test_fractional_integer_bounds_sweep_the_integers_within(self):
+        m = LinearModel()
+        m.add_variable("x", lb=0.5, ub=3.0, integer=True)
+        m.add_variable("y", lb=-2.0, ub=-0.5, integer=True)
+        m.add_constraint({"x": 1, "y": 1}, ">=", -5)
+        m.set_objective({"x": 1, "y": -1})
+        assert enumerate_milp_minimum(m) == (2.0, {"x": 1.0, "y": -1.0})
+        result = solve(m)
+        assert result.status == "optimal"
+        assert result.objective_value == pytest.approx(2.0)
+        lone = LinearModel()
+        lone.add_variable("z", lb=0.2, ub=0.8, integer=True)
+        assert enumerate_milp_minimum(lone) == (None, None)
+        assert solve(lone).status == "infeasible"
+
     @pytest.mark.parametrize("seed", (41, 47, 53))
     def test_agrees_with_solver(self, seed):
         m = random_integer_model(seed)
