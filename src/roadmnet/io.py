@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping
+from functools import partial
+from typing import Any, Callable, Iterator, Mapping
 
 from .design import Design
 from .operation import OperationPlan
@@ -28,6 +29,10 @@ from .topology import (
 )
 
 DESIGN_FORMAT = "roadmnet-design/1"
+# CostModel's prices and Design's equipment counts, under the names the
+# classes and the files share; the writer and both loaders use these.
+_PRICES = ("tail", "regen", "port")
+_COUNTS = ("tails", "regens_raw", "regens_reported", "ports")
 
 
 class InputFormatError(ValueError):
@@ -35,14 +40,54 @@ class InputFormatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Network input
+# Readers shared by both formats, and the network input
 # ---------------------------------------------------------------------------
 
 
-def _require(mapping: Mapping[str, Any], key: str, where: str) -> Any:
-    if key not in mapping:
-        raise InputFormatError(f"{where}: missing key {key!r}")
-    return mapping[key]
+def _read_json(path: str) -> Any:
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _fields(value: Any, where: str, prefix: str | None = None) -> Callable[..., Any]:
+    """A reader for the fields of the JSON object ``value``, named ``where``.
+
+    ``field(key, read[, default])`` returns ``value[key]``, or ``default`` if
+    the key is absent, checked by ``read``; without a default (``None``) the
+    key is required.  A missing key is named at ``where``, a bad value at the
+    field: ``where.key``, or ``prefix + key`` (a file's top-level fields are
+    named by their key alone).
+    """
+    obj = _as_object(value, where)
+    if prefix is None:
+        prefix = f"{where}."
+
+    def field(key: str, read: Callable[[Any, str], Any], default: Any = None) -> Any:
+        if key in obj:
+            found = obj[key]
+        elif default is None:
+            raise InputFormatError(f"{where}: missing key {key!r}")
+        else:
+            found = default
+        return read(found, prefix + key)
+
+    return field
+
+
+def _objects(value: Any, where: str) -> Iterator[Callable[..., Any]]:
+    """A field reader for each entry of the list of objects ``value``.
+
+    The list is named by its own key (the last part of ``where``), entry i
+    by ``where[i]``.  Each entry is checked only when it is reached, so a
+    file with several faults reports the first one its loader reads.
+    """
+    for i, entry in enumerate(_as_list(value, where.rsplit(".", 1)[-1])):
+        yield _fields(entry, f"{where}[{i}]")
 
 
 def _as_str(value: Any, where: str) -> str:
@@ -57,6 +102,12 @@ def _as_number(value: Any, where: str) -> float:
     return float(value)
 
 
+def _as_int(value: Any, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputFormatError(f"{where}: expected an integer")
+    return value
+
+
 def _as_list(value: Any, where: str) -> list:
     if not isinstance(value, list):
         raise InputFormatError(f"{where}: expected a list")
@@ -67,6 +118,12 @@ def _as_object(value: Any, where: str) -> dict:
     if not isinstance(value, dict):
         raise InputFormatError(f"{where}: expected an object")
     return value
+
+
+def _strings(value: Any, where: str) -> tuple[str, ...]:
+    return tuple(
+        _as_str(s, f"{where}[{i}]") for i, s in enumerate(_as_list(value, where))
+    )
 
 
 def load_inputs(path: str) -> tuple[Topology, DemandMatrix, CostModel]:
@@ -88,78 +145,33 @@ def load_inputs(path: str) -> tuple[Topology, DemandMatrix, CostModel]:
     else is required.  Structural problems raise InputFormatError; semantic
     ones (unknown nodes, disconnected fiber) raise TopologyError.
     """
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
-    doc = _as_object(raw, path)
-
-    ip_nodes = tuple(
-        _as_str(n, f"ip_nodes[{i}]")
-        for i, n in enumerate(_as_list(_require(doc, "ip_nodes", path), "ip_nodes"))
-    )
-    optical_nodes = tuple(
-        _as_str(n, f"optical_nodes[{i}]")
-        for i, n in enumerate(
-            _as_list(_require(doc, "optical_nodes", path), "optical_nodes")
-        )
-    )
-    routers = []
-    for i, entry in enumerate(_as_list(_require(doc, "routers", path), "routers")):
-        obj = _as_object(entry, f"routers[{i}]")
-        routers.append(
-            Router(
-                id=_as_str(_require(obj, "id", f"routers[{i}]"), f"routers[{i}].id"),
-                node=_as_str(
-                    _require(obj, "home", f"routers[{i}]"), f"routers[{i}].home"
-                ),
-            )
-        )
-    spans = []
-    for i, entry in enumerate(_as_list(_require(doc, "spans", path), "spans")):
-        obj = _as_object(entry, f"spans[{i}]")
-        spans.append(
-            Span(
-                u=_as_str(_require(obj, "u", f"spans[{i}]"), f"spans[{i}].u"),
-                v=_as_str(_require(obj, "v", f"spans[{i}]"), f"spans[{i}].v"),
-                miles=_as_number(
-                    _require(obj, "miles", f"spans[{i}]"), f"spans[{i}].miles"
-                ),
-            )
-        )
-    regen_dist = _as_number(_require(doc, "regen_dist", path), "regen_dist")
+    top = _fields(_read_json(path), path, "")
     topology = Topology(
-        ip_nodes=ip_nodes,
-        optical_nodes=optical_nodes,
-        routers=tuple(routers),
-        spans=tuple(spans),
-        regen_dist=regen_dist,
+        ip_nodes=top("ip_nodes", _strings),
+        optical_nodes=top("optical_nodes", _strings),
+        routers=tuple(
+            Router(id=router("id", _as_str), node=router("home", _as_str))
+            for router in top("routers", _objects)
+        ),
+        spans=tuple(
+            Span(u=span("u", _as_str), v=span("v", _as_str),
+                 miles=span("miles", _as_number))
+            for span in top("spans", _objects)
+        ),
+        regen_dist=top("regen_dist", _as_number),
     )
-
-    entries = []
-    for i, entry in enumerate(_as_list(_require(doc, "demands", path), "demands")):
-        obj = _as_object(entry, f"demands[{i}]")
-        entries.append(
-            (
-                _as_str(_require(obj, "src", f"demands[{i}]"), f"demands[{i}].src"),
-                _as_str(_require(obj, "dst", f"demands[{i}]"), f"demands[{i}].dst"),
-                _as_number(
-                    _require(obj, "units", f"demands[{i}]"), f"demands[{i}].units"
-                ),
-            )
+    demands = DemandMatrix(
+        entries=tuple(
+            (demand("src", _as_str), demand("dst", _as_str),
+             demand("units", _as_number))
+            for demand in top("demands", _objects)
         )
-    demands = DemandMatrix(entries=tuple(entries))
+    )
     demands.validate_against(topology)
 
-    costs_obj = doc.get("costs", {})
-    costs_obj = _as_object(costs_obj, "costs")
-    costs = CostModel(
-        tail=_as_number(costs_obj.get("tail", 1.0), "costs.tail"),
-        regen=_as_number(costs_obj.get("regen", 1.0), "costs.regen"),
-        port=_as_number(costs_obj.get("port", 0.0), "costs.port"),
+    price = top("costs", _fields, {})
+    costs = CostModel(  # a missing price takes CostModel's default
+        **{kind: price(kind, _as_number, getattr(CostModel, kind)) for kind in _PRICES}
     )
     return topology, demands, costs
 
@@ -324,16 +336,12 @@ def design_payload(
         "format": DESIGN_FORMAT,
         "algorithm": algorithm,
         "status": design.solve_status,
-        "tails": {k: int(v) for k, v in sorted(design.tails.items())},
-        "regens_raw": {k: int(v) for k, v in sorted(design.regens_raw.items())},
-        "regens_reported": {
-            k: int(v) for k, v in sorted(design.regens_reported.items())
+        **{
+            key: {k: int(v) for k, v in sorted(getattr(design, key).items())}
+            for key in _COUNTS
         },
-        "ports": {k: int(v) for k, v in sorted(design.ports.items())},
         "costs": {
-            "tail": costs.tail,
-            "regen": costs.regen,
-            "port": costs.port,
+            **{kind: getattr(costs, kind) for kind in _PRICES},
             "total_raw": design.total_cost_raw,
             "total_reported": design.total_cost_reported,
         },
@@ -355,97 +363,62 @@ def save_design(
         fh.write("\n")
 
 
-def _int_counts(obj: Any, where: str) -> dict[str, int]:
-    result = {}
-    for k, v in _as_object(obj, where).items():
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise InputFormatError(f"{where}[{k!r}]: expected an integer")
-        result[k] = v
-    return result
+def _int_counts(value: Any, where: str) -> dict[str, int]:
+    counts = _as_object(value, where)
+    return {k: _as_int(v, f"{where}[{k!r}]") for k, v in counts.items()}
+
+
+def _span_key(value: Any, where: str) -> SpanKey:
+    pair = _as_list(value, where)
+    if len(pair) != 2:
+        raise InputFormatError(f"{where}: span keys are [u, v] pairs")
+    return _as_str(pair[0], where), _as_str(pair[1], where)
+
+
+def _lists(value: Any, where: str, read: Callable[[Any, str], Any]) -> tuple:
+    """A list of lists whose items ``read`` checks, all named ``where``."""
+    return tuple(
+        tuple(read(item, where) for item in _as_list(inner, where))
+        for inner in _as_list(value, where)
+    )
 
 
 def load_design(path: str) -> DesignDocument:
     """Read a design document written by :func:`save_design`."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
-    doc = _as_object(raw, path)
+    doc = _read_json(path)
+    top = _fields(doc, path, "")
     if doc.get("format") != DESIGN_FORMAT:
         raise InputFormatError(
             f"{path}: unsupported format {doc.get('format')!r}"
         )
-    costs_obj = _as_object(_require(doc, "costs", path), "costs")
+    price = top("costs", _fields)
     try:
-        costs = CostModel(
-            tail=_as_number(_require(costs_obj, "tail", "costs"), "costs.tail"),
-            regen=_as_number(_require(costs_obj, "regen", "costs"), "costs.regen"),
-            port=_as_number(_require(costs_obj, "port", "costs"), "costs.port"),
-        )
+        costs = CostModel(**{kind: price(kind, _as_number) for kind in _PRICES})
     except TopologyError as exc:  # a negative or non-finite price
         raise InputFormatError(f"costs: {exc}") from exc
     design = Design(
-        tails=_int_counts(_require(doc, "tails", path), "tails"),
-        regens_raw=_int_counts(_require(doc, "regens_raw", path), "regens_raw"),
-        regens_reported=_int_counts(
-            _require(doc, "regens_reported", path), "regens_reported"
-        ),
-        ports=_int_counts(_require(doc, "ports", path), "ports"),
-        total_cost_raw=_as_number(
-            _require(costs_obj, "total_raw", "costs"), "costs.total_raw"
-        ),
-        total_cost_reported=_as_number(
-            _require(costs_obj, "total_reported", "costs"), "costs.total_reported"
-        ),
-        solve_status=_as_str(_require(doc, "status", path), "status"),
+        **{key: top(key, _int_counts) for key in _COUNTS},
+        total_cost_raw=price("total_raw", _as_number),
+        total_cost_reported=price("total_reported", _as_number),
+        solve_status=top("status", _as_str),
     )
     links: dict[str, tuple[LinkRecord, ...]] = {}
-    for i, entry in enumerate(_as_list(doc.get("scenarios", []), "scenarios")):
-        obj = _as_object(entry, f"scenarios[{i}]")
-        label = _as_str(_require(obj, "scenario", f"scenarios[{i}]"),
-                        f"scenarios[{i}].scenario")
-        records = []
-        for j, rec in enumerate(
-            _as_list(_require(obj, "links", f"scenarios[{i}]"), "links")
-        ):
-            where = f"scenarios[{i}].links[{j}]"
-            robj = _as_object(rec, where)
-            units = _require(robj, "units", where)
-            if isinstance(units, bool) or not isinstance(units, int):
-                raise InputFormatError(f"{where}.units: expected an integer")
-            chains = tuple(
-                tuple(_as_str(n, f"{where}.regen_chains") for n in _as_list(ch, f"{where}.regen_chains"))
-                for ch in _as_list(robj.get("regen_chains", []), f"{where}.regen_chains")
+    for i, scenario in enumerate(top("scenarios", _objects, [])):
+        label = scenario("scenario", _as_str)
+        if label in links:
+            raise InputFormatError(f"scenarios[{i}]: scenario {label!r} listed twice")
+        links[label] = tuple(
+            LinkRecord(  # checked in this order: units, optics, endpoints
+                units=link("units", _as_int),
+                regen_chains=link("regen_chains", partial(_lists, read=_as_str), []),
+                span_paths=link("span_paths", partial(_lists, read=_span_key), []),
+                a=link("a", _as_str),
+                b=link("b", _as_str),
             )
-            paths = []
-            for p in _as_list(robj.get("span_paths", []), f"{where}.span_paths"):
-                keys = []
-                for k in _as_list(p, f"{where}.span_paths"):
-                    pair = _as_list(k, f"{where}.span_paths")
-                    if len(pair) != 2:
-                        raise InputFormatError(
-                            f"{where}.span_paths: span keys are [u, v] pairs"
-                        )
-                    keys.append((
-                        _as_str(pair[0], f"{where}.span_paths"),
-                        _as_str(pair[1], f"{where}.span_paths"),
-                    ))
-                paths.append(tuple(keys))
-            records.append(
-                LinkRecord(
-                    a=_as_str(_require(robj, "a", where), f"{where}.a"),
-                    b=_as_str(_require(robj, "b", where), f"{where}.b"),
-                    units=units,
-                    regen_chains=chains,
-                    span_paths=tuple(paths),
-                )
-            )
-        links[label] = tuple(records)
+            for link in scenario("links", _objects)
+        )
     return DesignDocument(
-        algorithm=_as_str(_require(doc, "algorithm", path), "algorithm"),
+        algorithm=top("algorithm", _as_str),
         costs=costs,
         design=design,
         links=links,

@@ -529,16 +529,17 @@ def enumerate_milp_minimum(
             raise ValueError(f"variable {var.name!r} is unbounded")
     if len(variables) == 0:
         return 0.0, {}
-    # An integer variable takes the integers within its bounds.
-    lows = np.array([math.ceil(v.lb) for v in variables], dtype=np.int64)
-    highs = np.array([math.floor(v.ub) for v in variables], dtype=np.int64)
-    if (highs < lows).any():
+    # An integer variable takes the integers within its bounds.  Count them
+    # in Python ints before any int64 array exists, so a range too wide to
+    # sweep is refused instead of overflowing int64 or wrapping negative.
+    lows = [math.ceil(v.lb) for v in variables]
+    sizes = [math.floor(v.ub) - low + 1 for v, low in zip(variables, lows)]
+    if min(sizes) < 1:
         return None, None
-    sizes = highs - lows + 1
-    # Count states in exact integer arithmetic; int64 would wrap silently.
-    total = math.prod(int(s) for s in sizes)
+    total = math.prod(sizes)
     if total > max_states:
         raise ValueError(f"{total} assignments exceed the sweep limit")
+    lows, sizes = np.array(lows, dtype=np.int64), np.array(sizes, dtype=np.int64)
 
     index = {v.name: i for i, v in enumerate(variables)}
     obj = np.zeros(len(variables))

@@ -49,8 +49,13 @@ def test_load_toy_fixture():
     assert (costs.tail, costs.regen, costs.port) == (1.0, 1.0, 0.0)
 
 
+def _toy_input():
+    with open(fixture_path("toy2x5")) as fh:
+        return json.load(fh)
+
+
 def test_costs_default_when_missing(tmp_path):
-    doc = json.loads(open(fixture_path("toy2x5")).read())
+    doc = _toy_input()
     del doc["costs"]
     path = tmp_path / "nocosts.json"
     path.write_text(json.dumps(doc))
@@ -58,23 +63,81 @@ def test_costs_default_when_missing(tmp_path):
     assert (costs.tail, costs.regen, costs.port) == (1.0, 1.0, 0.0)
 
 
+# Each case breaks the toy input (load_inputs) or the toy optimal design
+# document (load_design) and gives the whole message it must raise, with
+# "{path}" for the file.  The first five ids are the ones pytest gave these
+# cases when they matched a field name only; they are kept as they were.
 @pytest.mark.parametrize(
-    "mutate,needle",
+    "load,mutate,message",
     [
-        (lambda d: d.pop("spans"), "spans"),
-        (lambda d: d["routers"][0].pop("home"), "routers[0]"),
-        (lambda d: d["spans"][2].__setitem__("miles", "far"), "spans[2].miles"),
-        (lambda d: d["demands"][0].__setitem__("units", None), "demands[0].units"),
-        (lambda d: d.__setitem__("ip_nodes", "N1"), "ip_nodes"),
+        pytest.param(load_inputs, lambda d: d.pop("spans"),
+                     "{path}: missing key 'spans'", id="<lambda>-spans"),
+        pytest.param(load_inputs, lambda d: d["routers"][0].pop("home"),
+                     "routers[0]: missing key 'home'", id="<lambda>-routers[0]"),
+        pytest.param(load_inputs, lambda d: d["spans"][2].__setitem__("miles", "far"),
+                     "spans[2].miles: expected a number", id="<lambda>-spans[2].miles"),
+        pytest.param(load_inputs, lambda d: d["demands"][0].__setitem__("units", None),
+                     "demands[0].units: expected a number",
+                     id="<lambda>-demands[0].units"),
+        pytest.param(load_inputs, lambda d: d.__setitem__("ip_nodes", "N1"),
+                     "ip_nodes: expected a list", id="<lambda>-ip_nodes"),
+        pytest.param(load_inputs, lambda d: d["optical_nodes"].__setitem__(1, ""),
+                     "optical_nodes[1]: expected a non-empty string",
+                     id="inputs-optical_nodes[1]"),
+        pytest.param(load_inputs, lambda d: d["spans"].__setitem__(3, ["O3", "N2"]),
+                     "spans[3]: expected an object", id="inputs-spans[3]"),
+        pytest.param(load_inputs, lambda d: d["costs"].__setitem__("tail", "1"),
+                     "costs.tail: expected a number", id="inputs-costs.tail"),
+        pytest.param(load_inputs, lambda d: d.__setitem__("costs", [1, 1, 0]),
+                     "costs: expected an object", id="inputs-costs"),
+        pytest.param(load_design, lambda d: d["costs"].pop("total_raw"),
+                     "costs: missing key 'total_raw'", id="design-costs"),
+        pytest.param(load_design, lambda d: d["costs"].__setitem__("regen", True),
+                     "costs.regen: expected a number", id="design-costs.regen"),
+        pytest.param(load_design, lambda d: d["tails"].__setitem__("R1", 1.5),
+                     "tails['R1']: expected an integer", id="design-tails"),
+        pytest.param(load_design, lambda d: d.__setitem__("ports", [0, 0]),
+                     "ports: expected an object", id="design-ports"),
+        pytest.param(load_design, lambda d: d.pop("algorithm"),
+                     "{path}: missing key 'algorithm'", id="design-algorithm"),
+        pytest.param(load_design, lambda d: d.__setitem__("status", ""),
+                     "status: expected a non-empty string", id="design-status"),
+        pytest.param(load_design, lambda d: d.__setitem__("scenarios", {}),
+                     "scenarios: expected a list", id="design-scenarios"),
+        pytest.param(load_design, lambda d: d["scenarios"][1].pop("links"),
+                     "scenarios[1]: missing key 'links'", id="design-scenarios[1]"),
+        pytest.param(load_design, lambda d: d["scenarios"][0].__setitem__("links", {}),
+                     "links: expected a list", id="design-links"),
+        pytest.param(load_design, lambda d: _no_failure_links(d).append("R1-R4"),
+                     "scenarios[0].links[1]: expected an object", id="design-link"),
+        pytest.param(load_design,
+                     lambda d: _no_failure_links(d)[0].__setitem__("units", "2"),
+                     "scenarios[0].links[0].units: expected an integer",
+                     id="design-link-units"),
+        pytest.param(load_design,
+                     lambda d: _no_failure_links(d)[0]["regen_chains"][0].append(""),
+                     "scenarios[0].links[0].regen_chains: expected a non-empty string",
+                     id="design-link-regen_chains"),
+        pytest.param(load_design,
+                     lambda d: _no_failure_links(d)[0]["span_paths"][0][1].pop(),
+                     "scenarios[0].links[0].span_paths: span keys are [u, v] pairs",
+                     id="design-link-span_paths"),
+        pytest.param(load_design, lambda d: d["scenarios"][1]["links"][0].pop("b"),
+                     "scenarios[1].links[0]: missing key 'b'", id="design-link-b"),
     ],
 )
-def test_structural_errors_name_the_field(tmp_path, mutate, needle):
-    doc = json.loads(open(fixture_path("toy2x5")).read())
+def test_structural_errors_name_the_field(tmp_path, toy_document, load, mutate,
+                                          message):
+    if load is load_inputs:
+        doc = _toy_input()
+    else:
+        doc = json.loads(json.dumps(toy_document))
     mutate(doc)
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(InputFormatError, match=needle.replace("[", r"\[")):
-        load_inputs(str(path))
+    with pytest.raises(InputFormatError) as info:
+        load(str(path))
+    assert str(info.value) == message.format(path=path)
 
 
 def test_invalid_json_reported(tmp_path):
@@ -85,7 +148,7 @@ def test_invalid_json_reported(tmp_path):
 
 
 def test_semantic_errors_come_from_topology(tmp_path):
-    doc = json.loads(open(fixture_path("toy2x5")).read())
+    doc = _toy_input()
     doc["demands"][0]["src"] = "O1"  # an optical node cannot offer traffic
     path = tmp_path / "semantic.json"
     path.write_text(json.dumps(doc))
@@ -111,8 +174,7 @@ def test_semantic_errors_come_from_topology(tmp_path):
          "regen-dist-nan"],
 )
 def test_non_finite_inputs_exit_2(tmp_path, capsys, mutate, needle):
-    with open(fixture_path("toy2x5")) as fh:
-        doc = json.load(fh)
+    doc = _toy_input()
     mutate(doc)
     path = tmp_path / "non_finite.json"
     path.write_text(json.dumps(doc))  # NaN and Infinity, as Python's json reads them
@@ -123,8 +185,7 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, mutate, needle):
 
 
 def test_infinite_reach_is_accepted(tmp_path, capsys):
-    with open(fixture_path("toy2x5")) as fh:
-        doc = json.load(fh)
+    doc = _toy_input()
     doc["regen_dist"] = math.inf  # unlimited reach: no regens needed
     path = tmp_path / "unlimited.json"
     path.write_text(json.dumps(doc))
@@ -297,6 +358,23 @@ def test_transient_rejects_swapped_endpoints(tmp_path, capsys, toy_document):
         "transient", fixture_path("toy2x5"), "--design", str(path),
     ]) == 2
     assert "sorted order" in capsys.readouterr().err
+
+
+def test_transient_rejects_a_failure_state_listed_twice(tmp_path, capsys, toy_document):
+    # The later entry used to replace the earlier one: an empty no-failure
+    # state rated 0.000000 on every row, with exit code 0.
+    doc = json.loads(json.dumps(toy_document))
+    n = len(doc["scenarios"])
+    doc["scenarios"].append({"scenario": "no-failure", "links": []})
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputFormatError) as info:
+        load_design(str(path))
+    assert str(info.value) == f"scenarios[{n}]: scenario 'no-failure' listed twice"
+    assert main([
+        "transient", fixture_path("toy2x5"), "--design", str(path),
+    ]) == 2
+    assert "scenario 'no-failure' listed twice" in capsys.readouterr().err
 
 
 def test_transient_rejects_a_span_path_off_the_link(tmp_path, capsys, toy_document):
@@ -588,7 +666,7 @@ class TestExitCodes:
         assert main(["design", "x.json", "--algorithm", "psychic"]) == 2
 
     def test_infeasible_network(self, tmp_path, capsys):
-        doc = json.loads(open(fixture_path("toy2x5")).read())
+        doc = _toy_input()
         doc["routers"] = [r for r in doc["routers"] if r["id"] != "R2"]
         path = tmp_path / "fragile.json"
         path.write_text(json.dumps(doc))
@@ -741,7 +819,7 @@ class TestTimeBudget:
 
     def test_each_diagnosis_solve_gets_the_per_state_limit(self, tmp_path, capsys,
                                                            monkeypatch):
-        doc = json.loads(open(fixture_path("toy2x5")).read())
+        doc = _toy_input()
         doc["routers"] = [r for r in doc["routers"] if r["id"] != "R2"]
         path = tmp_path / "fragile.json"
         path.write_text(json.dumps(doc))

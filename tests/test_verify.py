@@ -535,6 +535,17 @@ class TestEnumeration:
         assert enumerate_milp_minimum(lone) == (None, None)
         assert solve(lone).status == "infeasible"
 
+    @pytest.mark.parametrize("lb,ub,total", [
+        (0, 1e19, 10**19 + 1),  # beyond int64: raised OverflowError
+        (-2**62, 2**62, 2**63 + 1),  # wraps int64: swept nothing, "infeasible"
+    ], ids=["bound-beyond-int64", "range-beyond-int64"])
+    def test_ranges_beyond_int64_exceed_the_sweep_limit(self, lb, ub, total):
+        m = LinearModel()
+        m.add_variable("x", lb=lb, ub=ub, integer=True)
+        m.set_objective({"x": 1})
+        with pytest.raises(ValueError, match=f"^{total} assignments exceed the sweep"):
+            enumerate_milp_minimum(m)
+
     @pytest.mark.parametrize("seed", (41, 47, 53))
     def test_agrees_with_solver(self, seed):
         m = random_integer_model(seed)
