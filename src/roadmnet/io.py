@@ -82,11 +82,12 @@ def _fields(value: Any, where: str, prefix: str | None = None) -> Callable[..., 
 def _objects(value: Any, where: str) -> Iterator[Callable[..., Any]]:
     """A field reader for each entry of the list of objects ``value``.
 
-    The list is named by its own key (the last part of ``where``), entry i
-    by ``where[i]``.  Each entry is checked only when it is reached, so a
-    file with several faults reports the first one its loader reads.
+    The list is named ``where`` (a nested one by its full path, such as
+    ``scenarios[5].links``), entry i ``where[i]``.  Each entry is checked
+    only when it is reached, so a file with several faults reports the
+    first one its loader reads.
     """
-    for i, entry in enumerate(_as_list(value, where.rsplit(".", 1)[-1])):
+    for i, entry in enumerate(_as_list(value, where)):
         yield _fields(entry, f"{where}[{i}]")
 
 

@@ -2,8 +2,8 @@
 
 Nothing in this module builds or solves a linear model.  The placement oracle
 enumerates every candidate placement up to a cap and decides operability by
-graph reachability over explicitly enumerated unit-capacity link
-configurations (exact for its one-pair, at-most-one-unit demands); the model
+graph reachability, worked out for every unit-capacity link configuration at
+once (exact for its one-pair, at-most-one-unit demands); the model
 oracle enumerates integer grids.  Both exist to catch bugs in the
 optimization stack, so they deliberately share no machinery with it.
 """
@@ -167,30 +167,6 @@ def check_plan_within_design(
 # ---------------------------------------------------------------------------
 
 
-def _connects(
-    links: Iterable[tuple[str, str]],
-    sources: Iterable[str],
-    sinks: Iterable[str],
-) -> bool:
-    """Does some source router reach some sink router over the links?"""
-    neighbours: dict[str, list[str]] = defaultdict(list)
-    for a, b in links:
-        neighbours[a].append(b)
-        neighbours[b].append(a)
-    targets = set(sinks)
-    seen = set(sources)
-    stack = list(seen)
-    while stack:
-        u = stack.pop()
-        if u in targets:
-            return True
-        for v in neighbours[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return False
-
-
 def _simple_relay_paths(
     hops: set[tuple[str, str]], src: str, dst: str
 ) -> list[tuple[str, ...]]:
@@ -263,6 +239,54 @@ def _demand_directions(
     return list(pairs)
 
 
+def _relay_options(
+    hops: frozenset[tuple[str, str]],
+    src: str,
+    dst: str,
+    site_index: Mapping[tuple[str, str], int],
+) -> np.ndarray:
+    """The regens of each minimal relay option from src to dst, one row each."""
+    paths = _simple_relay_paths(
+        {(u, v) for (u, v) in hops if v != src and u != dst}, src, dst
+    )
+    n_sites = len(site_index)
+    flat = [option * n_sites + site_index[("regen", node)]
+            for option, interior in enumerate(paths) for node in interior]
+    counts = np.bincount(np.array(flat, dtype=np.intp), minlength=len(paths) * n_sites)
+    return counts.astype(np.int16).reshape(len(paths), n_sites)
+
+
+def _reachable(
+    n: int,
+    links: Sequence[tuple[int, int]],
+    sources: Sequence[int],
+    sinks: Sequence[int],
+) -> np.ndarray:
+    """On which link masks some source router reaches some sink router.
+
+    The routers are ``0..n-1`` and bit k of a mask turns on ``links[k]``, an
+    undirected link between two routers.  Every mask is relaxed at once:
+    each round, a router is reached on a mask when the far end of one of
+    its links live on that mask was, so ``n - 1`` rounds reach all that a
+    path can.
+    """
+    masks = np.arange(1 << len(links), dtype=np.int64)
+    on = (masks >> np.arange(len(links))[:, None] & 1).astype(bool)
+    live = np.vstack([on, on])
+    near = [i for i, _ in links] + [j for _, j in links]
+    far = [j for _, j in links] + [i for i, _ in links]
+    arrivals = np.zeros((n, len(near)), dtype=np.float32)
+    arrivals[near, np.arange(len(near))] = 1
+    reach = np.zeros((n, len(masks)), dtype=bool)
+    reach[list(sources)] = True
+    for _ in range(n - 1):
+        step = reach | (arrivals @ (reach[far] & live) > 0)
+        if np.array_equal(step, reach):
+            break
+        reach = step
+    return reach[list(sinks)].any(axis=0)
+
+
 def _scenario_frontier(
     topology: Topology,
     scenario: FailureScenario,
@@ -274,108 +298,106 @@ def _scenario_frontier(
     Every row is the exact (tails, regens, ports) consumption of one way to
     operate the scenario with unit link capacities; a placement handles the
     scenario iff it dominates at least one row.  Only the minimal rows are
-    returned, each at its first occurrence (see ``_minimal_rows``): distinct
-    rows are swept by increasing row sum, one sum level at a time against
-    the rows already kept.
+    returned, each at its first occurrence (see ``_minimal_rows``).
+
+    A set of links is a mask over the external links (the low bits) and the
+    intra-node links above them.  Reachability is worked out for every mask
+    at once, and the rows follow the masks in increasing order, each mask's
+    rows one per choice of relay option on its external links, the last
+    link's choice varying fastest.
     """
     alive = alive_routers(topology, scenario)
     adjacency = regen_adjacency(topology, scenario)
-
-    ext_links: list[tuple[str, str]] = []
-    intra_links: list[tuple[str, str]] = []
-    relay_options: dict[tuple[str, str], list[tuple[str, ...]]] = {}
-    for i, a in enumerate(alive):
-        for b in alive[i + 1:]:
-            key = (a.id, b.id) if a.id < b.id else (b.id, a.id)
-            if a.node == b.node:
-                intra_links.append(key)
-                continue
-            src = topology.home(key[0])
-            dst = topology.home(key[1])
-            hops = {
-                (u, v) for (u, v) in adjacency if v != src and u != dst
-            }
-            paths = _simple_relay_paths(hops, src, dst)
-            if paths:
-                ext_links.append(key)
-                relay_options[key] = paths
-
     n_sites = len(site_index)
 
-    def counts(sites) -> np.ndarray:
-        row = np.zeros(n_sites, dtype=np.int16)
-        for site in sites:
-            row[site_index[site]] += 1
-        return row
-
-    def subsets(links):
-        return [[l for k, l in enumerate(links) if s >> k & 1]
-                for s in range(1 << len(links))]
-
-    # Worked out once per scenario: each relay option's regens, each subset
-    # of the intra-node links with its ports and, on first use, each subset
-    # of the external links with its tails plus one row per choice of relay
-    # option on each link, the last link's choice varying fastest.
-    regens = {
-        link: np.array([counts(("regen", node) for node in interior) for interior in paths])
-        for link, paths in relay_options.items()
-    }
-    intra = [(on, counts(("port", r) for link in on for r in link))
-             for on in subsets(intra_links)]
-    ext = subsets(ext_links)
-    blocks: dict[int, np.ndarray] = {}
-
-    rows: list[np.ndarray] = []
-    # The routers each direction must connect; one within REACH_EPS of zero
-    # needs no path at all.
-    ends = [
-        ([r.id for r in alive if r.node == s], [r.id for r in alive if r.node == t])
-        for s, t, volume in demands
-        if volume > REACH_EPS
-    ]
-    # Every set of links, as the bits of a mask over ext_links + intra_links
-    # counting up: the external links are the low bits.
-    for intra_on, ports in intra:
-        for e, ext_on in enumerate(ext):
-            active = ext_on + intra_on
-            if not all(_connects(active, src, dst) for src, dst in ends):
+    # Every usable link, by its routers' positions in ``alive``, with one
+    # row per way to run a unit on it: a tail at each end plus one relay
+    # option's regens, or a port at each end of an intra-node link.  Relay
+    # options depend only on the two end nodes.
+    ext: list[tuple[int, int, np.ndarray]] = []
+    intra: list[tuple[int, int, np.ndarray]] = []
+    relays: dict[tuple[str, str], np.ndarray] = {}
+    for i, a in enumerate(alive):
+        for j, b in enumerate(alive[i + 1:], i + 1):
+            first, second = (a, b) if a.id < b.id else (b, a)
+            if a.node == b.node:
+                row = np.zeros((1, n_sites), dtype=np.int16)
+                row[0, [site_index[("port", first.id)], site_index[("port", second.id)]]] = 1
+                intra.append((i, j, row))
                 continue
-            if e not in blocks:
-                block = counts(("tail", r) for link in ext_on for r in link)[None, :]
-                for link in ext_on:
-                    block = (block[:, None, :] + regens[link][None, :, :]).reshape(-1, n_sites)
-                blocks[e] = block
-            rows.append(blocks[e] + ports)
+            ends = (first.node, second.node)
+            if ends not in relays:
+                relays[ends] = _relay_options(adjacency, *ends, site_index)
+            if len(relays[ends]):
+                options = relays[ends].copy()
+                options[:, [site_index[("tail", first.id)], site_index[("tail", second.id)]]] += 1
+                ext.append((i, j, options))
+    links = ext + intra
 
-    if not rows:
+    # A direction within REACH_EPS of zero needs no path at all.
+    pairs = [(i, j) for i, j, _ in links]
+    masks = np.arange(1 << len(links), dtype=np.int64)
+    routable = np.ones(len(masks), dtype=bool)
+    for s, t, volume in demands:
+        if volume > REACH_EPS:
+            routable &= _reachable(
+                len(alive),
+                pairs,
+                [k for k, r in enumerate(alive) if r.node == s],
+                [k for k, r in enumerate(alive) if r.node == t],
+            )
+    masks = masks[routable]
+    if len(masks) == 0:
         raise OracleError(
             f"no link configuration can serve {scenario.label()}"
         )
-    return _minimal_rows(np.vstack(rows))
+
+    # A mask's rows number its live links' options in mixed radix: a live
+    # link's stride is the product of the option counts of the live links
+    # above it, and ``pos`` is each row's place among its mask's rows.
+    on = (masks >> np.arange(len(links))[:, None] & 1).astype(bool)
+    sizes = np.ones(len(masks), dtype=np.int64)
+    strides = []
+    for k in range(len(links) - 1, -1, -1):
+        strides.append(sizes)
+        sizes = np.where(on[k], sizes * len(links[k][2]), sizes)
+    strides.reverse()
+    owner = np.repeat(np.arange(len(masks)), sizes)
+    pos = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    rows = np.zeros((len(owner), n_sites), dtype=np.int16)
+    for k, (_, _, options) in enumerate(links):
+        use = on[k, owner]
+        rows[use] += options[pos[use] // strides[k][owner[use]] % len(options)]
+    return _minimal_rows(rows)
 
 
 def _minimal_rows(mat: np.ndarray) -> np.ndarray:
     """The minimal antichain of ``mat``'s rows under elementwise dominance.
 
     Keeps the first copy of every row that no other row strictly dominates,
-    in the original order.  A strict dominator has a strictly smaller row
-    sum, so the distinct rows are swept one sum level at a time, each level
-    tested at once against the minimal rows of the lower levels; rows of
-    equal sum cannot dominate one another.
+    in the original order.  Rows are told apart by one integer key each,
+    their counts read as a mixed-radix number, unless that key could
+    overflow int64.  A strict dominator has a strictly smaller row sum, so
+    among the distinct rows left, one of least sum is minimal: it is kept,
+    and every row it dominates is dropped with it.
     """
-    _, first = np.unique(mat, axis=0, return_index=True)
+    low = int(mat.min(initial=0))
+    radix = int(mat.max(initial=0)) - low + 1
+    if mat.shape[1] * math.log2(radix) < 62:
+        # einsum casts the rows to int64 a buffer at a time, not all at once.
+        place = radix ** np.arange(mat.shape[1] - 1, -1, -1, dtype=np.int64)
+        keys = np.einsum("ij,j->i", mat, place) - low * int(place.sum())
+        _, first = np.unique(keys, return_index=True)
+    else:
+        _, first = np.unique(mat, axis=0, return_index=True)
     first.sort()
     rows = mat[first]
-    sums = rows.sum(axis=1, dtype=np.int64)
-    keep = np.zeros(len(rows), dtype=bool)
-    for level in np.unique(sums):
-        at_level = np.flatnonzero(sums == level)
-        below = rows[keep]
-        dominated = np.any(
-            np.all(below[None, :, :] <= rows[at_level][:, None, :], axis=2),
-            axis=1,
-        )
-        keep[at_level[~dominated]] = True
+    left = np.argsort(rows.sum(axis=1))
+    keep = []
+    while len(left):
+        keep.append(left[0])
+        left = left[~np.all(rows[left] >= rows[left[0]], axis=1)]
+    keep.sort()
     return rows[keep]
 
 
@@ -414,8 +436,9 @@ def oracle_design_search(
     sit at the cap, so the placements dominating a row are a box of the
     priced grid; each scenario's feasible set is the union of its rows'
     boxes, marked box by box rather than row against placement.  The grid is
-    priced axis by axis and the winner read back from its flat index, so no
-    placement is ever materialised.
+    priced axis by axis, one slab of its first axis at a time, and the
+    winner read back from its flat index, so no placement is ever
+    materialised.
 
     Returns:
         (cost, witness) where witness maps "tails"/"regens"/"ports" to
@@ -476,15 +499,23 @@ def oracle_design_search(
     # Price the grid one axis at a time: each priced site adds its count
     # times its unit cost along its own axis.  The sums run in site order, so
     # the rounded costs, and the argmin among equal ones, are the same on
-    # every machine.
-    cost = np.zeros(dims)
-    for axis, site in enumerate(priced_idx):
-        along = unit_costs[site] * np.arange(caps + 1)
-        cost += along.reshape((-1,) + (1,) * (len(dims) - 1 - axis))
-    cost = cost.reshape(-1)
-    cost[~feasible] = np.inf
-    best = int(np.argmin(cost))
-    best_cost = float(cost[best])
+    # every machine.  One slab of the first axis is priced at a time and the
+    # first cheapest placement kept, so only 1 / (caps + 1) of the grid's
+    # costs exist at once.
+    best, best_cost = 0, np.inf
+    for first, ok in enumerate(feasible.reshape(caps + 1 if dims else 1, -1)):
+        cost = np.zeros(dims[1:])
+        for axis, site in enumerate(priced_idx):
+            along = unit_costs[site] * np.arange(caps + 1)
+            if axis == 0:
+                cost += along[first]
+            else:
+                cost += along.reshape((-1,) + (1,) * (len(dims) - 1 - axis))
+        cost = cost.reshape(-1)
+        cost[~ok] = np.inf
+        local = int(np.argmin(cost))
+        if cost[local] < best_cost:
+            best, best_cost = first * len(cost) + local, float(cost[local])
 
     # Report pinned (zero-cost) sites at what the winning placement actually
     # needs, not at the cap: per scenario, the cheapest dominated row.
@@ -539,6 +570,12 @@ def enumerate_milp_minimum(
     total = math.prod(sizes)
     if total > max_states:
         raise ValueError(f"{total} assignments exceed the sweep limit")
+    # A sweep of few states can still lie beyond int64, where float64 cannot
+    # tell the integers apart either.
+    bound = np.iinfo(np.int64)
+    for var, low, size in zip(variables, lows, sizes):
+        if low < bound.min or low + size - 1 > bound.max:
+            raise ValueError(f"variable {var.name!r} has integer bounds beyond int64")
     lows, sizes = np.array(lows, dtype=np.int64), np.array(sizes, dtype=np.int64)
 
     index = {v.name: i for i, v in enumerate(variables)}

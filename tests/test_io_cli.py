@@ -107,7 +107,9 @@ def test_costs_default_when_missing(tmp_path):
         pytest.param(load_design, lambda d: d["scenarios"][1].pop("links"),
                      "scenarios[1]: missing key 'links'", id="design-scenarios[1]"),
         pytest.param(load_design, lambda d: d["scenarios"][0].__setitem__("links", {}),
-                     "links: expected a list", id="design-links"),
+                     "scenarios[0].links: expected a list", id="design-links"),
+        pytest.param(load_design, lambda d: d["scenarios"][5].__setitem__("links", {}),
+                     "scenarios[5].links: expected a list", id="design-links-later"),
         pytest.param(load_design, lambda d: _no_failure_links(d).append("R1-R4"),
                      "scenarios[0].links[1]: expected an object", id="design-link"),
         pytest.param(load_design,

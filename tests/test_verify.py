@@ -8,11 +8,14 @@ from collections import defaultdict, deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadmnet import (
     CostModel,
     DemandMatrix,
     FailureScenario,
+    InfeasibleDesignError,
     OracleError,
     OracleSearchSpaceError,
     Router,
@@ -30,15 +33,15 @@ from roadmnet import (
 from roadmnet.milp import LinearModel, solve
 from roadmnet.topology import REACH_EPS, alive_routers, regen_adjacency
 from roadmnet.verify import (
-    _connects,
     _demand_directions,
     _dominating_placements,
     _minimal_rows,
+    _reachable,
     _scenario_frontier,
     _simple_relay_paths,
 )
 
-from instances import micro_instance, random_integer_model, toy_network
+from instances import MICRO_SEEDS, micro_instance, random_integer_model, toy_network
 
 NF = FailureScenario.no_failure()
 
@@ -125,7 +128,8 @@ class TestOraclePins:
     def test_memory_stays_flat_in_placements(self):
         # 13 priced sites at caps 2: 1,594,323 placements over all failures.
         # A placement matrix plus a float copy of its priced columns cost
-        # about 183 bytes a placement; the grid itself needs about 10.
+        # about 183 bytes a placement, and a whole float cost grid about 10;
+        # priced one slab of the first axis at a time it needs about 6.
         topology, demands, costs = micro_instance(7)
         placements = 3 ** 13
         tracemalloc.start()
@@ -136,7 +140,28 @@ class TestOraclePins:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 32 * placements
+        assert peak < 8 * placements
+
+
+def _connects(links, sources, sinks):
+    """Does some source router reach some sink router over the links?  The
+    oracle's old one-mask-at-a-time search, kept as the reference."""
+    neighbours = defaultdict(list)
+    for a, b in links:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    targets = set(sinks)
+    seen = set(sources)
+    stack = list(seen)
+    while stack:
+        u = stack.pop()
+        if u in targets:
+            return True
+        for v in neighbours[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return False
 
 
 def reference_max_flow(caps, source, sink):
@@ -297,6 +322,24 @@ class TestOracleInternals:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), mat
 
+    @pytest.mark.parametrize("width,top,keyed", [
+        (20, 8, True),  # 20 digits of radix 8: 60 bits, one int64 key
+        (70, 2, False),  # wide rows: 70 bits
+        (5, 2**13, False),  # high counts: 65 bits
+    ], ids=["key", "wide", "high"])
+    def test_minimal_rows_key_and_row_sort_match_pairwise_loop(self, width, top, keyed):
+        # Rows near a few bases, so that copies and dominated rows abound.
+        rng = np.random.default_rng(width)
+        for _ in range(20):
+            bases = rng.integers(0, top - 1, size=(4, width), dtype=np.int16)
+            bumps = (rng.random((60, width)) < 0.03).astype(np.int16)
+            mat = bases[rng.integers(0, len(bases), size=60)] + bumps
+            assert (width * math.log2(int(mat.max()) + 1) < 62) == keyed
+            got = _minimal_rows(mat)
+            want = pairwise_minimal_rows(mat)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), mat
+
     @pytest.mark.parametrize("kind", ROW_KINDS)
     def test_box_sweep_matches_elementwise_sweep(self, kind):
         rng = np.random.default_rng(100 + sum(map(ord, kind)))
@@ -311,7 +354,7 @@ class TestOracleInternals:
             assert np.array_equal(got, elementwise_sweep(mat, priced, caps))
 
     def test_frontier_matches_per_mask_loop(self):
-        cases = [micro_instance(seed) for seed in range(0, 60, 4)]
+        cases = [micro_instance(seed) for seed in MICRO_SEEDS]
         topology, demands, costs = toy_network()
         cases.append((topology, demands, costs))
         cases.append((topology, DemandMatrix(entries=(("N1", "N2", REACH_EPS),)), costs))
@@ -344,33 +387,51 @@ class TestOracleInternals:
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes() and got.shape == want.shape
                 frontiers += 1
-        assert frontiers > 150
+        assert frontiers > 600
 
     def test_reachability_matches_max_flow(self):
-        # The oracle's routability rule against max-flow over the network it
-        # replaced: unit links both ways, source and sink edges of 2.
+        # The oracle's routability rule, on every mask of each random link
+        # set, against max-flow over the network it replaced (unit links
+        # both ways, source and sink edges of 2) and against the old
+        # one-mask-at-a-time search.
         rng = np.random.default_rng(7)
         volumes = (0.0, 1e-10, REACH_EPS, 0.5, 1.0, 1.0 + REACH_EPS)
-        for _ in range(300):
-            routers = [f"r{i}" for i in range(int(rng.integers(2, 8)))]
-            pairs = [(a, b) for i, a in enumerate(routers) for b in routers[i + 1:]]
+        checked = set()
+        for _ in range(120):
+            n = int(rng.integers(2, 8))
+            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
             links = [p for p in pairs if rng.random() < rng.random()]
-            picks = rng.integers(0, 3, size=len(routers))  # 0 source, 1 sink
+            links = [links[k] for k in rng.permutation(len(links))[:7]]
+            picks = rng.integers(0, 3, size=n)  # 0 source, 1 sink
             if rng.random() < 0.15:
                 picks[picks == 0] = 2  # no live source router
-            sources = [r for r, k in zip(routers, picks) if k == 0]
-            sinks = [r for r, k in zip(routers, picks) if k == 1]
-            net = {}
-            for a, b in links:
-                net[(a, b)] = net[(b, a)] = 1
-            net.update({("SRC*", r): 2 for r in sources})
-            net.update({(r, "DST*"): 2 for r in sinks})
-            flow = reference_max_flow(net, "SRC*", "DST*")
-            reach = _connects(links, sources, sinks)
-            for volume in volumes:
-                want = flow >= volume - REACH_EPS
-                got = volume <= REACH_EPS or reach
-                assert got == want, (links, sources, sinks, volume)
+            sources = [r for r in range(n) if picks[r] == 0]
+            sinks = [r for r in range(n) if picks[r] == 1]
+            reach = _reachable(n, links, sources, sinks)
+            assert reach.shape == (1 << len(links),)
+            for mask, got_reach in enumerate(reach):
+                active = [l for k, l in enumerate(links) if mask >> k & 1]
+                net = {}
+                for a, b in active:
+                    net[(f"r{a}", f"r{b}")] = net[(f"r{b}", f"r{a}")] = 1
+                net.update({("SRC*", f"r{r}"): 2 for r in sources})
+                net.update({(f"r{r}", "DST*"): 2 for r in sinks})
+                flow = reference_max_flow(net, "SRC*", "DST*")
+                assert got_reach == _connects(active, sources, sinks)
+                checked.add(bool(got_reach))
+                for volume in volumes:
+                    want = flow >= volume - REACH_EPS
+                    got = volume <= REACH_EPS or got_reach
+                    assert got == want, (active, sources, sinks, volume)
+        assert checked == {False, True}
+
+    def test_reachability_needs_up_to_n_minus_one_rounds(self):
+        # A chain 0-1-...-(n-1): the sink is n - 1 links away, reached only
+        # on the mask with every link on.
+        for n in range(2, 8):
+            links = [(k, k + 1) for k in range(n - 1)]
+            reach = _reachable(n, links, [0], [n - 1])
+            assert np.flatnonzero(reach).tolist() == [(1 << (n - 1)) - 1]
 
 
 class TestOracleScope:
@@ -416,6 +477,25 @@ class TestOracleAgreement:
         cost, _ = oracle_design_search(
             topology, demands, costs, enumerate_failures(topology)
         )
+        assert design.solve_status == "optimal"
+        assert cost == pytest.approx(design.total_cost_reported)
+
+
+class TestOracleDifferential:
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(min_value=max(MICRO_SEEDS) + 1, max_value=2**32))
+    def test_random_networks_match_joint_solve(self, seed):
+        # Micro networks beyond the pinned seeds: the joint solve and the
+        # oracle agree on the cost, or both find no design at all.
+        topology, demands, costs = micro_instance(seed)
+        failures = enumerate_failures(topology)
+        try:
+            design, _ = design_optimal(topology, demands, costs)
+        except InfeasibleDesignError:
+            with pytest.raises(OracleError):
+                oracle_design_search(topology, demands, costs, failures)
+            return
+        cost, _ = oracle_design_search(topology, demands, costs, failures)
         assert design.solve_status == "optimal"
         assert cost == pytest.approx(design.total_cost_reported)
 
@@ -544,6 +624,18 @@ class TestEnumeration:
         m.add_variable("x", lb=lb, ub=ub, integer=True)
         m.set_objective({"x": 1})
         with pytest.raises(ValueError, match=f"^{total} assignments exceed the sweep"):
+            enumerate_milp_minimum(m)
+
+    @pytest.mark.parametrize("lb,ub", [
+        (2**63, 2**63 + 2048),  # 2,049 states: raised OverflowError
+        (-2**63 - 4096, -2**63 - 2048),
+    ], ids=["above-int64", "below-int64"])
+    def test_few_states_beyond_int64_are_refused_by_name(self, lb, ub):
+        m = LinearModel()
+        m.add_variable("y", ub=1, integer=True)
+        m.add_variable("x", lb=lb, ub=ub, integer=True)
+        m.set_objective({"x": 1})
+        with pytest.raises(ValueError, match="^variable 'x' has integer bounds beyond int64$"):
             enumerate_milp_minimum(m)
 
     @pytest.mark.parametrize("seed", (41, 47, 53))
