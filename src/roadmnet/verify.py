@@ -259,25 +259,24 @@ def _relay_options(
 def _reachable(
     n: int,
     links: Sequence[tuple[int, int]],
+    on: np.ndarray,
     sources: Sequence[int],
     sinks: Sequence[int],
 ) -> np.ndarray:
     """On which link masks some source router reaches some sink router.
 
-    The routers are ``0..n-1`` and bit k of a mask turns on ``links[k]``, an
-    undirected link between two routers.  Every mask is relaxed at once:
-    each round, a router is reached on a mask when the far end of one of
-    its links live on that mask was, so ``n - 1`` rounds reach all that a
-    path can.
+    The routers are ``0..n-1``, ``links[k]`` is an undirected link between
+    two routers and ``on[k]`` says on which masks it is live.  Every mask is
+    relaxed at once: each round, a router is reached on a mask when the far
+    end of one of its links live on that mask was, so ``n - 1`` rounds reach
+    all that a path can.
     """
-    masks = np.arange(1 << len(links), dtype=np.int64)
-    on = (masks >> np.arange(len(links))[:, None] & 1).astype(bool)
     live = np.vstack([on, on])
     near = [i for i, _ in links] + [j for _, j in links]
     far = [j for _, j in links] + [i for i, _ in links]
     arrivals = np.zeros((n, len(near)), dtype=np.float32)
     arrivals[near, np.arange(len(near))] = 1
-    reach = np.zeros((n, len(masks)), dtype=bool)
+    reach = np.zeros((n, on.shape[1]), dtype=bool)
     reach[list(sources)] = True
     for _ in range(n - 1):
         step = reach | (arrivals @ (reach[far] & live) > 0)
@@ -334,20 +333,22 @@ def _scenario_frontier(
                 ext.append((i, j, options))
     links = ext + intra
 
-    # A direction within REACH_EPS of zero needs no path at all.
+    # Bit k of a mask turns on ``links[k]``.  A direction within REACH_EPS
+    # of zero needs no path at all.
     pairs = [(i, j) for i, j, _ in links]
-    masks = np.arange(1 << len(links), dtype=np.int64)
-    routable = np.ones(len(masks), dtype=bool)
+    on = (np.arange(1 << len(links)) >> np.arange(len(links))[:, None] & 1).astype(bool)
+    routable = np.ones(on.shape[1], dtype=bool)
     for s, t, volume in demands:
         if volume > REACH_EPS:
             routable &= _reachable(
                 len(alive),
                 pairs,
+                on,
                 [k for k, r in enumerate(alive) if r.node == s],
                 [k for k, r in enumerate(alive) if r.node == t],
             )
-    masks = masks[routable]
-    if len(masks) == 0:
+    on = on[:, routable]
+    if on.shape[1] == 0:
         raise OracleError(
             f"no link configuration can serve {scenario.label()}"
         )
@@ -355,14 +356,13 @@ def _scenario_frontier(
     # A mask's rows number its live links' options in mixed radix: a live
     # link's stride is the product of the option counts of the live links
     # above it, and ``pos`` is each row's place among its mask's rows.
-    on = (masks >> np.arange(len(links))[:, None] & 1).astype(bool)
-    sizes = np.ones(len(masks), dtype=np.int64)
+    sizes = np.ones(on.shape[1], dtype=np.int64)
     strides = []
     for k in range(len(links) - 1, -1, -1):
         strides.append(sizes)
         sizes = np.where(on[k], sizes * len(links[k][2]), sizes)
     strides.reverse()
-    owner = np.repeat(np.arange(len(masks)), sizes)
+    owner = np.repeat(np.arange(on.shape[1]), sizes)
     pos = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     rows = np.zeros((len(owner), n_sites), dtype=np.int16)
     for k, (_, _, options) in enumerate(links):
@@ -375,30 +375,18 @@ def _minimal_rows(mat: np.ndarray) -> np.ndarray:
     """The minimal antichain of ``mat``'s rows under elementwise dominance.
 
     Keeps the first copy of every row that no other row strictly dominates,
-    in the original order.  Rows are told apart by one integer key each,
-    their counts read as a mixed-radix number, unless that key could
-    overflow int64.  A strict dominator has a strictly smaller row sum, so
-    among the distinct rows left, one of least sum is minimal: it is kept,
-    and every row it dominates is dropped with it.
+    in the original order.  A strict dominator has a strictly smaller row
+    sum, so the first row left in stable row-sum order is minimal and the
+    first copy of its value: it is kept, and its later copies and every row
+    it dominates are dropped with it.
     """
-    low = int(mat.min(initial=0))
-    radix = int(mat.max(initial=0)) - low + 1
-    if mat.shape[1] * math.log2(radix) < 62:
-        # einsum casts the rows to int64 a buffer at a time, not all at once.
-        place = radix ** np.arange(mat.shape[1] - 1, -1, -1, dtype=np.int64)
-        keys = np.einsum("ij,j->i", mat, place) - low * int(place.sum())
-        _, first = np.unique(keys, return_index=True)
-    else:
-        _, first = np.unique(mat, axis=0, return_index=True)
-    first.sort()
-    rows = mat[first]
-    left = np.argsort(rows.sum(axis=1))
+    left = np.argsort(mat.sum(axis=1), kind="stable")
     keep = []
     while len(left):
         keep.append(left[0])
-        left = left[~np.all(rows[left] >= rows[left[0]], axis=1)]
+        left = left[~np.all(mat[left] >= mat[left[0]], axis=1)]
     keep.sort()
-    return rows[keep]
+    return mat[keep]
 
 
 def _dominating_placements(

@@ -143,6 +143,12 @@ class TestOraclePins:
         assert peak < 8 * placements
 
 
+def all_masks(n_links):
+    """Which of links 0..n_links-1 each mask 0..2^n_links-1 turns on."""
+    masks = np.arange(1 << n_links)
+    return (masks >> np.arange(n_links)[:, None] & 1).astype(bool)
+
+
 def _connects(links, sources, sinks):
     """Does some source router reach some sink router over the links?  The
     oracle's old one-mask-at-a-time search, kept as the reference."""
@@ -322,19 +328,18 @@ class TestOracleInternals:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), mat
 
-    @pytest.mark.parametrize("width,top,keyed", [
-        (20, 8, True),  # 20 digits of radix 8: 60 bits, one int64 key
-        (70, 2, False),  # wide rows: 70 bits
-        (5, 2**13, False),  # high counts: 65 bits
-    ], ids=["key", "wide", "high"])
-    def test_minimal_rows_key_and_row_sort_match_pairwise_loop(self, width, top, keyed):
+    @pytest.mark.parametrize("width,top", [
+        (20, 8),
+        (70, 2),  # wide rows
+        (5, 2**13),  # high counts
+    ], ids=["narrow", "wide", "high"])
+    def test_minimal_rows_of_wide_and_high_rows_match_pairwise_loop(self, width, top):
         # Rows near a few bases, so that copies and dominated rows abound.
         rng = np.random.default_rng(width)
         for _ in range(20):
             bases = rng.integers(0, top - 1, size=(4, width), dtype=np.int16)
             bumps = (rng.random((60, width)) < 0.03).astype(np.int16)
             mat = bases[rng.integers(0, len(bases), size=60)] + bumps
-            assert (width * math.log2(int(mat.max()) + 1) < 62) == keyed
             got = _minimal_rows(mat)
             want = pairwise_minimal_rows(mat)
             assert got.dtype == want.dtype
@@ -407,7 +412,7 @@ class TestOracleInternals:
                 picks[picks == 0] = 2  # no live source router
             sources = [r for r in range(n) if picks[r] == 0]
             sinks = [r for r in range(n) if picks[r] == 1]
-            reach = _reachable(n, links, sources, sinks)
+            reach = _reachable(n, links, all_masks(len(links)), sources, sinks)
             assert reach.shape == (1 << len(links),)
             for mask, got_reach in enumerate(reach):
                 active = [l for k, l in enumerate(links) if mask >> k & 1]
@@ -430,7 +435,7 @@ class TestOracleInternals:
         # on the mask with every link on.
         for n in range(2, 8):
             links = [(k, k + 1) for k in range(n - 1)]
-            reach = _reachable(n, links, [0], [n - 1])
+            reach = _reachable(n, links, all_masks(n - 1), [0], [n - 1])
             assert np.flatnonzero(reach).tolist() == [(1 << (n - 1)) - 1]
 
 
