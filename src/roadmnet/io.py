@@ -359,9 +359,10 @@ def save_design(
     links: Mapping[str, tuple[LinkRecord, ...]] | None = None,
 ) -> None:
     payload = design_payload(design, costs, algorithm=algorithm, links=links)
+    # The whole text first: a payload that fails to serialise leaves the old file.
+    text = json.dumps(payload, indent=2) + "\n"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _int_counts(value: Any, where: str) -> dict[str, int]:

@@ -23,29 +23,64 @@ instance dies with it, and clears the calling thread's instance of its model
 before it returns or raises; a solve nested in another on one thread gets
 an instance of its own.  The thread runs the import-time :func:`linprog`, so
 a patch of ``milp.linprog`` sees only the LPs solved on the calling thread.
+
+Importing this module loads scipy's HiGHS bindings extension alone (see
+:func:`_load_bindings`), not ``scipy.optimize`` or ``scipy.sparse``, which
+would take most of the package's import time.  Code that needs either
+imports it inside the function that uses it, as the cross-check adapter and
+:attr:`_Compiled.a` do; new code keeps to the same rule.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable, Iterator, Mapping, Sequence
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy
-from scipy import sparse
-from scipy.optimize import OptimizeResult
 
-try:  # scipy's own HiGHS bindings, new in scipy 1.15
-    from scipy.optimize._highspy import _core as highs
-except ImportError as exc:
-    raise ImportError(f"roadmnet needs scipy>=1.15; found {scipy.__version__}") from exc
+
+def _load_bindings():
+    """scipy's own HiGHS bindings (new in scipy 1.15), loaded without the
+    rest of ``scipy.optimize``.
+
+    An entry already in ``sys.modules`` is reused.  Otherwise the extension
+    is found in scipy's ``optimize/_highspy`` folder and registered under its
+    full name before it runs, so a later ``import scipy.optimize`` reuses
+    this module object (pybind11 registers its classes only once a process).
+    """
+    name = "scipy.optimize._highspy._core"
+    message = f"roadmnet needs scipy>=1.15; found {scipy.__version__}"
+    if name in sys.modules:
+        if sys.modules[name] is None:
+            raise ImportError(message)
+        return sys.modules[name]
+    folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    spec = PathFinder.find_spec(name, [folder])
+    if spec is None:
+        raise ImportError(message)
+    try:
+        module = sys.modules[name] = module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except BaseException as exc:
+        sys.modules.pop(name, None)
+        if isinstance(exc, ImportError):
+            raise ImportError(message) from exc
+        raise
+    return module
+
+
+highs = _load_bindings()
 
 INT_TOL = 1e-6
 FEAS_TOL = 1e-6
@@ -273,9 +308,11 @@ class _Compiled:
     integral_objective: bool
 
     @property
-    def a(self) -> sparse.csc_array:
+    def a(self) -> scipy.sparse.csc_array:
         """The matrix as scipy takes it, built on demand (for the cross-check
         adapter)."""
+        from scipy import sparse
+
         data, rows, starts = self.csc
         return sparse.csc_array((data, rows.astype(np.int64), starts.astype(np.int64)),
                                 shape=(len(self.row_upper), len(self.c)))
@@ -350,6 +387,14 @@ _CHECK_TOL = math.sqrt(1e-9) * 10
 _IDLE = threading.local()  # each thread's HiGHS instance while no solve holds it
 
 
+class _LPResult(NamedTuple):
+    """One LP's outcome, as :func:`linprog` reports it."""
+
+    status: int
+    fun: float | None
+    x: np.ndarray | None
+
+
 class _Loaded:
     """A compiled model in one HiGHS instance, one per thread of a solve.
 
@@ -363,7 +408,7 @@ class _Loaded:
 
 
 def linprog(lp: _Loaded, lb: np.ndarray, ub: np.ndarray,
-            time_limit: float | None) -> OptimizeResult:
+            time_limit: float | None) -> _LPResult:
     """Solve one LP relaxation of a loaded model under column bounds lb/ub.
 
     This is ``scipy.optimize.linprog(method="highs")`` on the same data with
@@ -394,7 +439,7 @@ def linprog(lp: _Loaded, lb: np.ndarray, ub: np.ndarray,
     cols = np.flatnonzero((lb != lp.lb) | (ub != lp.ub)).astype(np.int32)
     if not lp.ok or (cols.size and solver.changeColsBounds(
             cols.size, cols, lb[cols], ub[cols]) == error):
-        return OptimizeResult(status=2, fun=None, x=None)  # linprog's model error
+        return _LPResult(2, None, None)  # linprog's model error
     lp.lb[cols], lp.ub[cols] = lb[cols], ub[cols]
     # HiGHS holds the time limit against the instance's run clock, which
     # adds up over its runs.
@@ -404,12 +449,12 @@ def linprog(lp: _Loaded, lb: np.ndarray, ub: np.ndarray,
     ran = solver.run() != error
     status = _LP_STATUS.get(solver.getModelStatus(), 4)
     if status != 0 or not ran:  # a failed run gives no point, so "optimal" is 4
-        return OptimizeResult(status=status or 4, fun=None, x=None)
+        return _LPResult(status or 4, None, None)
     solution = solver.getSolution()
     x, fun = np.array(solution.col_value), solver.getObjectiveValue()
     resid = comp.row_upper - np.array(solution.row_value)  # slacks, then residuals
     ok = _within_tolerance(x, fun, resid[:comp.n_ub], resid[comp.n_ub:], lb, ub)
-    return OptimizeResult(status=0 if ok else 4, fun=fun, x=x)
+    return _LPResult(0 if ok else 4, fun, x)
 
 
 def _within_tolerance(x, fun, slack, con, lb, ub) -> bool:
@@ -433,7 +478,7 @@ def _most_fractional(x: np.ndarray, int_idx: np.ndarray) -> int | None:
 
 
 def _child_lps(lps: list[_Loaded], children, pool: ThreadPoolExecutor | None,
-               remaining, solve_sibling=linprog) -> Iterator[OptimizeResult]:
+               remaining, solve_sibling=linprog) -> Iterator[_LPResult]:
     """Each child's LP result, in order.
 
     With a pool and two children the pool's thread solves the second child's

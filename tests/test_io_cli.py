@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 
 from roadmnet import algorithms, cli, milp, operation
+from roadmnet import io as roadmnet_io
 from roadmnet.cli import ALGORITHMS, main
 from roadmnet.design import NoIncumbentError
 from roadmnet.io import (
@@ -217,6 +218,24 @@ def test_design_document_round_trip(tmp_path, toy_inputs, toy_optimal):
     save_design(str(again), doc.design, doc.costs, algorithm=doc.algorithm,
                 links=doc.links)
     assert path.read_bytes() == again.read_bytes()
+
+
+def test_failed_save_keeps_previous_document(tmp_path, monkeypatch, toy_inputs,
+                                             toy_optimal):
+    _, _, costs = toy_inputs
+    design, plans = toy_optimal
+    links = {s.label(): plan_links(p) for s, p in plans.items()}
+    path = tmp_path / "design.json"
+    save_design(str(path), design, costs, algorithm="optimal", links=links)
+    before = path.read_bytes()
+
+    # Everything serialises but a last, unserialisable field.
+    payload = design_payload(design, costs, algorithm="optimal", links=links)
+    monkeypatch.setattr(roadmnet_io, "design_payload",
+                        lambda *args, **kwargs: {**payload, "extra": object()})
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        save_design(str(path), design, costs, algorithm="optimal", links=links)
+    assert path.read_bytes() == before
 
 
 def test_document_rebuilds_base_plan(tmp_path, toy_inputs, toy_optimal):

@@ -572,6 +572,78 @@ class TestDirectHighs:
 
 
 # ---------------------------------------------------------------------------
+# What importing roadmnet loads of scipy
+# ---------------------------------------------------------------------------
+
+BINDINGS = "scipy.optimize._highspy._core"
+
+
+def run_fresh(code: str) -> list[str]:
+    """Run code in a new interpreter; its output lines, then every module
+    loaded by the end as the last line."""
+    code += "\nimport sys\nprint(' '.join(sorted(sys.modules)))\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+RUN_HELP = (
+    "import runpy, sys\n"
+    "sys.argv[1:] = ['--help']\n"
+    "try:\n    runpy.run_module('roadmnet', run_name='__main__')\n"
+    "except SystemExit as exc:\n    assert exc.code == 0\n"
+)
+
+
+class TestImportFootprint:
+    @pytest.mark.parametrize("code, module", [("import roadmnet", "roadmnet.milp"),
+                                              (RUN_HELP, "roadmnet.cli")],
+                             ids=["import", "help"])
+    def test_loads_only_the_bindings(self, code, module):
+        loaded = run_fresh(code)[-1].split()
+        assert module in loaded and BINDINGS in loaded
+        heavy = [m for m in loaded if m.startswith(("scipy.optimize", "scipy.sparse"))
+                 and not m.startswith(BINDINGS)]
+        assert heavy == []
+
+    @pytest.mark.parametrize("first, second", [
+        ("import scipy.optimize", "import roadmnet"),
+        ("import roadmnet", "import scipy.optimize"),
+    ])
+    def test_either_load_order_shares_one_bindings_module(self, first, second):
+        code = (
+            f"{first}\n{second}\n"
+            "import sys, scipy.optimize\n"
+            "from roadmnet import milp\n"
+            "wrapper = sys.modules['scipy.optimize._highspy._highs_wrapper']\n"
+            f"print(milp.highs is sys.modules['{BINDINGS}'] is wrapper._h)\n"
+            "res = scipy.optimize.linprog([1, 2], A_ub=[[-1, -1]], b_ub=[-1])\n"
+            "print(res.status, res.fun)\n"
+            "m = milp.LinearModel()\n"
+            "m.add_variable('x', 0, 5, integer=True)\n"
+            "m.add_constraint({'x': 2}, '>=', 3)\n"
+            "m.set_objective({'x': 1})\n"
+            "print(milp.solve_with_scipy_milp(m).objective_value, milp.solve(m).objective_value)\n"
+            "print(milp._compile(m).a.toarray().tolist())\n"
+        )
+        assert run_fresh(code)[:-1] == ["True", "0 1.0", "2.0 2.0", "[[-2.0]]"]
+
+    def test_a_failed_load_leaves_no_entry(self):
+        code = (
+            "import importlib.util, sys\n"
+            "def half_loaded(spec):\n"
+            "    sys.modules[spec.name] = 'half'\n"
+            "    raise ImportError('no')\n"
+            "importlib.util.module_from_spec = half_loaded\n"
+            "try:\n    import roadmnet.milp\n"
+            "except ImportError as exc:\n    print(exc)\n"
+            f"print('{BINDINGS}' in sys.modules)\n"
+        )
+        assert run_fresh(code)[:-1] == ["roadmnet needs scipy>=1.15; found "
+                                        f"{scipy.__version__}", "False"]
+
+
+# ---------------------------------------------------------------------------
 # Sibling LPs solved on a second thread
 # ---------------------------------------------------------------------------
 
