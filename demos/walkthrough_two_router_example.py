@@ -70,5 +70,5 @@ print("\ncost of operating the robust design under each failure:")
 for scenario in enumerate_failures(topology):
     p = operate(topology, demands, design, scenario)
     links = sum(units for _, _, units in p.canonical_links())
-    regens = sum(p.regen_usage().values())
+    regens = sum(p.usage()[1].values())  # (tails, regens, ports, launches)
     print(f"  {scenario.label():<14} {links} link unit(s), {regens} regen(s) in use")

@@ -2,17 +2,21 @@
 fixed-lightpath baseline.
 
 All four size the same three resources (tails, regens, ports) against the
-same failure set, but differ in how much reconfigurability they assume:
+same failure set, and each design is the cover of what its failure states use
+(``_covering``: elementwise maxima of tails, regens, ports and launch hops,
+priced once).  They differ in how much reconfigurability they assume:
 
 * ``design_optimal`` solves one model across every scenario jointly, sharing
-  equipment freely between failure states.
-* ``design_simple`` solves each scenario independently and keeps the
-  elementwise maximum of the resulting placements.
+  equipment freely between failure states; a state uses what its plan uses.
+* ``design_simple`` solves each scenario independently; a state uses its own
+  answer.
 * ``design_greedy`` walks the scenarios in order, each time buying only what
-  the already-accumulated equipment cannot cover.
+  the already-accumulated equipment cannot cover; a state uses everything
+  owned after it.
 * ``design_legacy`` models a network without reconfigurable optics: links are
   bought with their lightpaths and regens permanently attached, and a failed
-  link's equipment cannot be repurposed.
+  link's equipment cannot be repurposed.  The fleet is one usage with no
+  launch hops.
 
 All four take ``per_scenario_time_limit``, seconds per failure state (None:
 no limit).  Every solve over one failure state gets it, ``design_optimal``'s
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .design import (
     Design,
@@ -35,10 +39,9 @@ from .design import (
     check_solve,
     extract_design,
     iround,
-    source_side_usage,
 )
 from .milp import LinearModel, solve
-from .operation import OperationPlan, operate
+from .operation import OperationPlan, operate, surviving_link_caps
 from .topology import (
     REACH_EPS,
     CostModel,
@@ -47,7 +50,6 @@ from .topology import (
     SpanKey,
     Topology,
     alive_routers,
-    dead_routers,
     enumerate_failures,
     shortest_path,
     span_key,
@@ -60,10 +62,22 @@ def _scenario_list(
     return list(scenarios) if scenarios is not None else enumerate_failures(topology)
 
 
-def _raise_to(counts: dict[str, int], usage: Mapping[str, int]) -> None:
-    """Lift each count to at least the matching usage."""
-    for key, used in usage.items():
-        counts[key] = max(counts[key], used)
+def _covering(
+    topology: Topology,
+    costs: CostModel,
+    usages: Iterable[Sequence[Mapping[str, int]]],
+    statuses: Iterable[str],
+) -> Design:
+    """Tightest placement covering every (tails, regens, ports, launches)
+    usage, as ``OperationPlan.usage`` counts them: elementwise maxima, priced.
+    Every router and node gets a count, zero when unused."""
+    routers, nodes = [r.id for r in topology.routers], topology.all_nodes
+    counts = [dict.fromkeys(keys, 0) for keys in (routers, nodes, routers, nodes)]
+    for usage in usages:
+        for count, used in zip(counts, usage):
+            for key, units in used.items():
+                count[key] = max(count[key], units)
+    return Design.priced(costs, *counts, statuses)
 
 
 def _diagnose_infeasible(
@@ -79,25 +93,6 @@ def _diagnose_infeasible(
         if solve(dm.model, time_limit).status == "infeasible":
             return scen
     return None
-
-
-def _design_from_plans(
-    topology: Topology,
-    costs: CostModel,
-    plans: dict[FailureScenario, OperationPlan],
-    status: str,
-) -> Design:
-    """Tightest placement covering every plan: elementwise usage maxima."""
-    tails = {r.id: 0 for r in topology.routers}
-    reported = {n: 0 for n in topology.all_nodes}
-    ports = {r.id: 0 for r in topology.routers}
-    bookkeeping = {n: 0 for n in topology.all_nodes}
-    for plan in plans.values():
-        _raise_to(tails, plan.tail_usage())
-        _raise_to(ports, plan.port_usage())
-        _raise_to(reported, plan.regen_usage())
-        _raise_to(bookkeeping, plan.bookkeeping_usage())
-    return Design.priced(costs, tails, reported, ports, bookkeeping, [status])
 
 
 def design_optimal(
@@ -130,7 +125,9 @@ def design_optimal(
     check_solve(result, None)
     rough = extract_design(dm, result)
     plans = {scen: operate(topology, demands, rough, scen, limit) for scen in scens}
-    design = _design_from_plans(topology, costs, plans, result.status)
+    design = _covering(
+        topology, costs, (plan.usage() for plan in plans.values()), [result.status]
+    )
     return design, plans
 
 
@@ -143,33 +140,32 @@ def _per_scenario_design(
     *,
     accumulate: bool,
 ) -> Design:
-    """Solve each scenario on its own and combine the placements.
+    """Solve each scenario on its own and cover what each state uses.
 
-    With ``accumulate`` each solve gets everything bought so far as a free
-    prior and the purchases are summed; otherwise the solves are independent
-    and the elementwise maximum is kept.
+    With ``accumulate`` each solve gets everything owned so far as a free
+    prior and a state uses what is owned after it (prior plus purchases), so
+    the cover is the sum of purchases; otherwise each state uses its own
+    answer.  Launch hops are each answer's raw minus reported regens.
     """
-    tails = {r.id: 0 for r in topology.routers}
-    regens = {n: 0 for n in topology.all_nodes}
-    ports = {r.id: 0 for r in topology.routers}
-    bookkeeping = {n: 0 for n in topology.all_nodes}
-    statuses: list[str] = []
+    owned: tuple[dict[str, int], ...] = ({}, {}, {})
+    usages, statuses = [], []
     for scen in _scenario_list(topology, scenarios):
-        prior = PriorPlacement(dict(tails), dict(regens), dict(ports)) if accumulate else None
+        prior = PriorPlacement(*owned) if accumulate else None
         dm = build_design_model(topology, demands, [scen], costs, prior)
         result = solve(dm.model, time_limit)
         check_solve(result, scen)
         part = extract_design(dm, result)
         statuses.append(result.status)
-        for counts, usage in (
-            (tails, part.tails),
-            (regens, part.regens_reported),
-            (ports, part.ports),
-        ):
-            for key, used in usage.items():
-                counts[key] = counts[key] + used if accumulate else max(counts[key], used)
-        _raise_to(bookkeeping, source_side_usage(dm, result.values))
-    return Design.priced(costs, tails, regens, ports, bookkeeping, statuses)
+        used = (part.tails, part.regens_reported, part.ports)
+        if accumulate:
+            used = owned = tuple(
+                {key: have.get(key, 0) + units for key, units in bought.items()}
+                for have, bought in zip(owned, used)
+            )
+        launches = {n: part.regens_raw[n] - units
+                    for n, units in part.regens_reported.items()}
+        usages.append((*used, launches))
+    return _covering(topology, costs, usages, statuses)
 
 
 def design_simple(
@@ -225,6 +221,32 @@ class LegacyLink:
         return not self.path
 
 
+def legacy_plan(topology: Topology, fleet: Iterable[LegacyLink]) -> OperationPlan:
+    """The owned legacy fleet as a no-failure plan (same-pair purchases merged).
+
+    A plan's chains and span paths run from ``home(a)``; a link walked from
+    ``home(b)`` has its spans and regens written in reverse.
+    """
+    caps: dict[tuple[str, str], int] = defaultdict(int)
+    chains: dict[tuple[str, str], tuple[tuple[str, ...], ...]] = defaultdict(tuple)
+    paths: dict[tuple[str, str], tuple[tuple[SpanKey, ...], ...]] = defaultdict(tuple)
+    for link in fleet:
+        key = (link.a, link.b)
+        caps[key] += link.units
+        if not link.intra:
+            step = 1 if link.path[0] == topology.home(link.a) else -1
+            chains[key] += (link.regens[::step],) * link.units
+            paths[key] += (link.spans[::step],) * link.units
+    return OperationPlan(
+        topology=topology,
+        scenario=FailureScenario.no_failure(),
+        link_caps={**caps, **{(b, a): units for (a, b), units in caps.items()}},
+        flows={},
+        regen_chains=dict(chains),
+        span_paths=dict(paths),
+    )
+
+
 def _farthest_reach_regens(
     topology: Topology, walk: Sequence[str]
 ) -> tuple[str, ...] | None:
@@ -261,26 +283,19 @@ def design_legacy(
 
     Scenario by scenario, links are bought on the shortest surviving fiber
     route with regens attached by farthest reach; a bought link survives a
-    later failure only if its endpoints are alive and its recorded route
-    avoids the cut.  Each step solves a small model choosing the cheapest
-    set of new links that, together with the surviving ones, routes all
-    demands.  Equipment of a down link is stranded, never repurposed.
+    later failure by the rule transient rating applies
+    (``operation.surviving_link_caps``): its endpoints are alive and its
+    recorded route avoids the cut.  Each step solves a small model choosing
+    the cheapest set of new links that, together with the surviving ones,
+    routes all demands.  Equipment of a down link is stranded, never
+    repurposed, and the fleet needs no launch hops (raw equals reported).
     """
     scens = _scenario_list(topology, scenarios)
     owned: list[LegacyLink] = []
     statuses: list[str] = []
     for scen in scens:
-        dead = dead_routers(topology, scen)
         alive = alive_routers(topology, scen)
-        cut = scen.target if scen.kind == "span" else None
-
-        surviving: dict[tuple[str, str], int] = defaultdict(int)
-        for link in owned:
-            if link.a in dead or link.b in dead:
-                continue
-            if cut is not None and cut in link.spans:
-                continue
-            surviving[(link.a, link.b)] += link.units
+        surviving = surviving_link_caps(topology, legacy_plan(topology, owned), scen)
 
         candidates: dict[tuple[str, str], tuple[float, LegacyLink]] = {}
         walks: dict[tuple[str, str], tuple[str, ...] | None] = {}  # per pair of nodes
@@ -308,9 +323,12 @@ def design_legacy(
         buy_vars: dict[tuple[str, str], str] = {}
         for key in sorted(candidates):
             buy_vars[key] = m.add_variable(f"buy_{key[0]}_{key[1]}", integer=True)
-        # Each direction of a link fits its surviving units plus those bought.
+        # Each direction of a link fits its surviving units plus those bought
+        # (``surviving`` holds both directions, ``candidates`` the sorted one).
         arcs: dict[tuple[str, str], tuple[str | None, float]] = {}
         for u, v in sorted(set(surviving) | set(candidates)):
+            if u > v:
+                continue
             capacity = (buy_vars.get((u, v)), float(surviving.get((u, v), 0)))
             arcs[(u, v)] = arcs[(v, u)] = capacity
         add_routing(m, "f0", arcs, alive, demands)
@@ -329,16 +347,6 @@ def design_legacy(
                                proto.regens, proto.spans)
                 )
 
-    tails = {r.id: 0 for r in topology.routers}
-    regens = {n: 0 for n in topology.all_nodes}
-    ports = {r.id: 0 for r in topology.routers}
-    for link in owned:
-        if link.intra:
-            ports[link.a] += link.units
-            ports[link.b] += link.units
-        else:
-            tails[link.a] += link.units
-            tails[link.b] += link.units
-            for node in link.regens:
-                regens[node] += link.units
-    return Design.priced(costs, tails, regens, ports, {}, statuses), tuple(owned)
+    tails, regens, ports, _ = legacy_plan(topology, owned).usage()
+    design = _covering(topology, costs, [(tails, regens, ports, {})], statuses)
+    return design, tuple(owned)

@@ -17,13 +17,13 @@ import argparse
 import math
 import sys
 import time
-from collections import defaultdict
 
 from .algorithms import (
     design_greedy,
     design_legacy,
     design_optimal,
     design_simple,
+    legacy_plan,
 )
 from .design import Design, InfeasibleDesignError, NoIncumbentError
 from .io import (
@@ -53,34 +53,6 @@ EXIT_INFEASIBLE = 3
 EXIT_NO_INCUMBENT = 4
 
 
-def _legacy_links(topology: Topology, fleet) -> tuple[LinkRecord, ...]:
-    """The owned legacy fleet as link records (same-pair purchases merged).
-
-    A record's chains and span paths run from ``home(a)``; a link walked from
-    ``home(b)`` has its spans and regens written in reverse.
-    """
-    units: dict[tuple[str, str], int] = defaultdict(int)
-    chains: dict[tuple[str, str], list[tuple[str, ...]]] = defaultdict(list)
-    paths: dict[tuple[str, str], list[tuple]] = defaultdict(list)
-    for link in fleet:
-        key = (link.a, link.b)
-        units[key] += link.units
-        if not link.intra:
-            step = 1 if link.path[0] == topology.home(link.a) else -1
-            chains[key].extend([link.regens[::step]] * link.units)
-            paths[key].extend([link.spans[::step]] * link.units)
-    return tuple(
-        LinkRecord(
-            a=a,
-            b=b,
-            units=units[(a, b)],
-            regen_chains=tuple(chains.get((a, b), ())),
-            span_paths=tuple(paths.get((a, b), ())),
-        )
-        for a, b in sorted(units)
-    )
-
-
 def _run_algorithm(
     name: str,
     topology: Topology,
@@ -97,18 +69,14 @@ def _run_algorithm(
     nf = FailureScenario.no_failure()
     if name == "optimal":
         design, plans = design_optimal(topology, demands, costs, time_limit)
-        return design, {s.label(): plan_links(p) for s, p in plans.items()}
-    if name == "simple":
-        design = design_simple(topology, demands, costs, time_limit)
-    elif name == "greedy":
-        design = design_greedy(topology, demands, costs, time_limit)
     elif name == "legacy":
         design, fleet = design_legacy(topology, demands, costs, time_limit)
-        return design, {nf.label(): _legacy_links(topology, fleet)}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown algorithm {name!r}")
-    plan = operate(topology, demands, design, nf, time_limit)
-    return design, {nf.label(): plan_links(plan)}
+        plans = {nf: legacy_plan(topology, fleet)}
+    else:
+        heuristic = {"simple": design_simple, "greedy": design_greedy}[name]
+        design = heuristic(topology, demands, costs, time_limit)
+        plans = {nf: operate(topology, demands, design, nf, time_limit)}
+    return design, {scen.label(): plan_links(plan) for scen, plan in plans.items()}
 
 
 def _cmd_design(args: argparse.Namespace) -> int:

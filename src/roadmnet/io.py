@@ -46,11 +46,13 @@ class InputFormatError(ValueError):
 
 def _read_json(path: str) -> Any:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError covers malformed JSON and bytes that are not UTF-8;
+    # RecursionError, arrays or objects nested too deep to parse.
+    except (ValueError, RecursionError) as exc:
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -100,12 +102,16 @@ def _as_str(value: Any, where: str) -> str:
 def _as_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputFormatError(f"{where}: expected a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputFormatError(f"{where}: number out of range") from None
 
 
 def _as_int(value: Any, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputFormatError(f"{where}: expected an integer")
+    _as_number(value, where)  # the solver takes every count as a float
     return value
 
 

@@ -70,39 +70,25 @@ class OperationPlan:
     def is_intra(self, a: str, b: str) -> bool:
         return self.topology.home(a) == self.topology.home(b)
 
-    def tail_usage(self) -> dict[str, int]:
-        """Tails consumed per router (one per unit per endpoint)."""
-        out: dict[str, int] = defaultdict(int)
-        for a, b, units in self.canonical_links():
-            if not self.is_intra(a, b):
-                out[a] += units
-                out[b] += units
-        return dict(out)
-
-    def port_usage(self) -> dict[str, int]:
-        out: dict[str, int] = defaultdict(int)
+    def usage(self) -> tuple[dict[str, int], ...]:
+        """(tails, regens, ports, launches) used, as ``Design.priced`` takes them:
+        tails and ports per router, one a unit at each end of an external or
+        intra-node link; physical regens per node across all chains; and launch
+        hops per source node, which need no physical regen."""
+        tails, regens, ports, launches = (defaultdict(int) for _ in range(4))
         for a, b, units in self.canonical_links():
             if self.is_intra(a, b):
-                out[a] += units
-                out[b] += units
-        return dict(out)
-
-    def regen_usage(self) -> dict[str, int]:
-        """Physical regens consumed per node across all chains."""
-        out: dict[str, int] = defaultdict(int)
+                ports[a] += units
+                ports[b] += units
+            else:
+                tails[a] += units
+                tails[b] += units
+                launches[self.topology.home(a)] += units
         for chains in self.regen_chains.values():
             for chain in chains:
                 for node in chain:
-                    out[node] += 1
-        return dict(out)
-
-    def bookkeeping_usage(self) -> dict[str, int]:
-        """Source-side launch hops per node (no physical regen needed)."""
-        out: dict[str, int] = defaultdict(int)
-        for a, b, units in self.canonical_links():
-            if not self.is_intra(a, b):
-                out[self.topology.home(a)] += units
-        return dict(out)
+                    regens[node] += 1
+        return dict(tails), dict(regens), dict(ports), dict(launches)
 
 
 @dataclass(frozen=True)

@@ -136,10 +136,11 @@ def check_plan_within_design(
     for (a, b), units in plan.link_caps.items():
         if plan.link_caps.get((b, a)) != units:
             violations.append(f"asymmetric capacity on {a}-{b}")
+    tails, regens, ports, _ = plan.usage()
     for holder, unit, usage, budget in (
-        ("router", "tails", plan.tail_usage(), design.tails),
-        ("router", "ports", plan.port_usage(), design.ports),
-        ("node", "regens", plan.regen_usage(), design.regens_reported),
+        ("router", "tails", tails, design.tails),
+        ("router", "ports", ports, design.ports),
+        ("node", "regens", regens, design.regens_reported),
     ):
         for key, used in usage.items():
             if used > budget.get(key, 0):

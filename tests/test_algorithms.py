@@ -1,15 +1,21 @@
 from __future__ import annotations
 
 import hashlib
+from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadmnet import algorithms
 from roadmnet import (
+    Design,
     FailureScenario,
     InfeasibleDesignError,
     NoIncumbentError,
+    PriorPlacement,
     Topology,
+    build_design_model,
     check_flow_conservation,
     check_plan_within_design,
     design_greedy,
@@ -17,9 +23,12 @@ from roadmnet import (
     design_optimal,
     design_simple,
     enumerate_failures,
+    extract_design,
 )
+from roadmnet.design import source_side_usage
+from roadmnet.milp import solve
 
-from instances import grid_network, toy_network
+from instances import MICRO_SEEDS, grid_network, micro_instance, toy_network
 
 NF = FailureScenario.no_failure()
 
@@ -196,3 +205,117 @@ def test_legacy_finds_each_walk_once_per_failure_state(monkeypatch):
     # The design and fleet one shortest_path call per router pair gave.
     digest = hashlib.sha256(repr(result).encode()).hexdigest()
     assert digest == "402f3612434a90c15b69fbf2e645ca42e8b6b28ef55ad0827ca5a05aa3a11b7c"
+
+
+# ---------------------------------------------------------------------------
+# Cost roll-ups, recomputed from public calls
+# ---------------------------------------------------------------------------
+
+
+def _zero_counts(topology):
+    """Zeroed tails, regens, ports and launch hops, as a Design writes them."""
+    routers = [r.id for r in topology.routers]
+    nodes = list(topology.all_nodes)
+    return (dict.fromkeys(routers, 0), dict.fromkeys(nodes, 0),
+            dict.fromkeys(routers, 0), dict.fromkeys(nodes, 0))
+
+
+def _raise_counts(counts, usage):
+    for key, used in usage.items():
+        counts[key] = max(counts[key], used)
+
+
+def _per_state_rollup(topology, demands, costs, *, accumulate):
+    """Simple: the per-site max of one-state answers.  Greedy: the sum of
+    purchases, each state solved with everything bought so far as a prior.
+    Launch hops are the per-node max of ``source_side_usage`` either way."""
+    tails, regens, ports, launches = _zero_counts(topology)
+    statuses = []
+    for scen in enumerate_failures(topology):
+        prior = PriorPlacement(dict(tails), dict(regens), dict(ports)) if accumulate else None
+        dm = build_design_model(topology, demands, [scen], costs, prior)
+        result = solve(dm.model)
+        part = extract_design(dm, result)
+        statuses.append(result.status)
+        for counts, bought in ((tails, part.tails), (regens, part.regens_reported),
+                               (ports, part.ports)):
+            for key, units in bought.items():
+                counts[key] = counts[key] + units if accumulate else max(counts[key], units)
+        _raise_counts(launches, source_side_usage(dm, result.values))
+    return Design.priced(costs, tails, regens, ports, launches, statuses)
+
+
+def _plans_rollup(topology, costs, plans, status):
+    """The per-site max of what each plan's links and regen chains use."""
+    tails, regens, ports, launches = _zero_counts(topology)
+    for plan in plans.values():
+        used = [defaultdict(int) for _ in range(4)]
+        for (a, b), units in plan.link_caps.items():
+            if a > b:
+                continue
+            if topology.home(a) == topology.home(b):
+                used[2][a] += units
+                used[2][b] += units
+            else:
+                used[0][a] += units
+                used[0][b] += units
+                used[3][topology.home(a)] += units
+        for chains in plan.regen_chains.values():
+            for chain in chains:
+                for node in chain:
+                    used[1][node] += 1
+        for counts, usage in zip((tails, regens, ports, launches), used):
+            _raise_counts(counts, usage)
+    return Design.priced(costs, tails, regens, ports, launches, [status])
+
+
+def _fleet_rollup(topology, costs, fleet, status):
+    """Every bought legacy link's tails or ports and regens, no launch hops."""
+    tails, regens, ports, _ = _zero_counts(topology)
+    for link in fleet:
+        ends = ports if link.intra else tails
+        ends[link.a] += link.units
+        ends[link.b] += link.units
+        for node in link.regens:
+            regens[node] += link.units
+    return Design.priced(costs, tails, regens, ports, {}, [status])
+
+
+def _assert_rollups(topology, demands, costs):
+    """Each algorithm's Design equals its roll-up recomputed here (an
+    algorithm that finds no design is skipped)."""
+    answered = 0
+    try:
+        design, plans = design_optimal(topology, demands, costs)
+    except InfeasibleDesignError:
+        pass
+    else:
+        answered += 1
+        assert design == _plans_rollup(topology, costs, plans, design.solve_status)
+    for accumulate, algorithm in ((False, design_simple), (True, design_greedy)):
+        try:
+            design = algorithm(topology, demands, costs)
+        except InfeasibleDesignError:
+            continue
+        answered += 1
+        assert design == _per_state_rollup(topology, demands, costs,
+                                           accumulate=accumulate)
+    try:
+        design, fleet = design_legacy(topology, demands, costs)
+    except InfeasibleDesignError:
+        pass
+    else:
+        answered += 1
+        assert design == _fleet_rollup(topology, costs, fleet, design.solve_status)
+    return answered
+
+
+class TestRollupDifferential:
+    @pytest.mark.parametrize("inputs", ["toy_inputs", "grid_inputs"])
+    def test_fixtures(self, inputs, request):
+        assert _assert_rollups(*request.getfixturevalue(inputs)) == 4
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(min_value=max(MICRO_SEEDS) + 1, max_value=2**32))
+    def test_random_networks(self, seed):
+        _assert_rollups(*micro_instance(seed))

@@ -681,6 +681,54 @@ class TestExitCodes:
             "transient", fixture_path("toy2x5"), "--design", "/no/doc.json",
         ]) == 2
 
+    @pytest.mark.parametrize("content", [
+        b"\x7fELF\x02\x01\x01\x00" + bytes(range(256)),
+        b"\xff\xfe{}",
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["binary", "utf16-bom", "deep-nesting"])
+    def test_unreadable_json_is_an_input_error(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["design", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} is not valid JSON: ")
+        assert err.count("\n") == 1
+        assert main(["transient", fixture_path("toy2x5"), "--design", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad} is not valid JSON: ")
+
+    @pytest.mark.parametrize("section, key", [("spans", "miles"), ("demands", "units")])
+    def test_number_out_of_range_in_input(self, tmp_path, capsys, section, key):
+        doc = _toy_input()
+        doc[section][0][key] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["design", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {section}[0].{key}: number out of range\n"
+        )
+
+    @pytest.mark.parametrize("field", ["costs.total_raw", "intra-node units"])
+    def test_number_out_of_range_in_design_document(self, tmp_path, capsys, field):
+        doc = tmp_path / "design.json"
+        assert main([
+            "design", fixture_path("toy2x5"), "--algorithm", "greedy",
+            "--out", str(doc),
+        ]) == 0
+        payload = json.loads(doc.read_text())
+        if field == "costs.total_raw":
+            payload["costs"]["total_raw"] = 10**400
+        else:
+            # An intra-node link carries no chains to count its units against.
+            field = "scenarios[0].links[1].units"
+            payload["scenarios"][0]["links"].append({
+                "a": "R1", "b": "R2", "units": 10**400,
+                "regen_chains": [], "span_paths": [],
+            })
+        doc.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["transient", fixture_path("toy2x5"), "--design", str(doc)]) == 2
+        assert capsys.readouterr().err == f"error: {field}: number out of range\n"
+
     def test_unparsable_arguments(self, capsys):
         assert main([]) == 2
         assert main(["design"]) == 2

@@ -45,10 +45,11 @@ class TestPlans:
 
     def test_usage_accounting(self, nf_plan):
         (a, b, _), = nf_plan.canonical_links()
-        assert nf_plan.tail_usage() == {a: 1, b: 1}
-        assert nf_plan.port_usage() == {}
-        assert nf_plan.regen_usage() == {"O2": 1}
-        assert nf_plan.bookkeeping_usage() == {"N1": 1}
+        tails, regens, ports, launches = nf_plan.usage()
+        assert tails == {a: 1, b: 1}
+        assert ports == {}
+        assert regens == {"O2": 1}
+        assert launches == {"N1": 1}
 
     def test_cut_forces_bottom_route(self, toy_optimal):
         _, plans = toy_optimal

@@ -574,6 +574,31 @@ class TestCheckers:
         problems = check_plan_within_design(chainless, design, demands)
         assert any("chains" in p for p in problems)
 
+    def test_within_design_budget_messages(self, grid_inputs, grid_optimal):
+        # Every count zeroed, and one intra-node link added so that ports
+        # are used too: tails, then ports, then regens, each in plan order.
+        _, demands, _ = grid_inputs
+        design, plans = grid_optimal
+        plan = plans[NF]
+        plan = dataclasses.replace(
+            plan, link_caps={**plan.link_caps, ("a1", "a2"): 2, ("a2", "a1"): 2}
+        )
+        empty = dataclasses.replace(
+            design,
+            tails=dict.fromkeys(design.tails, 0),
+            ports=dict.fromkeys(design.ports, 0),
+            regens_reported=dict.fromkeys(design.regens_reported, 0),
+        )
+        assert check_plan_within_design(plan, empty, demands) == [
+            "router a1 uses 1 tails of 0",
+            "router d2 uses 1 tails of 0",
+            "router a1 uses 2 ports of 0",
+            "router a2 uses 2 ports of 0",
+            "node n10 uses 1 regens of 0",
+            "node n11 uses 1 regens of 0",
+            "node n21 uses 1 regens of 0",
+        ]
+
 
 class TestEnumeration:
     def test_refuses_continuous(self):
