@@ -26,7 +26,6 @@ from .io import (
     DESIGN_FORMAT,
     DesignDocument,
     InputFormatError,
-    LinkRecord,
     load_design,
     load_inputs,
     parse_scenario_label,
@@ -42,6 +41,7 @@ from .milp import (
     validate_solution,
 )
 from .operation import (
+    LinkRecord,
     OperationPlan,
     TransientReport,
     evaluate_transient,

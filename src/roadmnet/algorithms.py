@@ -26,7 +26,6 @@ once per failure state it covers.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -41,7 +40,7 @@ from .design import (
     iround,
 )
 from .milp import LinearModel, solve
-from .operation import OperationPlan, operate, surviving_link_caps
+from .operation import LinkRecord, OperationPlan, operate, surviving_link_caps
 from .topology import (
     REACH_EPS,
     CostModel,
@@ -227,23 +226,18 @@ def legacy_plan(topology: Topology, fleet: Iterable[LegacyLink]) -> OperationPla
     A plan's chains and span paths run from ``home(a)``; a link walked from
     ``home(b)`` has its spans and regens written in reverse.
     """
-    caps: dict[tuple[str, str], int] = defaultdict(int)
-    chains: dict[tuple[str, str], tuple[tuple[str, ...], ...]] = defaultdict(tuple)
-    paths: dict[tuple[str, str], tuple[tuple[SpanKey, ...], ...]] = defaultdict(tuple)
+    records: dict[tuple[str, str], LinkRecord] = {}
     for link in fleet:
-        key = (link.a, link.b)
-        caps[key] += link.units
-        if not link.intra:
-            step = 1 if link.path[0] == topology.home(link.a) else -1
-            chains[key] += (link.regens[::step],) * link.units
-            paths[key] += (link.spans[::step],) * link.units
-    return OperationPlan(
-        topology=topology,
-        scenario=FailureScenario.no_failure(),
-        link_caps={**caps, **{(b, a): units for (a, b), units in caps.items()}},
-        flows={},
-        regen_chains=dict(chains),
-        span_paths=dict(paths),
+        old = records.get((link.a, link.b), LinkRecord(link.a, link.b, 0, (), ()))
+        optics = 0 if link.intra else link.units
+        step = 1 if link.intra or link.path[0] == topology.home(link.a) else -1
+        records[(link.a, link.b)] = LinkRecord(
+            link.a, link.b, old.units + link.units,
+            old.regen_chains + (link.regens[::step],) * optics,
+            old.span_paths + (link.spans[::step],) * optics,
+        )
+    return OperationPlan.from_links(
+        topology, FailureScenario.no_failure(), records.values(), {}
     )
 
 

@@ -8,7 +8,9 @@ Three subcommands:
 
 Exit codes: 0 success, 2 bad input or arguments, 3 the instance cannot be
 made survivable, 4 the solver gave no answer: it ran out of its time budget,
-or HiGHS failed on an LP relaxation ("solver failed: ...").
+or HiGHS failed on an LP relaxation ("solver failed: ...").  ``compare``
+prints a row for every algorithm first and exits 4 if any gave no answer,
+else 3 if any found the instance infeasible.
 """
 
 from __future__ import annotations
@@ -28,14 +30,13 @@ from .algorithms import (
 from .design import Design, InfeasibleDesignError, NoIncumbentError
 from .io import (
     InputFormatError,
-    LinkRecord,
     load_design,
     load_inputs,
     plan_links,
     save_design,
 )
 from .milp import SolverError
-from .operation import operate, transient_reports, write_transient_csv
+from .operation import LinkRecord, operate, transient_reports, write_transient_csv
 from .topology import (
     CostModel,
     DemandMatrix,
@@ -115,18 +116,24 @@ def _cmd_transient(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    """A row per algorithm, also for one that ran out of time or whose solver
-    failed (exit 4 after the table, with one line on stderr)."""
+    """A row per algorithm, also for one that found the network infeasible,
+    ran out of time or whose solver failed; after the table one line on
+    stderr names each, and the exit is 4 if any gave no answer, else 3 if
+    any was infeasible."""
     topology, demands, costs = load_inputs(args.input)
-    rows, unanswered = [], []
+    rows, failed = [], []
     for name in ALGORITHMS:
         start = time.perf_counter()
         try:
             design, _ = _run_algorithm(name, topology, demands, costs, args.time_limit)
-        except (NoIncumbentError, SolverError) as exc:
-            why = "solver failed" if isinstance(exc, SolverError) else "no answer within budget"
-            unanswered.append(f"{why}: {name} ({exc})")
-            rows.append((name, "no answer"))
+        except (InfeasibleDesignError, NoIncumbentError, SolverError) as exc:
+            if isinstance(exc, InfeasibleDesignError):
+                why, status = "infeasible", "infeasible"
+            else:
+                why = "solver failed" if isinstance(exc, SolverError) else "no answer within budget"
+                status = "no answer"
+            failed.append(f"{why}: {name} ({exc})")
+            rows.append((name, status))
             continue
         elapsed = time.perf_counter() - start
         rows.append(
@@ -142,6 +149,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         )
     header = ("algorithm", "status", "cost", "tails", "regens", "ports", "seconds")
     widths = [max(len(header[i]), 9) for i in range(len(header))]
+    widths[1] = max(widths[1], *(len(status) for _, status, *_ in rows))
     fmt = "  ".join(f"{{:<{w}}}" if i < 2 else f"{{:>{w}}}"
                     for i, w in enumerate(widths))
     print(fmt.format(*header))
@@ -156,15 +164,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             for name, status, *numbers in rows:
                 writer.writerow([name, status, *_compare_cells(numbers, ".3f", "")])
         print(f"saved: {args.csv}")
-    if unanswered:
-        print("; ".join(unanswered), file=sys.stderr)
+    if failed:
+        print("; ".join(failed), file=sys.stderr)
+    statuses = {status for _, status, *_ in rows}
+    if "no answer" in statuses:
         return EXIT_NO_INCUMBENT
-    return EXIT_OK
+    return EXIT_INFEASIBLE if "infeasible" in statuses else EXIT_OK
 
 
 def _compare_cells(numbers: list, seconds: str, missing: str) -> list:
     """A compare row's cost, tails, regens, ports and seconds as printed, or
-    ``missing`` in each for an algorithm with no answer."""
+    ``missing`` in each for an algorithm with no design."""
     if not numbers:
         return [missing] * 5
     cost, tails, regens, ports, secs = numbers

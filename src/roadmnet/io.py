@@ -15,7 +15,7 @@ from functools import partial
 from typing import Any, Callable, Iterator, Mapping
 
 from .design import Design
-from .operation import OperationPlan
+from .operation import LinkRecord, OperationPlan
 from .topology import (
     CostModel,
     DemandMatrix,
@@ -189,17 +189,6 @@ def load_inputs(path: str) -> tuple[Topology, DemandMatrix, CostModel]:
 
 
 @dataclass(frozen=True)
-class LinkRecord:
-    """One provisioned link: endpoints, units, and per-unit optical detail."""
-
-    a: str
-    b: str
-    units: int
-    regen_chains: tuple[tuple[str, ...], ...]
-    span_paths: tuple[tuple[SpanKey, ...], ...]
-
-
-@dataclass(frozen=True)
 class DesignDocument:
     """A saved design plus its per-scenario link assignments."""
 
@@ -213,9 +202,7 @@ class DesignDocument:
         if label not in self.links:
             raise InputFormatError(f"design document has no scenario {label!r}")
         scenario = parse_scenario_label(topology, label)
-        link_caps: dict[tuple[str, str], int] = {}
-        chains: dict[tuple[str, str], tuple[tuple[str, ...], ...]] = {}
-        paths: dict[tuple[str, str], tuple[tuple[SpanKey, ...], ...]] = {}
+        seen: set[tuple[str, str]] = set()
         for rec in self.links[label]:
             for rid in (rec.a, rec.b):
                 if rid not in topology.router_by_id:
@@ -237,8 +224,9 @@ class DesignDocument:
                 raise InputFormatError(f"{link}: endpoints must be in sorted order")
             if rec.units < 1:
                 raise InputFormatError(f"{link}: needs at least one unit")
-            if (rec.a, rec.b) in link_caps:
+            if (rec.a, rec.b) in seen:
                 raise InputFormatError(f"{link}: listed twice in {label}")
+            seen.add((rec.a, rec.b))
             external = topology.home(rec.a) != topology.home(rec.b)
             optics = rec.units if external else 0
             if len(rec.regen_chains) != optics or len(rec.span_paths) != optics:
@@ -261,19 +249,7 @@ class DesignDocument:
                 if not all(site in on_path for site in chain):
                     raise InputFormatError(f"{link}: regen chain {list(chain)} "
                                            "does not lie on its span path in order")
-            link_caps[(rec.a, rec.b)] = rec.units
-            link_caps[(rec.b, rec.a)] = rec.units
-            if external:
-                chains[(rec.a, rec.b)] = rec.regen_chains
-                paths[(rec.a, rec.b)] = rec.span_paths
-        return OperationPlan(
-            topology=topology,
-            scenario=scenario,
-            link_caps=link_caps,
-            flows={},
-            regen_chains=chains,
-            span_paths=paths,
-        )
+        return OperationPlan.from_links(topology, scenario, self.links[label], {})
 
 
 def parse_scenario_label(topology: Topology, label: str) -> FailureScenario:
@@ -297,19 +273,13 @@ def parse_scenario_label(topology: Topology, label: str) -> FailureScenario:
 
 
 def plan_links(plan: OperationPlan) -> tuple[LinkRecord, ...]:
-    """LinkRecords for a plan's provisioned links, canonically ordered."""
-    out = []
-    for a, b, units in plan.canonical_links():
-        out.append(
-            LinkRecord(
-                a=a,
-                b=b,
-                units=units,
-                regen_chains=plan.regen_chains.get((a, b), ()),
-                span_paths=plan.span_paths.get((a, b), ()),
-            )
-        )
-    return tuple(out)
+    """LinkRecords for a plan's provisioned links, canonically ordered: the
+    inverse of ``OperationPlan.from_links``."""
+    return tuple(
+        LinkRecord(a, b, units, plan.regen_chains.get((a, b), ()),
+                   plan.span_paths.get((a, b), ()))
+        for a, b, units in plan.canonical_links()
+    )
 
 
 def design_payload(

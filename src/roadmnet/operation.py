@@ -41,6 +41,17 @@ from .topology import (
 
 
 @dataclass(frozen=True)
+class LinkRecord:
+    """One provisioned link: endpoints, units, and per-unit optical detail."""
+
+    a: str
+    b: str
+    units: int
+    regen_chains: tuple[tuple[str, ...], ...]
+    span_paths: tuple[tuple[SpanKey, ...], ...]
+
+
+@dataclass(frozen=True)
 class OperationPlan:
     """One failure state's link, regen and routing assignment.
 
@@ -58,6 +69,25 @@ class OperationPlan:
     flows: dict[tuple[str, str, str, str], float]
     regen_chains: dict[tuple[str, str], tuple[tuple[str, ...], ...]]
     span_paths: dict[tuple[str, str], tuple[tuple[SpanKey, ...], ...]]
+
+    @classmethod
+    def from_links(
+        cls,
+        topology: Topology,
+        scenario: FailureScenario,
+        links: Iterable[LinkRecord],
+        flows: Mapping[tuple[str, str, str, str], float],
+    ) -> OperationPlan:
+        """The plan of canonical link records (a < b, one per pair): each
+        record's units in both orientations, and an external link's regen
+        chains and span paths under (a, b)."""
+        plan = cls(topology, scenario, {}, dict(flows), {}, {})
+        for rec in links:
+            plan.link_caps[(rec.a, rec.b)] = plan.link_caps[(rec.b, rec.a)] = rec.units
+            if not plan.is_intra(rec.a, rec.b):
+                plan.regen_chains[(rec.a, rec.b)] = rec.regen_chains
+                plan.span_paths[(rec.a, rec.b)] = rec.span_paths
+        return plan
 
     def canonical_links(self) -> list[tuple[str, str, int]]:
         """(a, b, units) per unordered pair with capacity, a < b."""
@@ -142,7 +172,7 @@ def expand_link_path(
 
 def _unit_chains(
     hop_counts: Mapping[tuple[str, str], int], src: str, dst: str, units: int
-) -> list[tuple[str, ...]]:
+) -> tuple[tuple[str, ...], ...]:
     """Split integer hop counts into per-unit relay node sequences.
 
     Walks from the source following the lexicographically smallest available
@@ -170,7 +200,7 @@ def _unit_chains(
             cur = nxt
             steps += 1
         chains.append(tuple(path[:-1]))  # drop the destination node
-    return chains
+    return tuple(chains)
 
 
 def extract_plan(dm: DesignModel, values: Mapping[str, float], fi: int) -> OperationPlan:
@@ -182,12 +212,6 @@ def extract_plan(dm: DesignModel, values: Mapping[str, float], fi: int) -> Opera
     def units_of(name: str) -> int:
         return iround(values.get(name, 0.0), name)
 
-    link_caps: dict[tuple[str, str], int] = {}
-    for ab, name in (*blk.caps.items(), *blk.intra.items()):
-        units = units_of(name)
-        if units:
-            link_caps[ab] = units
-
     flows: dict[tuple[str, str, str, str], float] = {}
     for (s, t), fvars in blk.flows.items():
         for (a, b), name in fvars.items():
@@ -195,26 +219,21 @@ def extract_plan(dm: DesignModel, values: Mapping[str, float], fi: int) -> Opera
             if v > 1e-9:
                 flows[(s, t, a, b)] = v
 
-    regen_chains: dict[tuple[str, str], tuple[tuple[str, ...], ...]] = {}
-    span_paths: dict[tuple[str, str], tuple[tuple[SpanKey, ...], ...]] = {}
-    for (a, b), hops in blk.hops.items():
-        units = link_caps.get((a, b), 0)
+    # The sym_* rows make each reverse column equal to its canonical one.
+    links = []
+    for (a, b), name in (*blk.caps.items(), *blk.intra.items()):
+        units = units_of(name) if a < b else 0
         if not units:
             continue
-        hop_counts = {uv: units_of(name) for uv, name in hops.items()}
-        chains = _unit_chains(hop_counts, topology.home(a), topology.home(b), units)
-        regen_chains[(a, b)] = tuple(chains)
-        span_paths[(a, b)] = tuple(
-            expand_link_path(topology, scenario, (a, b), chain) for chain in chains
-        )
-    return OperationPlan(
-        topology=topology,
-        scenario=scenario,
-        link_caps=link_caps,
-        flows=flows,
-        regen_chains=regen_chains,
-        span_paths=span_paths,
-    )
+        chains = paths = ()
+        if (a, b) in blk.hops:  # an external link
+            hop_counts = {uv: units_of(h) for uv, h in blk.hops[(a, b)].items()}
+            chains = _unit_chains(hop_counts, topology.home(a), topology.home(b), units)
+            paths = tuple(
+                expand_link_path(topology, scenario, (a, b), chain) for chain in chains
+            )
+        links.append(LinkRecord(a, b, units, chains, paths))
+    return OperationPlan.from_links(topology, scenario, links, flows)
 
 
 def operate(

@@ -367,6 +367,48 @@ def test_intra_node_record_without_optics_accepted(tmp_path, toy_inputs,
     assert ("R1", "R2") not in plan.regen_chains
 
 
+def test_transient_rates_an_intra_node_link(tmp_path, toy_inputs, toy_document):
+    # A port link between R1 and R2 rides no fiber: every span cut leaves it
+    # whole, and it is gone when either of its routers is.
+    topology, demands, _ = toy_inputs
+    doc = json.loads(json.dumps(toy_document))
+    _intra(_no_failure_links(doc))
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(doc))
+    plan = load_design(str(path)).plan(topology)
+    scenarios = enumerate_failures(topology)
+    reports = operation.transient_reports(topology, demands, plan, scenarios)
+    for scen, report in zip(scenarios, reports):
+        caps = report.surviving_caps
+        if scen.kind == "router" and scen.target in ("R1", "R2"):
+            assert ("R1", "R2") not in caps and ("R2", "R1") not in caps, scen
+        else:
+            assert caps[("R1", "R2")] == caps[("R2", "R1")] == 1, scen
+    assert {scen.kind for scen in scenarios} == {"none", "span", "router"}
+
+
+def test_transient_needs_a_no_failure_entry(tmp_path, capsys, toy_document):
+    doc = json.loads(json.dumps(toy_document))
+    doc["scenarios"] = [s for s in doc["scenarios"] if s["scenario"] != "no-failure"]
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(doc))
+    assert main(["transient", fixture_path("toy2x5"), "--design", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: design document has no scenario 'no-failure'\n"
+    )
+
+
+def test_transient_rejects_an_unknown_span(tmp_path, capsys, toy_document):
+    doc = json.loads(json.dumps(toy_document))
+    _no_failure_links(doc)[0]["span_paths"][0][1] = ["O1", "O9"]
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(doc))
+    assert main(["transient", fixture_path("toy2x5"), "--design", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: design document names unknown span O1-O9\n"
+    )
+
+
 def test_transient_rejects_swapped_endpoints(tmp_path, capsys, toy_document):
     # Read back under its canonical pair, a swapped record used to lose its
     # span paths and rate as delivering nothing, with exit code 0.
@@ -664,6 +706,57 @@ def test_cli_compare_reports_time_outs_and_solver_failures_on_one_line(capsys, m
     assert err == ("no answer within budget: optimal (time limit expired with no placement "
                    "found (joint model)); solver failed: simple (LP backend failed with "
                    "status 4); solver failed: legacy (LP backend failed with status 4)\n")
+
+
+def legacy_gap_input() -> dict:
+    """Two IP nodes that the other algorithms serve at cost 5 and legacy cannot.
+
+    Under span:A~O legacy builds only on the shortest surviving route, the
+    1100-mile A-B span, which no regen placement brings within reach 1000;
+    the reconfigurable algorithms route A-P-B with one regen at P.
+    """
+    spans = [("A", "B", 1100), ("A", "O", 400), ("O", "B", 400),
+             ("A", "P", 600), ("P", "B", 600)]
+    return {
+        "ip_nodes": ["A", "B"],
+        "optical_nodes": ["O", "P"],
+        "routers": [{"id": f"{n}{i}", "home": n} for n in "AB" for i in (1, 2)],
+        "spans": [{"u": u, "v": v, "miles": miles} for u, v, miles in spans],
+        "regen_dist": 1000,
+        "demands": [{"src": "A", "dst": "B", "units": 0.8},
+                    {"src": "B", "dst": "A", "units": 0.8}],
+    }
+
+
+def test_cli_compare_keeps_going_when_one_algorithm_is_infeasible(tmp_path, capsys):
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(legacy_gap_input()))
+    csv_path = tmp_path / "cmp.csv"
+    assert main(["compare", str(path), "--csv", str(csv_path)]) == 3
+    out, err = capsys.readouterr()
+    table = out.splitlines()[1:5]
+    assert [line.split()[:3] for line in table] == [
+        ["optimal", "optimal", "5"], ["simple", "optimal", "5"],
+        ["greedy", "optimal", "5"], ["legacy", "infeasible", "-"]]
+    rows = csv_path.read_text().splitlines()[1:]
+    assert rows[3] == "legacy,infeasible,,,,,"
+    assert err == "infeasible: legacy (no placement can serve span:A~O)\n"
+
+
+def test_cli_compare_no_answer_outranks_infeasible(tmp_path, capsys, monkeypatch):
+    def out_of_time(*args):
+        raise NoIncumbentError("time limit expired with no placement found (joint model)")
+
+    monkeypatch.setattr(cli, "design_optimal", out_of_time)
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(legacy_gap_input()))
+    assert main(["compare", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert [line.split()[1] for line in out.splitlines()[1:5]] == [
+        "no", "optimal", "optimal", "infeasible"]
+    assert err == ("no answer within budget: optimal (time limit expired with no "
+                   "placement found (joint model)); infeasible: legacy (no placement "
+                   "can serve span:A~O)\n")
 
 
 class TestExitCodes:

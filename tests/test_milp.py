@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import math
 import multiprocessing
@@ -800,6 +801,78 @@ class TestPairedSiblings:
             elapsed = time.monotonic() - start
             assert res.status in ("no_solution", "feasible")
             assert elapsed <= budget + 0.05, (budget, elapsed)
+
+
+# ---------------------------------------------------------------------------
+# A deadline after the first incumbent
+# ---------------------------------------------------------------------------
+
+# Random integer models on which a diving search finds an incumbent before it
+# can prove it optimal; every one is feasible.
+GAP_SEEDS = (22, 35, 40, 48, 89, 111, 166, 230, 303, 337, 364, 366, 383)
+
+
+def deadline_at_first_incumbent(monkeypatch) -> None:
+    """Let the solver's clock pass every deadline once a solve finds its
+    first integral LP solution, on one CPU."""
+    real_clock, real_branch = time.monotonic, milp._most_fractional
+    skew = [0.0]
+
+    def branch(x, int_idx):
+        found = real_branch(x, int_idx)
+        if found is None:
+            skew[0] = 1e6
+        return found
+
+    one_cpu(monkeypatch)
+    monkeypatch.setattr(milp, "_most_fractional", branch)
+    monkeypatch.setattr(milp.time, "monotonic", lambda: real_clock() + skew[0])
+
+
+class TestDeadlineAfterFirstIncumbent:
+    @pytest.mark.parametrize("seed", GAP_SEEDS)
+    def test_best_first_search_proves_its_first_incumbent(self, seed, monkeypatch):
+        # Every open node's bound is at least the popped one's, so once the
+        # first incumbent is found no node is left below it: the status is
+        # "optimal" even though the deadline has passed.
+        model = random_integer_model(seed)
+        exact = solve(model)
+        deadline_at_first_incumbent(monkeypatch)
+        res = solve(model, time_limit=100.0)
+        assert res.status == "optimal"
+        assert res.objective_value == res.best_bound == exact.objective_value
+
+    @pytest.mark.parametrize("seed", GAP_SEEDS)
+    def test_a_diving_search_reports_its_gap(self, seed, monkeypatch):
+        # Popping the newest node instead of the best one can find an
+        # incumbent while nodes below it are open; stopped there, the answer
+        # is gap-open, whether or not the incumbent happens to be optimal.
+        model = random_integer_model(seed)
+        exact = solve(model)
+        deadline_at_first_incumbent(monkeypatch)
+        monkeypatch.setattr(milp, "heappop", lambda heap: heap.pop())
+        res = solve(model, time_limit=100.0)
+        assert res.status == "feasible"
+        assert res.best_bound < res.objective_value
+        assert res.best_bound <= exact.objective_value <= res.objective_value
+        assert validate_solution(model, res.values) == []
+
+    def test_design_optimal_keeps_a_gap_open_joint_solve_feasible(self, toy_inputs,
+                                                                  monkeypatch):
+        calls = []
+
+        def gap_open_joint_solve(model, time_limit=None):
+            res = solve(model, time_limit)
+            calls.append(model)
+            if len(calls) > 1:
+                return res
+            return dataclasses.replace(res, status="feasible",
+                                       best_bound=res.objective_value - 1.0)
+
+        monkeypatch.setattr(algorithms, "solve", gap_open_joint_solve)
+        design, plans = algorithms.design_optimal(*toy_inputs, per_scenario_time_limit=60.0)
+        assert design.solve_status == "feasible"
+        assert len(calls) == 1 and len(plans) == len(enumerate_failures(toy_inputs[0]))
 
 
 # ---------------------------------------------------------------------------

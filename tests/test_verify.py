@@ -16,6 +16,7 @@ from roadmnet import (
     DemandMatrix,
     FailureScenario,
     InfeasibleDesignError,
+    OperationPlan,
     OracleError,
     OracleSearchSpaceError,
     Router,
@@ -41,7 +42,13 @@ from roadmnet.verify import (
     _simple_relay_paths,
 )
 
-from instances import MICRO_SEEDS, micro_instance, random_integer_model, toy_network
+from instances import (
+    MICRO_SEEDS,
+    grid_network,
+    micro_instance,
+    random_integer_model,
+    toy_network,
+)
 
 NF = FailureScenario.no_failure()
 
@@ -550,6 +557,28 @@ class TestCheckers:
             plan, flows={**plan.flows, (s, t, a, b): value + 0.5}
         )
         assert check_flow_conservation(tampered, demands) != []
+
+    def test_flow_conservation_transit_message(self):
+        # n01a relays n00->n02 traffic but passes on only 0.5 of the 0.8
+        # it takes in: it gains 0.3, and the destination is short by as much.
+        topology, _, _ = grid_network(1, 3, ((0, 0), (0, 1), (0, 2)))
+        demands = DemandMatrix(entries=(("n00", "n02", 0.8),))
+        flows = {("n00", "n02", "n00a", "n01a"): 0.8, ("n00", "n02", "n01a", "n02a"): 0.5}
+        plan = OperationPlan.from_links(topology, NF, (), flows)
+        assert check_flow_conservation(plan, demands) == [
+            "n00->n02: router n01a gains 0.3 units",
+            "n00->n02: destination receives 0.5 of 0.8 units",
+        ]
+
+    def test_within_design_overloaded_arc_message(self, toy_inputs, toy_optimal):
+        _, demands, _ = toy_inputs
+        design, plans = toy_optimal
+        plan = plans[NF]
+        assert plan.link_caps == {("R1", "R4"): 1, ("R4", "R1"): 1}
+        overloaded = dataclasses.replace(plan, flows={("N1", "N2", "R1", "R4"): 1.5})
+        assert check_plan_within_design(overloaded, design, demands) == [
+            "arc R1->R4 carries 1.5 over capacity 1",
+        ]
 
     def test_within_design_flags_shortfalls(self, toy_inputs, toy_optimal):
         _, demands, _ = toy_inputs
