@@ -241,12 +241,11 @@ def legacy_plan(topology: Topology, fleet: Iterable[LegacyLink]) -> OperationPla
     )
 
 
-def _farthest_reach_regens(
-    topology: Topology, walk: Sequence[str]
-) -> tuple[str, ...] | None:
+def _farthest_reach_regens(topology: Topology, walk: Sequence[str]) -> tuple[str, ...]:
     """Regen sites along a fixed walk, each placed as late as reach allows.
 
-    Returns None when a single span already exceeds reach.
+    The walk's spans are each within reach, as :func:`shortest_path` gives
+    them, so a regen at the previous node always brings the next one in.
     """
     limit = topology.regen_dist + REACH_EPS
     pos = [0.0]
@@ -256,13 +255,9 @@ def _farthest_reach_regens(
     regens: list[str] = []
     anchor = 0.0
     for i in range(1, len(walk)):
-        if pos[i] - anchor > limit:
-            if pos[i - 1] <= anchor + REACH_EPS:
-                return None  # one span alone is too long
+        if pos[i] > anchor + limit:
             regens.append(walk[i - 1])
             anchor = pos[i - 1]
-            if pos[i] - anchor > limit:
-                return None
     return tuple(regens)
 
 
@@ -276,10 +271,10 @@ def design_legacy(
     """Baseline without reconfigurable optics.
 
     Scenario by scenario, links are bought on the shortest surviving fiber
-    route with regens attached by farthest reach; a bought link survives a
-    later failure by the rule transient rating applies
-    (``operation.surviving_link_caps``): its endpoints are alive and its
-    recorded route avoids the cut.  Each step solves a small model choosing
+    route over spans within reach, with regens attached by farthest reach;
+    a bought link survives a later failure by the rule transient rating
+    applies (``operation.surviving_link_caps``): its endpoints are alive and
+    its recorded route avoids the cut.  Each step solves a small model choosing
     the cheapest set of new links that, together with the surviving ones,
     routes all demands.  Equipment of a down link is stranded, never
     repurposed, and the fleet needs no launch hops (raw equals reported).
@@ -306,8 +301,6 @@ def design_legacy(
                 if walk is None:
                     continue
                 regens = _farthest_reach_regens(topology, walk)
-                if regens is None:
-                    continue
                 spans = tuple(span_key(u, v) for u, v in zip(walk, walk[1:]))
                 proto = LegacyLink(key[0], key[1], 1, tuple(walk), regens, spans)
                 price = 2.0 * costs.tail + costs.regen * len(regens)

@@ -10,9 +10,12 @@ the instance each thread keeps across solves (loaded once per solve, given
 only the changed column bounds, its solver state cleared per LP),
 branching follows a most-fractional rule with lowest-index tie-breaks, and
 open nodes are explored best-bound-first, newest first on ties, so identical
-models always produce identical results.  A thin adapter onto
+models always produce identical results.  No open node is below the one
+popped, so the search ends at the first integral node it pops, which is
+optimal: a bundled solve answers "optimal", "infeasible", "unbounded" or
+"no_solution", never "feasible".  A thin adapter onto
 :func:`scipy.optimize.milp` is kept around as an independent cross-check
-backend for tests.
+backend for tests; only it answers "feasible".
 
 Where a node branches into two children and ``os.sched_getaffinity``
 reports two or more CPUs, a second thread solves the second child's LP while
@@ -126,10 +129,11 @@ class Violation:
 class SolveResult:
     """Outcome of a solve.
 
-    status is one of "optimal", "feasible" (time limit hit with an incumbent),
-    "infeasible", "unbounded", or "no_solution" (time limit hit before any
-    incumbent).  best_bound is the proven lower bound on the minimum; for
-    "optimal" it coincides with objective_value.
+    status is one of "optimal", "infeasible", "unbounded", "no_solution"
+    (time limit hit before an integral solution) or, from
+    :func:`solve_with_scipy_milp` only, "feasible" (time limit hit with a
+    solution not proven optimal).  best_bound is the proven lower bound on
+    the minimum; for "optimal" it coincides with objective_value.
     """
 
     status: str
@@ -305,7 +309,6 @@ class _Compiled:
     lb: np.ndarray
     ub: np.ndarray
     int_idx: np.ndarray
-    integral_objective: bool
 
     @property
     def a(self) -> scipy.sparse.csc_array:
@@ -323,7 +326,6 @@ def _compile(model: LinearModel) -> _Compiled:
     c = np.zeros(n)
     if model._objective:
         c[[model._index[var] for var in model._objective]] = list(model._objective.values())
-    is_int = np.array(model._integer, dtype=bool)
 
     senses = np.array(model._senses, dtype=np.int8)
     sign = np.where(senses == 1, -1.0, 1.0)  # ">=" becomes "<=" after negation
@@ -352,10 +354,8 @@ def _compile(model: LinearModel) -> _Compiled:
     row_lower = np.concatenate((np.full(n_ub, -highs.kHighsInf), row_upper[n_ub:]))
     lb = np.array(model._lb, dtype=float)
     ub = np.array(model._ub, dtype=float)
-    int_idx = np.flatnonzero(is_int)
-    priced = c != 0.0
-    integral = bool(np.all(is_int[priced] & (c[priced] == np.floor(c[priced]))))
-    return _Compiled(c, csc, row_lower, row_upper, n_ub, lb, ub, int_idx, integral)
+    int_idx = np.flatnonzero(np.array(model._integer, dtype=bool))
+    return _Compiled(c, csc, row_lower, row_upper, n_ub, lb, ub, int_idx)
 
 
 def _check_finite(model: LinearModel, c, vals, rhs, cols, nz_row) -> None:
@@ -500,9 +500,11 @@ def solve(model: LinearModel, time_limit: float | None = None) -> SolveResult:
     """Minimize the model by branch-and-bound over HiGHS LP relaxations.
 
     Deterministic: identical models (same construction order) yield identical
-    results.  With ``time_limit`` (seconds from the call, compiling the model
-    included) the search stops at the deadline and reports the incumbent
-    ("feasible") or "no_solution", always with the proven best_bound so far.
+    results.  The first integral node popped is optimal, so the status is
+    "optimal", "infeasible", "unbounded" or "no_solution", never "feasible".
+    With ``time_limit`` (seconds from the call, compiling the model included)
+    a search that reaches the deadline before an integral node reports
+    "no_solution" with the proven best_bound so far.
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
     comp = _compile(model)
@@ -541,40 +543,28 @@ def _branch_and_bound(model: LinearModel, comp: _Compiled, lps: list[_Loaded],
     if root.status != 0:
         raise SolverError(f"LP backend failed with status {root.status}")
 
-    incumbent_x: np.ndarray | None = None
-    incumbent_obj = math.inf
     nodes = 1
     counter = 0
     # Heap of open nodes: (LP bound, -insertion counter, LP solution, lb, ub).
     # Best bound first; among equal bounds the newest node wins, so the search
     # dives depth-first along a flat bound plateau instead of sweeping it
-    # breadth-first, which finds the first incumbent far sooner.
-    heap: list[tuple[float, int, np.ndarray, np.ndarray, np.ndarray]] = []
-    heappush(heap, (float(root.fun), -counter, root.x, comp.lb, comp.ub))
+    # breadth-first, which reaches an integral node far sooner.  No open node
+    # is below the popped one, so the first integral node popped is optimal.
+    heap = [(float(root.fun), -counter, root.x, comp.lb, comp.ub)]
 
-    # With an all-integer objective any improving solution is better by >= 1,
-    # which lets us prune much closer to the incumbent.
-    def cutoff() -> float:
-        if incumbent_obj is math.inf:
-            return math.inf
-        gap = 1.0 - 1e-6 if comp.integral_objective else 1e-9
-        return incumbent_obj - gap
+    def no_solution(bound: float) -> SolveResult:
+        """Stopped before an integral node, the popped one's bound open."""
+        least = min([*(b for b, *_ in heap), bound])
+        return SolveResult("no_solution", {}, None, least, nodes=nodes)
 
-    interrupted_bound: float | None = None
     while heap:
         bound, _, x, lb, ub = heappop(heap)
-        if bound > cutoff():
-            continue
         rem = remaining()
         if rem is not None and rem <= 0:
-            interrupted_bound = bound
-            break
+            return no_solution(bound)
         branch = _most_fractional(x, comp.int_idx)
         if branch is None:
-            if bound < incumbent_obj:
-                incumbent_obj = bound
-                incumbent_x = x
-            continue
+            return SolveResult("optimal", _values_of(model, comp, x), bound, bound, nodes=nodes)
         xv = x[branch]
         # Push the nearest-rounding child last: it pops first on tied bounds.
         down_ub, up_lb = ub.copy(), lb.copy()
@@ -589,38 +579,12 @@ def _branch_and_bound(model: LinearModel, comp: _Compiled, lps: list[_Loaded],
             if res.status == 2:
                 continue
             if res.status == 1:  # LP hit its own time/iteration limit
-                interrupted_bound = bound
-                break
+                return no_solution(bound)
             if res.status != 0:
                 raise SolverError(f"LP backend failed with status {res.status}")
-            child_bound = float(res.fun)
-            if child_bound > cutoff():
-                continue
             counter += 1
-            heappush(heap, (child_bound, -counter, res.x, child_lb, child_ub))
-        if interrupted_bound is not None:
-            break
-
-    open_bounds = [b for b, *_ in heap]
-    if interrupted_bound is not None:
-        open_bounds.append(interrupted_bound)
-
-    if incumbent_x is None:
-        if interrupted_bound is None and not open_bounds:
-            return SolveResult("infeasible", {}, None, math.inf, nodes=nodes)
-        return SolveResult(
-            "no_solution", {}, None, min(open_bounds, default=math.inf), nodes=nodes
-        )
-
-    if open_bounds and min(open_bounds) < incumbent_obj - 1e-9:
-        status = "feasible"
-        best_bound = min(open_bounds)
-    else:
-        status = "optimal"
-        best_bound = incumbent_obj
-    return SolveResult(
-        status, _values_of(model, comp, incumbent_x), incumbent_obj, best_bound, nodes=nodes
-    )
+            heappush(heap, (float(res.fun), -counter, res.x, child_lb, child_ub))
+    return SolveResult("infeasible", {}, None, math.inf, nodes=nodes)
 
 
 def _values_of(model: LinearModel, comp: _Compiled, x: np.ndarray) -> dict[str, float]:

@@ -179,18 +179,16 @@ def _unit_chains(
     next hop; relay contiguity guarantees each walk reaches the destination.
     """
     remaining = {k: v for k, v in hop_counts.items() if v > 0}
-    total = sum(remaining.values())
     chains: list[tuple[str, ...]] = []
     for _ in range(units):
         cur = src
         path: list[str] = []
-        steps = 0
-        while cur != dst:
+        while cur != dst:  # each step spends a hop, so the walk ends
             nxt = min(
                 (v for (u, v), c in remaining.items() if u == cur and c > 0),
                 default=None,
             )
-            if nxt is None or steps > total:
+            if nxt is None:
                 raise TopologyError(
                     f"relay hops for {src}->{dst} do not decompose into "
                     f"{units} unit chains"
@@ -198,7 +196,6 @@ def _unit_chains(
             remaining[(cur, nxt)] -= 1
             path.append(nxt)
             cur = nxt
-            steps += 1
         chains.append(tuple(path[:-1]))  # drop the destination node
     return tuple(chains)
 

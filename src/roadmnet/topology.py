@@ -310,8 +310,13 @@ def alive_routers(topology: Topology, scenario: FailureScenario) -> tuple[Router
 def _span_adjacency(
     topology: Topology, scenario: FailureScenario
 ) -> dict[str, list[tuple[str, float]]]:
+    """Each node's surviving spans within reach: no signal crosses a span
+    longer than ``regen_dist``, so such a span is left out."""
     adj: dict[str, list[tuple[str, float]]] = {n: [] for n in topology.all_nodes}
+    limit = topology.regen_dist + REACH_EPS
     for s in surviving_spans(topology, scenario):
+        if s.miles > limit:
+            continue
         adj[s.u].append((s.v, s.miles))
         adj[s.v].append((s.u, s.miles))
     for n in adj:
@@ -369,7 +374,8 @@ def _distances(
 def shortest_distances(
     topology: Topology, scenario: FailureScenario | None = None
 ) -> dict[tuple[str, str], float]:
-    """All-pairs shortest span distances under the scenario.
+    """All-pairs shortest span distances under the scenario, over the
+    spans within reach (a span longer than ``regen_dist`` is left out).
 
     Unreachable pairs map to ``math.inf``; the diagonal is 0.
     """
@@ -389,7 +395,8 @@ def shortest_path(
     src: str,
     dst: str,
 ) -> tuple[str, ...] | None:
-    """Shortest surviving node walk src..dst, or None if disconnected.
+    """Shortest surviving node walk src..dst over spans within reach, or
+    None if there is none.
 
     Among equally short walks, the lexicographically smallest node sequence
     is returned.

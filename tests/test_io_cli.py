@@ -17,7 +17,7 @@ from scipy.optimize import OptimizeResult
 from roadmnet import algorithms, cli, milp, operation
 from roadmnet import io as roadmnet_io
 from roadmnet.cli import ALGORITHMS, main
-from roadmnet.design import NoIncumbentError
+from roadmnet.design import InfeasibleDesignError, NoIncumbentError
 from roadmnet.io import (
     InputFormatError,
     design_payload,
@@ -709,11 +709,11 @@ def test_cli_compare_reports_time_outs_and_solver_failures_on_one_line(capsys, m
 
 
 def legacy_gap_input() -> dict:
-    """Two IP nodes that the other algorithms serve at cost 5 and legacy cannot.
+    """Two IP nodes that the other algorithms serve at cost 5 and legacy at 7.
 
-    Under span:A~O legacy builds only on the shortest surviving route, the
-    1100-mile A-B span, which no regen placement brings within reach 1000;
-    the reconfigurable algorithms route A-P-B with one regen at P.
+    The 1100-mile A-B span is beyond reach 1000, so no route uses it.  Under
+    span:A~O legacy's shortest surviving route is A-P-B, with a regen at P;
+    the reconfigurable algorithms route A-P-B the same way.
     """
     spans = [("A", "B", 1100), ("A", "O", 400), ("O", "B", 400),
              ("A", "P", 600), ("P", "B", 600)]
@@ -728,7 +728,28 @@ def legacy_gap_input() -> dict:
     }
 
 
-def test_cli_compare_keeps_going_when_one_algorithm_is_infeasible(tmp_path, capsys):
+def legacy_is_infeasible(monkeypatch) -> None:
+    """Make legacy fail as a network it cannot serve under span:A~O would."""
+    def infeasible(*args):
+        raise InfeasibleDesignError("no placement can serve span:A~O",
+                                    FailureScenario.span_cut("A", "O"))
+
+    monkeypatch.setattr(cli, "design_legacy", infeasible)
+
+
+def test_legacy_routes_around_a_span_beyond_reach(tmp_path):
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(legacy_gap_input()))
+    design, fleet = algorithms.design_legacy(*load_inputs(str(path)))
+    assert design.summary() == "6 tails, 1 regens, 0 ports, cost 7"
+    assert [(link.path, link.regens) for link in fleet] == [
+        (("A", "O", "B"), ()), (("A", "P", "B"), ("P",)), (("A", "O", "B"), ())]
+    assert all(("A", "B") not in link.spans for link in fleet)
+
+
+def test_cli_compare_keeps_going_when_one_algorithm_is_infeasible(tmp_path, capsys,
+                                                                  monkeypatch):
+    legacy_is_infeasible(monkeypatch)
     path = tmp_path / "gap.json"
     path.write_text(json.dumps(legacy_gap_input()))
     csv_path = tmp_path / "cmp.csv"
@@ -748,6 +769,7 @@ def test_cli_compare_no_answer_outranks_infeasible(tmp_path, capsys, monkeypatch
         raise NoIncumbentError("time limit expired with no placement found (joint model)")
 
     monkeypatch.setattr(cli, "design_optimal", out_of_time)
+    legacy_is_infeasible(monkeypatch)
     path = tmp_path / "gap.json"
     path.write_text(json.dumps(legacy_gap_input()))
     assert main(["compare", str(path)]) == 4

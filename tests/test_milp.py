@@ -26,6 +26,7 @@ from roadmnet.io import load_inputs
 from roadmnet.milp import (
     LinearModel,
     ModelError,
+    Violation,
     export_lp,
     solve,
     solve_with_scipy_milp,
@@ -249,6 +250,12 @@ class TestValidateSolution:
         out = validate_solution(m, {"a": 5.0, "b": 0.0})
         assert any(v.kind == "bound" and v.name == "a" for v in out)
 
+    def test_value_below_lower_bound(self):
+        m = LinearModel()
+        m.add_variable("x", lb=2.0, ub=5.0)
+        assert validate_solution(m, {"x": 0.5}) == [Violation("bound", "x", 1.5)]
+        assert validate_solution(m, {"x": 2.0 - 1e-7}) == []  # within tol
+
     def test_unknown_name_flagged(self):
         out = validate_solution(knapsackish(), {"a": 3.0, "b": 0.0, "q": 1.0})
         assert any(v.name == "q" for v in out)
@@ -296,6 +303,14 @@ class TestExport:
             " make_a\n"
             "End\n"
         )
+
+    def test_infinite_bounds(self):
+        m = LinearModel("open")
+        m.add_variable("f", lb=-math.inf)
+        m.add_variable("g", lb=-math.inf, ub=3.0)
+        m.add_constraint({"f": 1, "g": 1}, "==", 1)
+        assert export_lp(m).splitlines()[5:8] == [
+            "Bounds", " f free", " -inf <= g <= 3"]
 
     def test_zero_objective_still_valid(self):
         m = LinearModel()
@@ -799,7 +814,7 @@ class TestPairedSiblings:
             start = time.monotonic()
             res = solve(model, time_limit=budget)
             elapsed = time.monotonic() - start
-            assert res.status in ("no_solution", "feasible")
+            assert res.status == "no_solution"
             assert elapsed <= budget + 0.05, (budget, elapsed)
 
 
@@ -807,8 +822,9 @@ class TestPairedSiblings:
 # A deadline after the first incumbent
 # ---------------------------------------------------------------------------
 
-# Random integer models on which a diving search finds an incumbent before it
-# can prove it optimal; every one is feasible.
+# Random integer models on which a search that pops the newest node instead
+# of the best one finds an incumbent before it can prove it optimal; every
+# one is feasible.
 GAP_SEEDS = (22, 35, 40, 48, 89, 111, 166, 230, 303, 337, 364, 366, 383)
 
 
@@ -841,21 +857,6 @@ class TestDeadlineAfterFirstIncumbent:
         res = solve(model, time_limit=100.0)
         assert res.status == "optimal"
         assert res.objective_value == res.best_bound == exact.objective_value
-
-    @pytest.mark.parametrize("seed", GAP_SEEDS)
-    def test_a_diving_search_reports_its_gap(self, seed, monkeypatch):
-        # Popping the newest node instead of the best one can find an
-        # incumbent while nodes below it are open; stopped there, the answer
-        # is gap-open, whether or not the incumbent happens to be optimal.
-        model = random_integer_model(seed)
-        exact = solve(model)
-        deadline_at_first_incumbent(monkeypatch)
-        monkeypatch.setattr(milp, "heappop", lambda heap: heap.pop())
-        res = solve(model, time_limit=100.0)
-        assert res.status == "feasible"
-        assert res.best_bound < res.objective_value
-        assert res.best_bound <= exact.objective_value <= res.objective_value
-        assert validate_solution(model, res.values) == []
 
     def test_design_optimal_keeps_a_gap_open_joint_solve_feasible(self, toy_inputs,
                                                                   monkeypatch):
@@ -1185,17 +1186,12 @@ def row_compile(old: RowModel) -> dict:
     a = sparse.csc_array((np.array(data, dtype=float), (ri, ci)), shape=(len(rows), n))
     row_upper = np.array(rhs, dtype=float)
     row_lower = np.concatenate((np.full(n_ub, -milp.highs.kHighsInf), row_upper[n_ub:]))
-    integral = all(
-        float(coef).is_integer() and old.vars[old.index[var]].integer
-        for var, coef in old.objective.items()
-        if coef != 0.0
-    )
     return {
         "c": c, "indptr": a.indptr, "indices": a.indices, "data": a.data,
         "row_lower": row_lower, "row_upper": row_upper,
         "lb": np.array([v.lb for v in old.vars]), "ub": np.array([v.ub for v in old.vars]),
         "int_idx": np.array([i for i, v in enumerate(old.vars) if v.integer], dtype=int),
-        "shape": a.shape, "n_ub": n_ub, "integral": integral,
+        "shape": a.shape, "n_ub": n_ub,
     }
 
 
@@ -1230,8 +1226,7 @@ def assert_compiles_like_rows(model: LinearModel, old: RowModel):
         assert array.dtype == want[key].dtype, key
         assert array.shape == want[key].shape, key
         assert array.tobytes() == want[key].tobytes(), key
-    assert (comp.a.shape, comp.n_ub, comp.integral_objective) == (
-        want["shape"], want["n_ub"], want["integral"])
+    assert (comp.a.shape, comp.n_ub) == (want["shape"], want["n_ub"])
     values, rows, starts = comp.csc  # what passModel gets
     assert (values.dtype, rows.dtype, starts.dtype) == (np.float64, np.int32, np.int32)
     assert values.tobytes() == want["data"].tobytes()
@@ -1392,7 +1387,6 @@ class TestColumnarModel:
         assert_compiles_like_rows(model, old)
         comp = milp._compile(model)
         assert comp.n_ub == 3
-        assert comp.integral_objective
 
     def test_no_rows(self):
         def build(m):
@@ -1416,7 +1410,6 @@ class TestColumnarModel:
         assert_compiles_like_rows(model, old)
         comp = milp._compile(model)
         assert comp.n_ub == 0
-        assert not comp.integral_objective
 
     def test_empty_model(self):
         model, old = both(lambda m: None)

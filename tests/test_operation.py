@@ -15,7 +15,7 @@ from roadmnet import (
     transient_reports,
     write_transient_csv,
 )
-from roadmnet.operation import TransientReport, surviving_link_caps
+from roadmnet.operation import TransientReport, _unit_chains, surviving_link_caps
 from roadmnet.topology import enumerate_failures
 
 from instances import toy_network
@@ -71,6 +71,17 @@ class TestPlans:
         for a, b, units in plan.canonical_links():
             assert len(plan.regen_chains[(a, b)]) == units
             assert len(plan.span_paths[(a, b)]) == units
+
+    def test_unit_chains_follow_the_smallest_next_hop(self):
+        hops = {("A", "P"): 1, ("A", "Q"): 1, ("P", "B"): 1, ("Q", "R"): 1, ("R", "B"): 1}
+        assert _unit_chains(hops, "A", "B", 2) == (("P",), ("Q", "R"))
+
+    def test_unit_chains_reject_hops_that_do_not_reach_the_destination(self):
+        with pytest.raises(TopologyError) as info:
+            _unit_chains({("A", "P"): 1, ("P", "B"): 1}, "A", "B", 2)
+        assert str(info.value) == "relay hops for A->B do not decompose into 2 unit chains"
+        with pytest.raises(TopologyError, match="A->B do not decompose into 1 unit"):
+            _unit_chains({("A", "P"): 1}, "A", "B", 1)
 
 
 class TestExpand:

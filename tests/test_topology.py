@@ -107,6 +107,19 @@ def test_scenario_labels():
     assert FailureScenario.router_down("r9").label() == "router:r9"
 
 
+@pytest.mark.parametrize("kind, target, message", [
+    ("outage", None, "unknown scenario kind 'outage'"),
+    ("none", "A", "no-failure scenario takes no target"),
+    ("span", "A", "span scenario target must be an endpoint pair"),
+    ("span", ("A", "B", "C"), "span scenario target must be an endpoint pair"),
+    ("router", ("A", "B"), "router scenario target must be a router id"),
+], ids=["kind", "none-with-target", "span-name", "span-triple", "router-pair"])
+def test_scenario_rejects_bad_kinds_and_targets(kind, target, message):
+    with pytest.raises(TopologyError) as info:
+        FailureScenario(kind, target)
+    assert str(info.value) == message
+
+
 def test_validate_scenario_rejects_unknown_targets():
     topo = small_topology()
     validate_scenario(topo, FailureScenario.span_cut("X", "A"))
@@ -175,6 +188,19 @@ def test_regen_adjacency_boundary():
     assert ("A", "X") in adj and ("X", "A") in adj  # exactly at the limit
     assert ("X", "B") not in adj
     assert ("A", "B") not in adj
+
+
+def test_spans_beyond_reach_carry_no_route():
+    # No signal crosses the 1000.5-mile X-B span, so B is cut off from A and
+    # X; the 1000-mile A-X span, exactly at reach, stays.
+    topo = small_topology(
+        spans=(Span("A", "X", 1000.0), Span("X", "B", 1000.5)),
+        regen_dist=1000.0,
+    )
+    dist = shortest_distances(topo)
+    assert (dist[("A", "X")], dist[("A", "B")], dist[("B", "X")]) == (1000.0, math.inf, math.inf)
+    assert shortest_path(topo, FailureScenario.no_failure(), "A", "B") is None
+    assert shortest_path(topo, FailureScenario.no_failure(), "A", "X") == ("A", "X")
 
 
 def test_regen_adjacency_under_failure():
