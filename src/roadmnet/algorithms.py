@@ -33,6 +33,7 @@ from .design import (
     Design,
     InfeasibleDesignError,
     PriorPlacement,
+    _key,
     add_routing,
     build_design_model,
     check_solve,
@@ -309,7 +310,7 @@ def design_legacy(
         m = LinearModel(f"legacy_{scen.label()}")
         buy_vars: dict[tuple[str, str], str] = {}
         for key in sorted(candidates):
-            buy_vars[key] = m.add_variable(f"buy_{key[0]}_{key[1]}", integer=True)
+            buy_vars[key] = m.add_variable(f"buy_{_key(key[0])}_{_key(key[1])}", integer=True)
         # Each direction of a link fits its surviving units plus those bought
         # (``surviving`` holds both directions, ``candidates`` the sorted one).
         arcs: dict[tuple[str, str], tuple[str | None, float]] = {}

@@ -53,6 +53,14 @@ EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_NO_INCUMBENT = 4
 
+# Each way a design can fail: the word its message starts with, its status
+# in a compare row and its exit code.
+_FAILURES = {
+    InfeasibleDesignError: ("infeasible", "infeasible", EXIT_INFEASIBLE),
+    NoIncumbentError: ("no answer within budget", "no answer", EXIT_NO_INCUMBENT),
+    SolverError: ("solver failed", "no answer", EXIT_NO_INCUMBENT),
+}
+
 
 def _run_algorithm(
     name: str,
@@ -121,19 +129,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     stderr names each, and the exit is 4 if any gave no answer, else 3 if
     any was infeasible."""
     topology, demands, costs = load_inputs(args.input)
-    rows, failed = [], []
+    rows, failed, codes = [], [], [EXIT_OK]
     for name in ALGORITHMS:
         start = time.perf_counter()
         try:
             design, _ = _run_algorithm(name, topology, demands, costs, args.time_limit)
-        except (InfeasibleDesignError, NoIncumbentError, SolverError) as exc:
-            if isinstance(exc, InfeasibleDesignError):
-                why, status = "infeasible", "infeasible"
-            else:
-                why = "solver failed" if isinstance(exc, SolverError) else "no answer within budget"
-                status = "no answer"
+        except tuple(_FAILURES) as exc:
+            why, status, code = _FAILURES[type(exc)]
             failed.append(f"{why}: {name} ({exc})")
             rows.append((name, status))
+            codes.append(code)
             continue
         elapsed = time.perf_counter() - start
         rows.append(
@@ -166,10 +171,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print(f"saved: {args.csv}")
     if failed:
         print("; ".join(failed), file=sys.stderr)
-    statuses = {status for _, status, *_ in rows}
-    if "no answer" in statuses:
-        return EXIT_NO_INCUMBENT
-    return EXIT_INFEASIBLE if "infeasible" in statuses else EXIT_OK
+    return max(codes)
 
 
 def _compare_cells(numbers: list, seconds: str, missing: str) -> list:
@@ -249,15 +251,10 @@ def main(argv: list[str] | None = None) -> int:
     except (InputFormatError, TopologyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except InfeasibleDesignError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except NoIncumbentError as exc:
-        print(f"no answer within budget: {exc}", file=sys.stderr)
-        return EXIT_NO_INCUMBENT
-    except SolverError as exc:
-        print(f"solver failed: {exc}", file=sys.stderr)
-        return EXIT_NO_INCUMBENT
+    except tuple(_FAILURES) as exc:
+        why, _, code = _FAILURES[type(exc)]
+        print(f"{why}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -23,13 +23,14 @@ block of columns and rows.
 
 Routing is a multi-commodity flow over the per-scenario link capacities, with
 colocated routers bridged by port-based intra-node links.  ``add_routing``
-writes every flow model in the package: its flow variables, conservation,
-endpoint and arc-capacity rows, for sizing and operating here, for the
-fixed-link baseline (``design_legacy``) and for transient rating
-(``evaluate_transient``).  A caller gives each arc's capacity, a column, a
-constant or both, and transient rating also the column a demand's endpoint
-rows serve.  Every placement, whichever algorithm produced it, is priced by
-``Design.priced``.
+writes every flow model in the package (sizing and operating here, the
+fixed-link baseline ``design_legacy`` and transient rating
+``evaluate_transient``): one block of flow variables, conservation and
+endpoint rows per demand, and one of arc-capacity rows.  A caller gives each
+arc's capacity, a column, a constant or both, and transient rating also each
+demand's served column.  Ids go into variable and row names through
+``_key``, so no two columns share a name.  Every placement, whichever
+algorithm produced it, is priced by ``Design.priced``.
 
 The built ``DesignModel`` keeps the shared placement variables once and one
 ``ScenarioBlock`` per failure state holding that state's capacity, hop and
@@ -47,7 +48,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .milp import LinearModel, SolveResult
 from .topology import (
@@ -223,16 +224,23 @@ class DesignModel:
     blocks: list[ScenarioBlock]
 
 
+def _key(name: str) -> str:
+    """An id as it goes into a variable or row name: ``%`` and ``_`` are
+    percent-encoded, so every ``_`` in a name joins two of its parts and two
+    different id tuples never give one name."""
+    return name.replace("%", "%25").replace("_", "%5F")
+
+
 def _relay_shape(adjacency: Sequence[tuple[str, str]], nodes: Sequence[str], src: str,
-                 dst: str, strengthen: bool):
+                 dst: str, strengthen: bool, label: Mapping[str, str]):
     """The relay-chain block of each router link from node src to node dst.
 
-    Returns the hops (u, v) a chain may use, in adjacency order, the
-    positions of those that use a regen (all but launch hops), the rows as
-    ``LinearModel._add_block`` takes them, with hop positions as columns
-    (``len(hops)``: the link's capacity), and a (kind, suffix) name per row:
-    relay rows at intermediate nodes, then launch, land and, when it
-    applies, relaylen.
+    Returns the hops (u, v) a chain may use, in adjacency order, each hop's
+    name part (``label`` gives each node's), the positions of those that
+    use a regen (all but launch hops), the rows as ``LinearModel._add_block``
+    takes them, with hop positions as columns (``len(hops)``: the link's
+    capacity), and a (kind, suffix) name per row: relay rows at intermediate
+    nodes, then launch, land and, when it applies, relaylen.
     """
     hops = [(u, v) for u, v in adjacency if v != src and u != dst]
     cap = len(hops)
@@ -247,7 +255,7 @@ def _relay_shape(adjacency: Sequence[tuple[str, str]], nodes: Sequence[str], src
         outs, ins = by_out.get(n, []), by_in.get(n, [])
         if n not in (src, dst) and (outs or ins):
             rows.append((outs + ins, [1.0] * len(outs) + [-1.0] * len(ins), "==", 0.0))
-            names.append(("relay", f"_{n}"))
+            names.append(("relay", f"_{label[n]}"))
     # Every unit needs a relay start at the source node and a final hop into
     # the destination node.
     for kind, ks in (("launch", by_out.get(src, [])), ("land", by_in.get(dst, []))):
@@ -266,7 +274,7 @@ def _relay_shape(adjacency: Sequence[tuple[str, str]], nodes: Sequence[str], src
     if k_min is not None and k_min >= 2:
         rows.append((regen + [cap], [1.0] * len(regen) + [1.0 - k_min], ">=", 0.0))
         names.append(("relaylen", ""))
-    return hops, regen, rows, names
+    return hops, [f"{label[u]}_{label[v]}" for u, v in hops], regen, rows, names
 
 
 def add_routing(
@@ -275,74 +283,64 @@ def add_routing(
     arcs: Mapping[tuple[str, str], tuple[str | None, float]],
     alive: Sequence[Router],
     demands: DemandMatrix,
-    served: Callable[[str, str, float], tuple[str, float]] | None = None,
+    served: Mapping[tuple[str, str], tuple[str, float]] | None = None,
 ) -> dict[tuple[str, str], dict[tuple[str, str], str]]:
     """Route every demand over ``arcs``; returns each demand's arc -> flow map.
 
     ``arcs`` maps each directed router arc to its capacity, ``(column,
     constant)``: the arc's total flow fits the column (None: no column) plus
     the constant.  ``tag``, the failure state (``f{index}``), goes into every
-    variable and row name.  Per demand (s, t), in order, this adds a variable
-    ``Y_{tag}_{s}_{t}_{a}_{b}`` per arc, a conservation row at every live
-    router homed away from both endpoints, then the source row (net outflow
-    of node s's live routers) and the destination row (net inflow of node
-    t's).  Each endpoint row asks for the demand's volume; with ``served``,
-    called as ``served(s, t, volume)`` just before the demand's flows and
-    returning ``(column, weight)``, it asks instead for weight times that
-    column.  The arc-capacity rows follow the last demand.  Rows go in by
-    column position: one block per demand, one for the capacity rows.
+    variable and row name.  Each demand (s, t), in order, is one block: a
+    variable ``Y_{tag}_{s}_{t}_{a}_{b}`` per arc, a conservation row at every
+    live router homed away from both endpoints that an arc touches, then the
+    source row (net outflow of node s's live routers) and the destination row
+    (net inflow of node t's).  Each endpoint row asks for the demand's
+    volume; with ``served``, which maps each demand to ``(column, weight)``,
+    it asks instead for weight times that column.  The arc-capacity rows
+    follow the last demand as one more block.
 
-    When no live router at an endpoint touches an arc, the endpoint row
-    has no flow term: with ``served`` it degenerates to served = 0, and
-    otherwise a variable pinned to 0 is required to equal 1, which cleanly
-    encodes "this state cannot be served" inside a well-formed model.
+    An arc between two routers of one node nets out of that node's endpoint
+    rows, so it has no term there.  An endpoint no other node's arc reaches
+    gets an empty row: ``0 = volume``, which no solve satisfies, or ``served
+    = 0``.
     """
+    home = {r.id: r.node for r in alive}
+    label = {r: _key(r) for arc in arcs for r in arc}
     by_out: dict[str, list[int]] = defaultdict(list)
     by_in: dict[str, list[int]] = defaultdict(list)
+    # Each node's endpoint terms, alike for every demand: the positions of
+    # its arcs to and from other nodes, the source row's signs and the
+    # destination row's.
+    ends: dict[str, tuple[list, list, list]] = defaultdict(lambda: ([], [], []))
     for k, (a, b) in enumerate(arcs):
         by_out[a].append(k)
         by_in[b].append(k)
-    # Each router's conservation row over arc positions, alike for every demand.
-    balance = {r.id: (by_in[r.id] + by_out[r.id],
-                      [1.0] * len(by_in[r.id]) + [-1.0] * len(by_out[r.id]), "==", 0.0)
-               for r in alive}
+        for r, sign in ((a, 1.0), (b, -1.0)):
+            if r in home and home.get(a) != home.get(b):
+                for terms, x in zip(ends[home[r]], (k, sign, -sign)):
+                    terms.append(x)
+    # The conservation row of each live router an arc touches.
+    balance = [(r.node, label[r.id], (by_in[r.id] + by_out[r.id],
+                [1.0] * len(by_in[r.id]) + [-1.0] * len(by_out[r.id]), "==", 0.0))
+               for r in alive if r.id in label]
+    arc_labels = [f"{label[a]}_{label[b]}" for a, b in arcs]
     routes: dict[tuple[str, str], dict[tuple[str, str], str]] = {}
     starts = []  # each demand's first flow column
     for s, t, volume in demands.pairs:
-        prefix = f"Y_{tag}_{s}_{t}"
-        names = [f"{prefix}_{a}_{b}" for a, b in arcs]
-        transit = [r.id for r in alive if r.node not in (s, t) and balance[r.id][0]]
-        rows, row_names = [balance[r] for r in transit], [f"balance_{prefix}_{r}" for r in transit]
-        rhs, outside, served_term = float(volume), (), ([], [])
+        pair = f"{tag}_{_key(s)}_{_key(t)}"
+        names = [f"Y_{pair}_{ab}" for ab in arc_labels]
+        rhs, outside, ks, vs = float(volume), (), [], []
         if served is not None:
-            column, weight = served(s, t, volume)
-            rhs, outside, served_term = 0.0, (m._index[column],), ([len(names)], [-float(weight)])
-        ends = []
-        for node, sign in ((s, 1.0), (t, -1.0)):
-            # Summed, not set: an arc between two routers at the endpoint nets
-            # out to a 0.0 term, which the row keeps.
-            terms: dict[int, float] = {}
-            for r in alive:
-                if r.node == node:
-                    for k in by_out[r.id]:
-                        terms[k] = terms.get(k, 0.0) + sign
-                    for k in by_in[r.id]:
-                        terms[k] = terms.get(k, 0.0) - sign
-            ends.append((list(terms) + served_term[0], list(terms.values()) + served_term[1]))
-        if all(ks for ks, _ in ends):
-            rows += [(ks, vs, "==", rhs) for ks, vs in ends]
-            row_names += [f"flow_{end}_{tag}_{s}_{t}" for end in ("src", "dst")]
-            ends = []
+            column, weight = served[(s, t)]
+            rhs, outside, ks, vs = 0.0, (m._index[column],), [len(names)], [-float(weight)]
+        (src, out, _), (dst, _, into) = ends[s], ends[t]
+        transit = [(r, row) for node, r, row in balance if node != s and node != t]
+        rows = [row for _, row in transit] + [(src + ks, out + vs, "==", rhs),
+                                              (dst + ks, into + vs, "==", rhs)]
+        row_names = [f"balance_Y_{pair}_{r}" for r, _ in transit]
+        row_names += [f"flow_src_{pair}", f"flow_dst_{pair}"]
         starts.append(m._add_block(names, 0.0, math.inf, False, rows, outside, row_names))
         routes[(s, t)] = dict(zip(arcs, names))
-        # An endpoint no live router reaches (never with ``served``) goes by name.
-        for (ks, vs), end in zip(ends, ("src", "dst")):
-            if ks:
-                m.add_constraint({names[k]: v for k, v in zip(ks, vs)}, "==", rhs,
-                                 name=f"flow_{end}_{tag}_{s}_{t}")
-            else:
-                z = m.add_variable(f"impossible_{tag}_{s}_{t}_{end}", lb=0.0, ub=0.0)
-                m.add_constraint({z: 1.0}, "==", 1.0, name=z)
     if starts:  # each arc's flow under every demand, then its capacity column
         n, rows = len(arcs), []
         outside = [j + k for j in starts for k in range(n)]
@@ -353,7 +351,7 @@ def add_routing(
                 outside.append(m._index[column])
             rows.append((ks, vs, "<=", float(constant)))
         m._add_block((), 0.0, math.inf, False, rows, outside,
-                     [f"cap_{tag}_{a}_{b}" for a, b in arcs])
+                     [f"cap_{tag}_{ab}" for ab in arc_labels])
     return routes
 
 
@@ -414,14 +412,16 @@ def build_design_model(
         out_dem[s] += volume
         in_dem[t] += volume
 
+    # Every router and node id as it goes into a name.
+    label = {x: _key(x) for x in (*topology.all_nodes, *(r.id for r in topology.routers))}
     if fixed_design is None:
         for r in topology.routers:
-            dm.tail_vars[r.id] = m.add_variable(f"T_{r.id}", integer=True)
+            dm.tail_vars[r.id] = m.add_variable(f"T_{label[r.id]}", integer=True)
         for n in topology.all_nodes:
-            dm.regen_vars[n] = m.add_variable(f"R_{n}", integer=True)
+            dm.regen_vars[n] = m.add_variable(f"R_{label[n]}", integer=True)
         for r in topology.routers:
             if len(topology.routers_at[r.node]) >= 2:
-                dm.port_vars[r.id] = m.add_variable(f"P_{r.id}", integer=True)
+                dm.port_vars[r.id] = m.add_variable(f"P_{label[r.id]}", integer=True)
 
     # The budget rule of the module docstring.  Per resource: its purchase
     # columns (none when operating), the fixed design's counts (none when
@@ -456,7 +456,7 @@ def build_design_model(
             for b in alive:
                 if a.id != b.id:
                     cols, prefix, _, _, _, peers = families[a.node == b.node]
-                    cols[(a.id, b.id)] = name = f"{prefix}_f{fi}_{a.id}_{b.id}"
+                    cols[(a.id, b.id)] = name = f"{prefix}_f{fi}_{label[a.id]}_{label[b.id]}"
                     names.append(name)
                     peers[a.id].append(b.id)
         m._add_block(names, 0.0, box, True, (), (), ())
@@ -466,16 +466,16 @@ def build_design_model(
             for a, b in cols:
                 if a < b:
                     m.add_constraint({cols[(a, b)]: 1.0, cols[(b, a)]: -1.0}, "==", 0.0,
-                                     name=f"{sym}_f{fi}_{a}_{b}")
+                                     name=f"{sym}_f{fi}_{label[a]}_{label[b]}")
 
         # Every link unit takes one tail (external) or port (intra-node) at
         # each end router, per direction.
         for cols, _, _, end, resource, peers in families:
             for r, others in peers.items():
                 add_budget({cols[(o, r)]: 1.0 for o in others},
-                           resource, r, f"{end}_in_f{fi}_{r}")
+                           resource, r, f"{end}_in_f{fi}_{label[r]}")
                 add_budget({cols[(r, o)]: 1.0 for o in others},
-                           resource, r, f"{end}_out_f{fi}_{r}")
+                           resource, r, f"{end}_out_f{fi}_{label[r]}")
 
         canonical = [(a, b) for a, b in blk.caps if a < b]
 
@@ -488,10 +488,10 @@ def build_design_model(
         for a, b in canonical:
             ends = (topology.home(a), topology.home(b))
             if ends not in shapes:
-                shapes[ends] = _relay_shape(adjacency, topology.all_nodes, *ends, strengthen)
-            hops, regen, rows, kinds = shapes[ends]
-            tag = f"_f{fi}_{a}_{b}"
-            names = [f"H{tag}_{u}_{v}" for u, v in hops]
+                shapes[ends] = _relay_shape(adjacency, topology.all_nodes, *ends, strengthen, label)
+            hops, hop_labels, regen, rows, kinds = shapes[ends]
+            tag = f"_f{fi}_{label[a]}_{label[b]}"
+            names = [f"H{tag}_{uv}" for uv in hop_labels]
             m._add_block(names, 0.0, box, True, rows, (m._index[blk.caps[(a, b)]],),
                          [f"{kind}{tag}{suffix}" for kind, suffix in kinds])
             blk.hops[(a, b)] = dict(zip(hops, names))
@@ -501,7 +501,7 @@ def build_design_model(
         # Node regen budgets.
         for n in topology.all_nodes:
             if n in regen_use:
-                add_budget(regen_use[n], regens, n, f"regen_f{fi}_{n}")
+                add_budget(regen_use[n], regens, n, f"regen_f{fi}_{label[n]}")
 
         # Multi-commodity flow over the per-scenario links.
         blk.flows = add_routing(
@@ -527,7 +527,7 @@ def build_design_model(
                         coeffs,
                         ">=",
                         float(math.ceil(need - 1e-9)),
-                        name=f"mindeg_f{fi}_{n}",
+                        name=f"mindeg_f{fi}_{label[n]}",
                     )
 
     if fixed_design is None:

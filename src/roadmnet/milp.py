@@ -254,7 +254,9 @@ class LinearModel:
         """Append a column per name, all alike, and rows (positions, float
         coefficients, sense, rhs) over them: position k is the k-th new
         column, and position ``len(names) + i`` the existing column
-        ``outside[i]``.  Returns the first new column's index."""
+        ``outside[i]``.  A row may be empty, unlike in
+        :meth:`add_constraint`: it constrains 0 by its sense and rhs.
+        Returns the first new column's index."""
         start = self._add_columns(names, lb, ub, integer)
         if rows:
             at = [*range(start, start + len(names)), *outside].__getitem__
@@ -663,15 +665,15 @@ def export_lp(model: LinearModel) -> str:
 
     lines = [f"\\ {model.name}", "Minimize"]
     variables = model.variables
+    # An empty objective or row is written as 0 times the first variable.
+    zero = [(variables[0].name, 0.0)] if variables else []
     obj = [(v, c) for v, c in model._objective.items() if c != 0.0]
-    if not obj and variables:
-        obj = [(variables[0].name, 0.0)]
-    lines.append(" obj: " + render(obj))
+    lines.append(" obj: " + render(obj or zero))
     lines.append("Subject To")
     sense_txt = {"<=": "<=", ">=": ">=", "==": "="}
     for con in model.constraints:
         lines.append(
-            f" {con.name}: {render(list(con.coeffs))} {sense_txt[con.sense]} {con.rhs:g}"
+            f" {con.name}: {render(list(con.coeffs) or zero)} {sense_txt[con.sense]} {con.rhs:g}"
         )
     bound_lines = []
     for var in variables:

@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 from .design import (
     Design,
     DesignModel,
+    _key,
     add_routing,
     build_design_model,
     check_solve,
@@ -321,16 +322,11 @@ def evaluate_transient(
     if concurrent:
         tvar = m.add_variable("served_fraction", ub=1.0)
         objective = {tvar: -offered}
-
-        def served(s: str, t: str, volume: float) -> tuple[str, float]:
-            return tvar, volume
+        served = {(s, t): (tvar, volume) for s, t, volume in demands.pairs}
     else:
-        objective = {}
-
-        def served(s: str, t: str, volume: float) -> tuple[str, float]:
-            d = m.add_variable(f"d_{s}_{t}", ub=volume)
-            objective[d] = -1.0
-            return d, 1.0
+        served = {(s, t): (m.add_variable(f"d_{_key(s)}_{_key(t)}", ub=volume), 1.0)
+                  for s, t, volume in demands.pairs}
+        objective = {d: -1.0 for d, _ in served.values()}
 
     arcs = {arc: (None, float(caps[arc])) for arc in sorted(caps)}
     add_routing(m, "f0", arcs, alive_routers(topology, scenario), demands, served)
@@ -369,13 +365,7 @@ def write_transient_csv(reports: Sequence[TransientReport], fileobj) -> None:
     writer.writerow(["scenario_kind", "scenario_id", "offered", "delivered", "fraction"])
     for rep in reports:
         scen = rep.scenario
-        if scen.kind == "none":
-            ident = ""
-        elif scen.kind == "span":
-            ident = f"{scen.target[0]}~{scen.target[1]}"
-        else:
-            ident = str(scen.target)
         writer.writerow(
-            [scen.kind, ident, f"{rep.offered:.6f}", f"{rep.delivered:.6f}",
-             f"{rep.fraction:.6f}"]
+            [scen.kind, scen.label().partition(":")[2], f"{rep.offered:.6f}",
+             f"{rep.delivered:.6f}", f"{rep.fraction:.6f}"]
         )

@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 
 from roadmnet import algorithms
 from roadmnet import (
+    DemandMatrix,
     Design,
     FailureScenario,
     InfeasibleDesignError,
     NoIncumbentError,
     PriorPlacement,
+    Router,
+    Span,
     Topology,
     build_design_model,
     check_flow_conservation,
@@ -165,6 +168,36 @@ def test_infeasible_when_only_router_dies(name):
         getattr(algorithms, f"design_{name}")(lonely, demands, costs)
     assert info.value.scenario == FailureScenario.router_down("R1")
     assert str(info.value) == "no placement can serve router:R1"
+
+
+def test_legacy_infeasible_when_a_cut_isolates_a_lone_router(monkeypatch):
+    # The toy network plus IP node C, whose one router c1 hangs off O3 by one
+    # span: cutting it leaves c1 alive with no link, so the demand into C has
+    # an empty destination row.
+    topology, demands, costs = toy_network()
+    topology = Topology(
+        ip_nodes=(*topology.ip_nodes, "C"),
+        optical_nodes=topology.optical_nodes,
+        routers=(*topology.routers, Router("c1", "C")),
+        spans=(*topology.spans, Span("O3", "C", 300.0)),
+        regen_dist=topology.regen_dist,
+    )
+    demands = DemandMatrix(entries=(*demands.entries, ("N1", "C", 0.5)))
+    cut = FailureScenario.span_cut("O3", "C")
+    real, models = algorithms.solve, []
+
+    def recording(model, *args):
+        models.append(model)
+        return real(model, *args)
+
+    monkeypatch.setattr(algorithms, "solve", recording)
+    with pytest.raises(InfeasibleDesignError) as info:
+        design_legacy(topology, demands, costs, scenarios=[NF, cut])
+    assert info.value.scenario == cut
+    assert str(info.value) == "no placement can serve span:C~O3"
+    rows = {c.name: c for c in models[-1].constraints}
+    assert (rows["flow_dst_f0_N1_C"].coeffs, rows["flow_dst_f0_N1_C"].rhs) == ((), 0.5)
+    assert rows["flow_src_f0_N1_C"].coeffs
 
 
 def test_no_incumbent_when_budget_exhausted(toy_inputs):

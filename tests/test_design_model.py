@@ -16,7 +16,7 @@ from roadmnet.design import (
     iround,
     source_side_usage,
 )
-from roadmnet.milp import LinearModel, Variable, _compile, export_lp, solve, validate_solution
+from roadmnet.milp import LinearModel, _compile, export_lp, solve, validate_solution
 from roadmnet.topology import (
     CostModel,
     DemandMatrix,
@@ -250,26 +250,36 @@ def test_commodity_flow_endpoint_terms_empty_when_its_router_is_down():
     alive = tuple(r for r in FLOW_ROUTERS if r.id != "a1")
     m = LinearModel()
     add_routing(m, "t", flow_capacities(m), alive, ONE_DEMAND)
-    rows = {c.name: (dict(c.coeffs), c.sense, c.rhs) for c in m.constraints}
-    assert m.variables[-1] == Variable("impossible_t_A_B_src", 0.0, 0.0, False)
-    assert rows["impossible_t_A_B_src"] == ({"impossible_t_A_B_src": 1.0}, "==", 1.0)
-    assert "flow_src_t_A_B" not in rows
-    assert rows["flow_dst_t_A_B"] == (
-        {y("c1", "b1"): 1.0, y("c2", "b1"): 1.0, y("b1", "a1"): -1.0}, "==", 0.5)
-    assert rows["cap_t_c1_c2"] == ({y("c1", "c2"): 1.0, "x": -1.0}, "<=", 0.0)
-    assert rows["cap_t_b1_a1"] == ({y("b1", "a1"): 1.0}, "<=", 2.0)
-    assert len(rows) == 2 + 2 + len(FLOW_ARCS)
+    rows = [(c.name, dict(c.coeffs), c.sense, c.rhs) for c in m.constraints]
+    assert [v.name for v in m.variables] == ["x", *(y(*arc) for arc in FLOW_ARCS)]
+    # The demand's block: its transit rows, then an empty source row.
+    assert rows[:4] == [
+        ("balance_Y_t_A_B_c1",
+         {y("a1", "c1"): 1.0, y("c1", "b1"): -1.0, y("c1", "c2"): -1.0}, "==", 0.0),
+        ("balance_Y_t_A_B_c2", {y("c1", "c2"): 1.0, y("c2", "b1"): -1.0}, "==", 0.0),
+        ("flow_src_t_A_B", {}, "==", 0.5),
+        ("flow_dst_t_A_B",
+         {y("c1", "b1"): 1.0, y("c2", "b1"): 1.0, y("b1", "a1"): -1.0}, "==", 0.5),
+    ]
+    assert rows[4:] == [
+        ("cap_t_a1_c1", {y("a1", "c1"): 1.0}, "<=", 2.0),
+        ("cap_t_c1_b1", {y("c1", "b1"): 1.0}, "<=", 2.0),
+        ("cap_t_c1_c2", {y("c1", "c2"): 1.0, "x": -1.0}, "<=", 0.0),
+        ("cap_t_c2_b1", {y("c2", "b1"): 1.0}, "<=", 2.0),
+        ("cap_t_b1_a1", {y("b1", "a1"): 1.0}, "<=", 2.0),
+    ]
+    assert solve(m).status == "infeasible"
 
     # With a served column the empty endpoint row degenerates to served = 0.
     m = LinearModel()
-    add_routing(m, "t", flow_capacities(m), alive, ONE_DEMAND,
-                lambda s, t, volume: (m.add_variable(f"d_{s}_{t}", ub=volume), 1.0))
+    arcs = flow_capacities(m)
+    d = m.add_variable("d_A_B", ub=0.5)
+    add_routing(m, "t", arcs, alive, ONE_DEMAND, {("A", "B"): (d, 1.0)})
     rows = {c.name: (dict(c.coeffs), c.sense, c.rhs) for c in m.constraints}
-    assert [v.name for v in m.variables[:2]] == ["x", "d_A_B"]
+    assert [v.name for v in m.variables[:3]] == ["x", "d_A_B", y("a1", "c1")]
     assert rows["flow_src_t_A_B"] == ({"d_A_B": -1.0}, "==", 0.0)
     assert rows["flow_dst_t_A_B"] == (
         {y("c1", "b1"): 1.0, y("c2", "b1"): 1.0, y("b1", "a1"): -1.0, "d_A_B": -1.0}, "==", 0.0)
-    assert not any(v.name.startswith("impossible") for v in m.variables)
     assert len(rows) == 2 + 2 + len(FLOW_ARCS)
 
 
@@ -298,10 +308,10 @@ def test_priced_design_rolls_up_costs_and_status():
 # design ("operate"), per shipped fixture.  Variable and row names, their
 # order, bounds and coefficient order all feed the digest.
 GOLDEN_MODELS = {
-    ("toy2x5", "sizing"): "67235f7ff7fac660cfc4e3175ffd70f6699088b5ff100c5499d7d0af88ea8064",
-    ("toy2x5", "operate"): "f4be21bce1a312595e99cd3fff48029ad7f35346d799bb4665341829248d85bc",
-    ("grid3x3_600", "sizing"): "d2d8da87faf0cf9cc369cd4b82b02f420cc0df7dd130a5edb5e809c36809f001",
-    ("grid3x3_600", "operate"): "5b75e07dd965a849c8c2b5c4f9ecdce10da0548a0c0c7ae8911b40233028d886",
+    ("toy2x5", "sizing"): "c6b18b4c35909866b85618161ea4d56405c9f70ae848228363d93797a9f1c986",
+    ("toy2x5", "operate"): "54f1d98466fc377fb6791e6dd50b34f56bc1634add9d3a16798266b36716fda6",
+    ("grid3x3_600", "sizing"): "09fd07b4274e9ed37a125df2e42ff4327f43006ba94be471e9f8d65cd69d3259",
+    ("grid3x3_600", "operate"): "f28925132449d9153a6ee23f01ea006e502ed9145a22f883e8ba9f69323632be",
 }
 
 
@@ -353,14 +363,14 @@ def greedy_second_prior(topology, demands, costs) -> PriorPlacement:
 # first scenario bought as a prior ("prior") and the no-failure operating
 # model of the optimal design ("operate"), per shipped fixture.
 MODEL_FINGERPRINTS = {
-    ("toy2x5", "sizing"): "70f5d2574dda2fcface8fcf20a29ee6d7cd6b3a817709d3a177c98968f3cccdb",
-    ("toy2x5", "plain"): "8ffef0281b16b35786694bd620ee35ffd4982dce5cb69de4e7d8ad3380e35787",
-    ("toy2x5", "prior"): "38ba4997c1eaf809f18738e940a0383cc9c7b1125581f54f1a47d156d4da77ef",
-    ("toy2x5", "operate"): "13fc38f3393f745e25096565454a6f419a8e2ecb7145648596c2312e22fcc2a6",
-    ("grid3x3_600", "sizing"): "51f3b36c4ca3f252a21f2f281e5259626bed49d054dfb4634b207eb2eea3727d",
-    ("grid3x3_600", "plain"): "2ae4170452d96d33c289c9474ffffa1b287b65e918122d0707ca7334bb621822",
-    ("grid3x3_600", "prior"): "5031e2a74e6f0eb434047a95825ed3e5200d0387635086d8972a77ea11b145d7",
-    ("grid3x3_600", "operate"): "9e495fdf98f3e9ce44f5adae6ca318379a15dd169fb995a739567674be784f3a",
+    ("toy2x5", "sizing"): "68744d5dcaed04cd01d109c4f6335e12b6e17ba57155195cf9c104d68cecfb3b",
+    ("toy2x5", "plain"): "5b4ca911ba13e7f9301e1407b441ae63ca965d3d2b5515ffb15c42e7254735b2",
+    ("toy2x5", "prior"): "d382dea720fd24dcce5508c23d4a973ffab403cde4b2e75694a5aefda70685c5",
+    ("toy2x5", "operate"): "d62fdb169a9cd2c8698e48a1d99ffadddbb39dae951dbf18f2a102f0d2ed6e5e",
+    ("grid3x3_600", "sizing"): "84dc426ea147ad71eb32e487225768a74cf9e5ea2540174b45cc9c82dd4c0555",
+    ("grid3x3_600", "plain"): "1ca19e3e87a4f3b89e5fe31c5ed5b9aae81b9a7864cbda60707032083afdde8f",
+    ("grid3x3_600", "prior"): "a865d565b0fb620479f971a3c9fbcac237fd6017921ab213cc3e81f74ec36165",
+    ("grid3x3_600", "operate"): "89157b2f918882a4d7508be8db3822f081fe2a8df10c3029e3d8abe6862e65a8",
 }
 
 
@@ -408,10 +418,10 @@ def compiled_fingerprint(models) -> str:
 COMPILED_FINGERPRINTS = {
     ("toy2x5", "transient"): "902f881f13b048099b237b350ccc03bd27f1938d72289dfb92ed97e520585bbc",
     ("toy2x5", "concurrent"): "8378d3bc0acd69294cd016c9aa89cab6d23b12d62d5c944518f7ff2196bc318f",
-    ("toy2x5", "legacy"): "b5744b7e907258b212f9c2e2aa66c16b3fa430ddb61b6bd0c9a2ff48fe8d3c69",
-    ("grid3x3_600", "transient"): "257ba75a70aa2c7752524538002b933f204e90d23ce7f675ac02dd8d54322c3e",
+    ("toy2x5", "legacy"): "1299d91d218afdbe8a03ae71f443a343044e5068bdad67d65ba8a730ccb1c90e",
+    ("grid3x3_600", "transient"): "19dc0e0b0944422f36955cc3f4bb90db6695f93eefffcd8a0c2615851ae8c2f3",
     ("grid3x3_600", "concurrent"): "60c48527290363e13831910ee9cc24dbd5d7c009738258a358104214fc254fe1",
-    ("grid3x3_600", "legacy"): "fc8e1fa8a20a3b7b53611e2593dc1d8faba93acadcc22210f148ccb015f13f86",
+    ("grid3x3_600", "legacy"): "44ce038b7ddf4e45e6886ba5a60adb02bcfc7c5fea3cc2fb05d0a7c959fdc663",
 }
 
 

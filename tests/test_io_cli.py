@@ -583,6 +583,51 @@ def test_cli_legacy_round_trip_with_routers_against_name_order(tmp_path, capsys)
     assert len(rows) == 17 and all(row.endswith(",1.000000") for row in rows)
 
 
+def ids_joined_alike(kind: str) -> dict:
+    """A network whose ids give one name when joined with ``_``.
+
+    "routers": the toy network with routers x_y, x at node A and z, y_z at
+    node B, so links (x_y, z) and (x, y_z) join alike.  "nodes": a ring of
+    IP nodes a_b, c, a, b_c with two routers each and demands a_b -> c and
+    a -> b_c, so hops and demands join alike.
+    """
+    if kind == "routers":
+        doc, homes = _toy_input(), {"N1": "A", "N2": "B"}
+        ids = {"R1": "x_y", "R2": "x", "R3": "z", "R4": "y_z"}
+        doc["ip_nodes"] = ["A", "B"]
+        doc["routers"] = [{"id": ids[r["id"]], "home": homes[r["home"]]}
+                          for r in doc["routers"]]
+        doc["spans"] = [{**s, "u": homes.get(s["u"], s["u"]), "v": homes.get(s["v"], s["v"])}
+                        for s in doc["spans"]]
+        doc["demands"] = [{"src": "A", "dst": "B", "units": 0.8}]
+        return doc
+    nodes = ["a_b", "c", "a", "b_c"]
+    return {
+        "ip_nodes": nodes,
+        "optical_nodes": [],
+        "routers": [{"id": f"r{2 * i + j + 1}", "home": n}
+                    for i, n in enumerate(nodes) for j in range(2)],
+        "spans": [{"u": n, "v": nodes[i - 1], "miles": 400} for i, n in enumerate(nodes)],
+        "regen_dist": 1000,
+        "demands": [{"src": "a_b", "dst": "c", "units": 0.5},
+                    {"src": "a", "dst": "b_c", "units": 0.5}],
+    }
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("kind", ["routers", "nodes"])
+def test_cli_ids_with_underscores(tmp_path, capsys, kind, algorithm):
+    inputs, design_path = tmp_path / "net.json", tmp_path / "design.json"
+    inputs.write_text(json.dumps(ids_joined_alike(kind)))
+    assert main([
+        "design", str(inputs), "--algorithm", algorithm, "--out", str(design_path),
+    ]) == 0
+    assert main(["transient", str(inputs), "--design", str(design_path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert len(out.split("scenario_kind,")[1].splitlines()) == 1 + 13
+
+
 def test_cli_design_rewrites_identically(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["design", fixture_path("toy2x5"), "--out", str(a)])

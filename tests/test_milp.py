@@ -320,6 +320,41 @@ class TestExport:
         assert " obj: 0 z" in text
         assert "Bounds" not in text  # default bounds are omitted
 
+    @staticmethod
+    def read_back(tmp_path, model: LinearModel):
+        """A HiGHS instance holding the model read from its LP text."""
+        path = tmp_path / "model.lp"
+        path.write_text(export_lp(model))
+        h = milp.highs._Highs()
+        h.setOptionValue("output_flag", False)
+        assert h.readModel(str(path)) == milp.highs.HighsStatus.kOk
+        return h
+
+    def test_empty_row_reads_back_infeasible(self, tmp_path):
+        m = LinearModel("stranded")
+        m.add_variable("x", ub=1.0)
+        m._add_block((), 0.0, 0.0, False, [([], [], "==", 0.5)], (), ["flow_src"])
+        assert " flow_src: 0 x = 0.5" in export_lp(m).splitlines()
+        assert solve(m).status == "infeasible"
+        h = self.read_back(tmp_path, m)
+        assert (h.getLp().num_row_, h.getNumNz()) == (1, 0)
+        h.run()
+        assert h.getModelStatus() == milp.highs.HighsModelStatus.kInfeasible
+
+    @pytest.mark.parametrize("fixture", ["toy2x5", "grid3x3_600"])
+    def test_fixture_models_read_back_alike(self, tmp_path, request, fixture):
+        topology, demands, costs = load_inputs(fixture_path(fixture))
+        design = request.getfixturevalue(
+            "toy_optimal" if fixture == "toy2x5" else "grid_optimal")[0]
+        sizing = build_design_model(topology, demands, enumerate_failures(topology), costs)
+        operate = build_design_model(topology, demands, [FailureScenario.no_failure()],
+                                     CostModel(0.0, 0.0, 0.0), fixed_design=design)
+        for dm in (sizing, operate):
+            comp = milp._compile(dm.model)
+            h = self.read_back(tmp_path, dm.model)
+            assert (h.getLp().num_row_, h.getLp().num_col_, h.getNumNz()) == (
+                len(comp.row_upper), len(comp.c), len(comp.csc[0]))
+
 
 # ---------------------------------------------------------------------------
 # milp.linprog against scipy.optimize.linprog(method="highs")
