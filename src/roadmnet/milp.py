@@ -10,22 +10,18 @@ the instance each thread keeps across solves (loaded once per solve, given
 only the changed column bounds, its solver state cleared per LP),
 branching follows a most-fractional rule with lowest-index tie-breaks, and
 open nodes are explored best-bound-first, newest first on ties, so identical
-models always produce identical results.  No open node is below the one
+models always produce identical results.  A child's LP is solved only when
+the child first reaches the top of the heap, where it waits under its
+parent's bound (a lower bound on its own).  No open node is below the one
 popped, so the search ends at the first integral node it pops, which is
 optimal: a bundled solve answers "optimal", "infeasible", "unbounded" or
 "no_solution", never "feasible".  A thin adapter onto
 :func:`scipy.optimize.milp` is kept around as an independent cross-check
 backend for tests; only it answers "feasible".
 
-Where a node branches into two children and ``os.sched_getaffinity``
-reports two or more CPUs, a second thread solves the second child's LP while
-the calling thread solves the first (HiGHS releases the interpreter lock
-while it runs); both results are then used in the usual order, so every
-answer is the same as with one thread.  The solve owns that thread, whose
-instance dies with it, and clears the calling thread's instance of its model
-before it returns or raises; a solve nested in another on one thread gets
-an instance of its own.  The thread runs the import-time :func:`linprog`, so
-a patch of ``milp.linprog`` sees only the LPs solved on the calling thread.
+Every LP of a solve runs on the calling thread; a solve nested in another
+on one thread gets an instance of its own, and a solve clears its instance
+of the model before it returns or raises.
 
 Importing this module loads scipy's HiGHS bindings extension alone (see
 :func:`_load_bindings`), not ``scipy.optimize`` or ``scipy.sparse``, which
@@ -41,13 +37,11 @@ import os
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy
@@ -133,7 +127,8 @@ class SolveResult:
     (time limit hit before an integral solution) or, from
     :func:`solve_with_scipy_milp` only, "feasible" (time limit hit with a
     solution not proven optimal).  best_bound is the proven lower bound on
-    the minimum; for "optimal" it coincides with objective_value.
+    the minimum; for "optimal" it coincides with objective_value.  nodes is
+    the number of LP relaxations solved.
     """
 
     status: str
@@ -398,15 +393,26 @@ class _LPResult(NamedTuple):
 
 
 class _Loaded:
-    """A compiled model in one HiGHS instance, one per thread of a solve.
+    """A compiled model in the calling thread's HiGHS instance, for one solve.
 
-    The first LP on it loads the model into its thread's instance, replacing
-    any model there; ``lb`` and ``ub`` are the column bounds the instance holds.
+    The first LP on it loads the model into the thread's instance (a new one
+    while another solve holds it); ``lb`` and ``ub`` are the column bounds
+    the instance holds.
     """
 
     def __init__(self, comp: _Compiled):
         self.comp, self.highs, self.ok = comp, None, False
         self.lb, self.ub = comp.lb.copy(), comp.ub.copy()
+
+    def release(self) -> None:
+        """Clear the instance of the model, solver state and options, and
+        give it back to the thread unless it keeps a nested solve's."""
+        mine, self.highs = self.highs, None
+        if mine is not None:
+            mine.clear()
+            mine.passOptions(_LP_OPTIONS)
+            if getattr(_IDLE, "highs", None) is None:
+                _IDLE.highs = mine
 
 
 def linprog(lp: _Loaded, lb: np.ndarray, ub: np.ndarray,
@@ -479,25 +485,6 @@ def _most_fractional(x: np.ndarray, int_idx: np.ndarray) -> int | None:
     return int(int_idx[j])
 
 
-def _child_lps(lps: list[_Loaded], children, pool: ThreadPoolExecutor | None,
-               remaining, solve_sibling=linprog) -> Iterator[_LPResult]:
-    """Each child's LP result, in order.
-
-    With a pool and two children the pool's thread solves the second child's
-    LP on ``lps[1]`` while this thread solves the first on ``lps[0]``; its
-    result is read before the first is yielded, so an error on either thread
-    surfaces here.  ``solve_sibling`` is bound at import, so a patched
-    ``milp.linprog`` never runs on the pool's thread.
-    """
-    if pool is None or len(children) < 2:
-        for lb, ub in children:
-            yield linprog(lps[0], lb, ub, remaining())
-        return
-    second = pool.submit(solve_sibling, lps[1], *children[1], remaining())
-    first = linprog(lps[0], *children[0], remaining())
-    yield from (first, second.result())
-
-
 def solve(model: LinearModel, time_limit: float | None = None) -> SolveResult:
     """Minimize the model by branch-and-bound over HiGHS LP relaxations.
 
@@ -516,26 +503,16 @@ def solve(model: LinearModel, time_limit: float | None = None) -> SolveResult:
 
     if len(comp.c) == 0:
         return SolveResult("optimal", {}, 0.0, 0.0, nodes=0)
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    # This thread's instance, then the sibling thread's, loaded at its first LP.
-    lps = [_Loaded(comp), _Loaded(comp)]
+    lp = _Loaded(comp)
     try:
-        # The pool's thread solves second siblings; leaving the block stops it
-        # before the instances are dropped.
-        with ThreadPoolExecutor(1, "roadmnet-lp") if len(cpus) >= 2 else nullcontext() as pool:
-            return _branch_and_bound(model, comp, lps, pool, remaining)
+        return _branch_and_bound(model, comp, lp, remaining)
     finally:
-        mine, lps[0].highs, lps[1].highs = lps[0].highs, None, None
-        if mine is not None:  # no model, solver state or option outlives the solve
-            mine.clear()
-            mine.passOptions(_LP_OPTIONS)
-            if getattr(_IDLE, "highs", None) is None:  # else a nested solve's is kept
-                _IDLE.highs = mine
+        lp.release()
 
 
-def _branch_and_bound(model: LinearModel, comp: _Compiled, lps: list[_Loaded],
-                      pool: ThreadPoolExecutor | None, remaining) -> SolveResult:
-    root = linprog(lps[0], comp.lb, comp.ub, remaining())
+def _branch_and_bound(model: LinearModel, comp: _Compiled, lp: _Loaded,
+                      remaining) -> SolveResult:
+    root = linprog(lp, comp.lb, comp.ub, remaining())
     if root.status == 2:
         return SolveResult("infeasible", {}, None, math.inf, nodes=1)
     if root.status == 3:
@@ -547,11 +524,16 @@ def _branch_and_bound(model: LinearModel, comp: _Compiled, lps: list[_Loaded],
 
     nodes = 1
     counter = 0
-    # Heap of open nodes: (LP bound, -insertion counter, LP solution, lb, ub).
+    # Heap of open nodes: (bound, -insertion counter, LP solution, lb, ub).
     # Best bound first; among equal bounds the newest node wins, so the search
     # dives depth-first along a flat bound plateau instead of sweeping it
-    # breadth-first, which reaches an integral node far sooner.  No open node
-    # is below the popped one, so the first integral node popped is optimal.
+    # breadth-first, which reaches an integral node far sooner.  A child waits
+    # unsolved (solution None) under its parent's bound, which is at most its
+    # own; its LP is solved when it first reaches the top, and it goes back
+    # under its own bound with the same counter.  So the first solved node
+    # popped is the one a search that solves every child at once would pop.
+    # No open node is below the popped one, so the first integral node popped
+    # is optimal.
     heap = [(float(root.fun), -counter, root.x, comp.lb, comp.ub)]
 
     def no_solution(bound: float) -> SolveResult:
@@ -560,10 +542,21 @@ def _branch_and_bound(model: LinearModel, comp: _Compiled, lps: list[_Loaded],
         return SolveResult("no_solution", {}, None, least, nodes=nodes)
 
     while heap:
-        bound, _, x, lb, ub = heappop(heap)
+        bound, order, x, lb, ub = heappop(heap)
         rem = remaining()
         if rem is not None and rem <= 0:
             return no_solution(bound)
+        if x is None:
+            res = linprog(lp, lb, ub, rem)
+            nodes += 1
+            if res.status == 2:
+                continue
+            if res.status == 1:  # LP hit its own time/iteration limit
+                return no_solution(bound)
+            if res.status != 0:
+                raise SolverError(f"LP backend failed with status {res.status}")
+            heappush(heap, (float(res.fun), order, res.x, lb, ub))
+            continue
         branch = _most_fractional(x, comp.int_idx)
         if branch is None:
             return SolveResult("optimal", _values_of(model, comp, x), bound, bound, nodes=nodes)
@@ -574,18 +567,10 @@ def _branch_and_bound(model: LinearModel, comp: _Compiled, lps: list[_Loaded],
         children = [(lb, down_ub), (up_lb, ub)]
         if xv - math.floor(xv) < 0.5:
             children.reverse()
-        children = [(l, u) for l, u in children if l[branch] <= u[branch]]
-        results = _child_lps(lps, children, pool, remaining)
-        for (child_lb, child_ub), res in zip(children, results):
-            nodes += 1
-            if res.status == 2:
-                continue
-            if res.status == 1:  # LP hit its own time/iteration limit
-                return no_solution(bound)
-            if res.status != 0:
-                raise SolverError(f"LP backend failed with status {res.status}")
-            counter += 1
-            heappush(heap, (float(res.fun), -counter, res.x, child_lb, child_ub))
+        for child_lb, child_ub in children:
+            if child_lb[branch] <= child_ub[branch]:
+                counter += 1
+                heappush(heap, (bound, -counter, None, child_lb, child_ub))
     return SolveResult("infeasible", {}, None, math.inf, nodes=nodes)
 
 

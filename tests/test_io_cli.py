@@ -661,21 +661,6 @@ def test_cli_design_document_matches_golden_hash(tmp_path, capsys, fixture, algo
     assert digest == GOLDEN_DOCUMENTS[(fixture, algorithm)]
 
 
-class TestPairedSiblings:
-    """roadmnet design with sibling LPs on two threads or all on one."""
-
-    @pytest.mark.parametrize("siblings", ["paired", "local"])
-    def test_grid_design_document_is_unchanged(self, siblings, tmp_path, capsys,
-                                               monkeypatch):
-        if siblings == "local":
-            monkeypatch.setattr(milp.os, "sched_getaffinity", lambda pid: {0})
-        path = tmp_path / "design.json"
-        assert main(["design", fixture_path("grid3x3_600"), "--out", str(path)]) == 0
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == GOLDEN_DOCUMENTS[("grid3x3_600", "optimal")]
-        assert capsys.readouterr().err == ""
-
-
 def test_cli_compare(tmp_path, capsys):
     csv_path = tmp_path / "cmp.csv"
     assert main([
@@ -729,7 +714,7 @@ def test_cli_compare_keeps_going_when_one_algorithms_solver_fails(
 
 
 def test_cli_compare_reports_time_outs_and_solver_failures_on_one_line(capsys, monkeypatch):
-    # Every child LP on the calling thread fails: each solve that branches
+    # Every child LP fails: each solve that branches
     # raises SolverError (greedy's toy solves never branch).  design_optimal
     # runs out of time before it would.
     real = milp.linprog

@@ -2,9 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import heapq
 import math
 import multiprocessing
-import os
 import random
 import subprocess
 import sys
@@ -12,7 +12,6 @@ import threading
 import time
 import types
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from scipy import sparse
 from scipy.optimize._linprog_util import _check_result
 
 from roadmnet import algorithms, milp, operation
-from roadmnet.design import PriorPlacement, build_design_model
+from roadmnet.design import build_design_model
 from roadmnet.io import load_inputs
 from roadmnet.milp import (
     LinearModel,
@@ -37,9 +36,6 @@ from roadmnet.verify import enumerate_milp_minimum
 
 from conftest import fixture_path
 from instances import grid_network, random_integer_model
-
-# Sibling LPs are paired only where two CPUs are usable.
-TWO_CPUS = len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2
 
 
 def knapsackish() -> LinearModel:
@@ -436,12 +432,11 @@ def assert_same_matrix(model: LinearModel):
 
 @pytest.fixture(scope="module")
 def node_lps():
-    """Every LP design_optimal solves on both fixtures, and each solve's nodes.
+    """Every LP design_optimal and design_greedy solve on both fixtures, and
+    each solve's nodes.
 
-    An LP is (model, lb, ub, result), where result is the sibling thread's
-    answer for an LP that thread solved and None for one solved on the
-    calling thread.  Every branching is paired, so the sibling thread solves
-    every second sibling.
+    An LP is (model, lb, ub); each is recorded on the thread that solves it,
+    which must be the calling one.
     """
     recorded, nodes, current = [], [], []
     real_solve, real_lp = milp.solve, milp.linprog
@@ -453,28 +448,18 @@ def node_lps():
         return result
 
     def lp_recording(comp, lb, ub, time_limit):
-        recorded.append((current[0], lb.copy(), ub.copy(), None))
+        assert threading.current_thread() is threading.main_thread()
+        recorded.append((current[0], lb.copy(), ub.copy()))
         return real_lp(comp, lb, ub, time_limit)
-
-    class RecordingPool(ThreadPoolExecutor):
-        def submit(self, solve_lp, comp, lb, ub, time_limit):
-            lp = (current[0], lb.copy(), ub.copy())
-
-            def recording():
-                assert threading.current_thread() is not threading.main_thread()
-                result = solve_lp(comp, lb, ub, time_limit)
-                recorded.append((*lp, result))
-                return result
-
-            return super().submit(recording)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(algorithms, "solve", solve_recording)
         mp.setattr(operation, "solve", solve_recording)
         mp.setattr(milp, "linprog", lp_recording)
-        mp.setattr(milp, "ThreadPoolExecutor", RecordingPool)
         for name in ("toy2x5", "grid3x3_600"):
-            algorithms.design_optimal(*load_inputs(fixture_path(name)))
+            inputs = load_inputs(fixture_path(name))
+            algorithms.design_optimal(*inputs)
+            algorithms.design_greedy(*inputs)
     return recorded, nodes
 
 
@@ -494,17 +479,11 @@ class TestDirectHighs:
     def test_node_lps_match_scipy_linprog(self, node_lps):
         lps, nodes = node_lps
         assert len(lps) > 90
-        assert len(lps) == sum(nodes)  # one LP a node, wherever it was solved
+        assert len(lps) == sum(nodes)  # one LP a node
         assert {m.name for m, *_ in lps} == {"design", "operation"}
         assert any(not np.array_equal(lb, milp._compile(m).lb) for m, lb, *_ in lps)
-        if TWO_CPUS:
-            assert sum(res is not None for *_, res in lps) > 30
-        for model, lb, ub, res in lps:
-            got = assert_same_lp(model, lb, ub)
-            if res is not None:  # the sibling thread's answer, bit for bit
-                assert (res.status, res.fun) == (got.status, got.fun)
-                assert (res.x is None) == (got.x is None)
-                assert res.x is None or res.x.tobytes() == got.x.tobytes()
+        for model, lb, ub in lps:
+            assert_same_lp(model, lb, ub)
 
     def test_stacked_matrix_is_the_old_vstack(self, node_lps):
         models = {id(m): m for m, *_ in node_lps[0]}
@@ -657,6 +636,11 @@ class TestImportFootprint:
                  and not m.startswith(BINDINGS)]
         assert heavy == []
 
+    @pytest.mark.parametrize("code", ["import roadmnet", RUN_HELP], ids=["import", "help"])
+    def test_loads_no_thread_pool(self, code):
+        loaded = run_fresh(code)[-1].split()
+        assert [m for m in loaded if m.split(".")[0] in ("concurrent", "logging", "queue")] == []
+
     @pytest.mark.parametrize("first, second", [
         ("import scipy.optimize", "import roadmnet"),
         ("import roadmnet", "import scipy.optimize"),
@@ -695,7 +679,7 @@ class TestImportFootprint:
 
 
 # ---------------------------------------------------------------------------
-# Sibling LPs solved on a second thread
+# Child LPs solved when the child reaches the top of the heap
 # ---------------------------------------------------------------------------
 
 
@@ -708,153 +692,153 @@ def fingerprint(res):
             [(name, hexed(v)) for name, v in res.values.items()])
 
 
+def answer(res):
+    """Everything a SolveResult says but how many LPs it solved."""
+    status, objective, bound, _, values = fingerprint(res)
+    return status, objective, bound, values
+
+
 def joint_model(inputs) -> LinearModel:
     topology, demands, costs = inputs
     return build_design_model(topology, demands, enumerate_failures(topology), costs).model
 
 
-def count_lps_here(monkeypatch) -> list:
-    """A list that grows by one for each LP solved on the calling thread."""
-    real, here = milp.linprog, []
+def eager_solve(model: LinearModel) -> milp.SolveResult:
+    """The reference search: a branch-and-bound that solves each child's LP
+    as soon as its parent branches, the children one after the other, and
+    pushes each feasible child under its own bound.  Otherwise it is
+    :func:`milp.solve` with no time limit."""
+    comp = milp._compile(model)
+    if len(comp.c) == 0:
+        return milp.SolveResult("optimal", {}, 0.0, 0.0, nodes=0)
+    lp = milp._Loaded(comp)
+    try:
+        root = milp.linprog(lp, comp.lb, comp.ub, None)
+        if root.status == 2:
+            return milp.SolveResult("infeasible", {}, None, math.inf, nodes=1)
+        if root.status == 3:
+            return milp.SolveResult("unbounded", {}, None, -math.inf, nodes=1)
+        assert root.status == 0
+        nodes, counter = 1, 0
+        heap = [(float(root.fun), -counter, root.x, comp.lb, comp.ub)]
+        while heap:
+            bound, _, x, lb, ub = heapq.heappop(heap)
+            branch = milp._most_fractional(x, comp.int_idx)
+            if branch is None:
+                return milp.SolveResult("optimal", milp._values_of(model, comp, x),
+                                        bound, bound, nodes=nodes)
+            xv = x[branch]
+            down_ub, up_lb = ub.copy(), lb.copy()
+            down_ub[branch], up_lb[branch] = math.floor(xv), math.ceil(xv)
+            children = [(lb, down_ub), (up_lb, ub)]
+            if xv - math.floor(xv) < 0.5:
+                children.reverse()
+            for child_lb, child_ub in children:
+                if child_lb[branch] > child_ub[branch]:
+                    continue
+                res = milp.linprog(lp, child_lb, child_ub, None)
+                nodes += 1
+                if res.status == 2:
+                    continue
+                assert res.status == 0
+                counter += 1
+                heapq.heappush(heap, (float(res.fun), -counter, res.x, child_lb, child_ub))
+        return milp.SolveResult("infeasible", {}, None, math.inf, nodes=nodes)
+    finally:
+        lp.release()
 
-    def counting(*args):
-        here.append(None)
-        return real(*args)
 
-    monkeypatch.setattr(milp, "linprog", counting)
-    return here
+def searched(search, model: LinearModel):
+    """The search's result on the model, and the LP point of every node it
+    branches or stops at, in the order it pops them."""
+    real, points = milp._most_fractional, []
 
+    def recording(x, int_idx):
+        points.append(x.tobytes())
+        return real(x, int_idx)
 
-def one_cpu(monkeypatch) -> None:
-    """Make solves see one CPU, so they solve every LP on the calling thread."""
-    monkeypatch.setattr(milp.os, "sched_getaffinity", lambda pid: {0})
-
-
-def paired_and_local(model, monkeypatch, time_limit=None):
-    """(paired result, LPs solved on the calling thread, all-local result)."""
-    here = count_lps_here(monkeypatch)
-    paired = solve(model, time_limit)
-    one_cpu(monkeypatch)
-    return paired, len(here), solve(model, time_limit)
-
-
-def sibling_threads() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name.startswith("roadmnet-lp")]
-
-
-def paired_in_a_worker(fixture: str):
-    """(fingerprint, LPs solved on the calling thread) of a paired solve of
-    the fixture's joint model."""
-    model = joint_model(load_inputs(fixture_path(fixture)))
     with pytest.MonkeyPatch.context() as mp:
-        here = count_lps_here(mp)
-        return fingerprint(solve(model)), len(here)
+        mp.setattr(milp, "_most_fractional", recording)
+        return search(model), points
 
 
-class TestPairedSiblings:
+def assert_searched_alike(model: LinearModel):
+    """The bundled search pops the eager one's solved nodes in its order and
+    gives its answer, bit for bit, solving no more LPs; returns the LPs each
+    solved."""
+    lazy, lazy_points = searched(solve, model)
+    eager, eager_points = searched(eager_solve, model)
+    assert lazy_points == eager_points, model.name
+    assert answer(lazy) == answer(eager), model.name
+    assert lazy.nodes <= eager.nodes, model.name
+    return lazy.nodes, eager.nodes
+
+
+@pytest.fixture(scope="module")
+def planner_models() -> list[LinearModel]:
+    """Every model the planner solves on both fixtures, interleaved: those of
+    the four design algorithms, of a no-failure operate of the optimal
+    design and of every transient rating of it, total and concurrent, the
+    fixtures taking turns."""
+    per_fixture = []
+    for name in ("toy2x5", "grid3x3_600"):
+        topology, demands, costs = load_inputs(fixture_path(name))
+        models: list[LinearModel] = []
+
+        def recording(model, time_limit=None):
+            models.append(model)
+            return solve(model, time_limit)
+
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (algorithms, operation):
+                mp.setattr(module, "solve", recording)
+            design, _ = algorithms.design_optimal(topology, demands, costs)
+            for algorithm in (algorithms.design_simple, algorithms.design_greedy,
+                              algorithms.design_legacy):
+                algorithm(topology, demands, costs)
+            base = operation.operate(topology, demands, design, FailureScenario.no_failure())
+            for concurrent in (False, True):
+                operation.transient_reports(topology, demands, base,
+                                            enumerate_failures(topology),
+                                            concurrent=concurrent)
+        per_fixture.append(models)
+    toy, grid = per_fixture
+    return [m for pair in zip(toy, grid) for m in pair] + toy[len(grid):] + grid[len(toy):]
+
+
+class TestLazyChildLPs:
+    def test_planner_models_solve_as_the_eager_search_does(self, planner_models):
+        kinds = {model.name.split("_")[0] for model in planner_models}
+        assert kinds == {"design", "operation", "legacy", "transient"}
+        assert len(planner_models) > 150
+        lps = [assert_searched_alike(model) for model in planner_models]
+        lazy, eager = map(sum, zip(*lps))
+        assert lazy < eager
+
     @pytest.mark.parametrize("fixture", ["toy_inputs", "grid_inputs"])
-    def test_joint_models_solve_the_same_paired_or_local(self, fixture, request,
-                                                         monkeypatch):
-        paired, here, local = paired_and_local(joint_model(request.getfixturevalue(fixture)),
-                                               monkeypatch)
-        assert paired.status == "optimal"
-        assert fingerprint(paired) == fingerprint(local)
-        if TWO_CPUS:
-            assert here < paired.nodes  # the sibling thread solved some of them
+    def test_joint_models_solve_as_the_eager_search_does(self, fixture, request):
+        model = joint_model(request.getfixturevalue(fixture))
+        assert solve(model).status == "optimal"
+        lazy, eager = assert_searched_alike(model)
+        assert lazy < eager  # the unpopped children's LPs go unsolved
 
-    def test_random_integer_models_solve_the_same_paired_or_local(self, monkeypatch):
-        for seed in range(30):  # criterion 7's suite
-            paired, _, local = paired_and_local(random_integer_model(seed), monkeypatch)
-            assert fingerprint(paired) == fingerprint(local), f"seed {seed}"
+    def test_random_integer_models_solve_as_the_eager_search_does(self):
+        for seed in range(400):
+            assert_searched_alike(random_integer_model(seed))
+        statuses = {solve(random_integer_model(seed)).status for seed in range(400)}
+        assert statuses == {"optimal", "infeasible"}
 
-    def test_four_threads_solve_at_once(self, toy_inputs, monkeypatch):
-        model = joint_model(toy_inputs)
-        want = fingerprint(solve(model))
-        got = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:  # each solve pairs on a sibling thread of its own
-            threads = [threading.Thread(target=lambda: got.append(fingerprint(solve(model))))
-                       for _ in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert got == [want] * 4
-        assert not sibling_threads()
+    def test_a_solve_starts_no_thread(self, toy_inputs, monkeypatch):
+        def refused(thread):
+            raise AssertionError(f"thread {thread.name} started")
 
-    @pytest.mark.parametrize("ending", ["returns", "sibling-raises", "interrupted"])
-    def test_no_sibling_thread_outlives_its_solve(self, ending, toy_inputs, monkeypatch):
-        if not TWO_CPUS:
-            pytest.skip("pairing needs two CPUs")
-        model = joint_model(toy_inputs)
-        with monkeypatch.context() as mp:
-            one_cpu(mp)
-            local = fingerprint(solve(model))
-        if ending == "returns":
-            assert fingerprint(solve(model)) == local
-        elif ending == "sibling-raises":
-            real = milp.highs._Highs
-
-            def failing_off_the_main_thread():
-                if threading.current_thread() is not threading.main_thread():
-                    raise MemoryError("out of memory")
-                return real()
-
-            with monkeypatch.context() as mp:
-                mp.setattr(milp.highs, "_Highs", failing_off_the_main_thread)
-                with pytest.raises(MemoryError, match="out of memory"):
-                    solve(model)
-        else:  # Ctrl-C during the first child's LP of the third pair
-            real, calls = milp.linprog, []
-
-            def interrupted(*args):
-                calls.append(None)
-                result = real(*args)
-                if len(calls) == 4:
-                    raise KeyboardInterrupt
-                return result
-
-            with monkeypatch.context() as mp:
-                mp.setattr(milp, "linprog", interrupted)
-                with pytest.raises(KeyboardInterrupt):
-                    solve(model)
-        assert not sibling_threads()
-        assert fingerprint(solve(model)) == local
-        assert fingerprint(solve(joint_model(toy_inputs))) == local
-
-    def test_a_pool_worker_pairs_too(self, toy_inputs, monkeypatch):
-        model = joint_model(toy_inputs)
-        with monkeypatch.context() as mp:  # undone before the fork
-            one_cpu(mp)
-            local = solve(model)
-        with multiprocessing.get_context("fork").Pool(1) as pool:
-            paired, here = pool.apply(paired_in_a_worker, ("toy2x5",))
-        assert paired == fingerprint(local)
-        if TWO_CPUS:
-            assert here < local.nodes
-
-    def test_no_helper_with_one_cpu(self, toy_inputs, monkeypatch):
-        one_cpu(monkeypatch)
-        paired, here, local = paired_and_local(joint_model(toy_inputs), monkeypatch)
-        assert here == paired.nodes
-        assert fingerprint(paired) == fingerprint(local)
-
-    def test_time_limit_holds_on_a_4x4_grid(self, monkeypatch):
-        model = joint_model(grid_network(4, 4, ((0, 0), (3, 3))))
-        for budget in (0.3, 2.0):
-            start = time.monotonic()
-            res = solve(model, time_limit=budget)
-            elapsed = time.monotonic() - start
-            assert res.status == "no_solution"
-            assert elapsed <= budget + 0.05, (budget, elapsed)
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        assert solve(joint_model(toy_inputs)).status == "optimal"
+        assert solve(random_integer_model(22)).status == "optimal"
 
 
 # ---------------------------------------------------------------------------
-# A deadline after the first incumbent
+# Deadlines
 # ---------------------------------------------------------------------------
 
 # Random integer models on which a search that pops the newest node instead
@@ -865,7 +849,7 @@ GAP_SEEDS = (22, 35, 40, 48, 89, 111, 166, 230, 303, 337, 364, 366, 383)
 
 def deadline_at_first_incumbent(monkeypatch) -> None:
     """Let the solver's clock pass every deadline once a solve finds its
-    first integral LP solution, on one CPU."""
+    first integral LP solution."""
     real_clock, real_branch = time.monotonic, milp._most_fractional
     skew = [0.0]
 
@@ -875,7 +859,6 @@ def deadline_at_first_incumbent(monkeypatch) -> None:
             skew[0] = 1e6
         return found
 
-    one_cpu(monkeypatch)
     monkeypatch.setattr(milp, "_most_fractional", branch)
     monkeypatch.setattr(milp.time, "monotonic", lambda: real_clock() + skew[0])
 
@@ -911,13 +894,62 @@ class TestDeadlineAfterFirstIncumbent:
         assert len(calls) == 1 and len(plans) == len(enumerate_failures(toy_inputs[0]))
 
 
+# The feasible random integer models whose search pops at least eight nodes.
+DEEP_SEEDS = (83, 307, 318, 337, 364)
+
+
+def deadline_at_pop(monkeypatch, k: int) -> list:
+    """Let the solver's clock pass every deadline from a solve's k-th heap
+    pop on; the returned list holds how many pops there were."""
+    real_clock, real_pop = time.monotonic, milp.heappop
+    pops, skew = [0], [0.0]
+
+    def pop(heap):
+        pops[0] += 1
+        if pops[0] == k:
+            skew[0] = 1e6
+        return real_pop(heap)
+
+    monkeypatch.setattr(milp, "heappop", pop)
+    monkeypatch.setattr(milp.time, "monotonic", lambda: real_clock() + skew[0])
+    return pops
+
+
+class TestDeadline:
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    def test_a_deadline_at_the_kth_pop_reports_a_lower_bound(self, k, toy_inputs,
+                                                             grid_inputs, monkeypatch):
+        # An unsolved child waits under its parent's bound, which is at most
+        # its own, so the least key left open bounds the optimum from below.
+        models = [joint_model(toy_inputs), joint_model(grid_inputs),
+                  *map(random_integer_model, DEEP_SEEDS)]
+        for model in models:
+            full = solve(model)
+            with monkeypatch.context() as mp:
+                pops = deadline_at_pop(mp, k)
+                res = solve(model, time_limit=100.0)
+            assert pops == [k], model.name
+            assert res.status == "no_solution"
+            assert res.best_bound <= full.objective_value, model.name
+            assert res.nodes <= k  # the root's LP, then at most one a pop
+
+    def test_time_limit_holds_on_a_4x4_grid(self):
+        model = joint_model(grid_network(4, 4, ((0, 0), (3, 3))))
+        for budget in (0.3, 2.0):
+            start = time.monotonic()
+            res = solve(model, time_limit=budget)
+            elapsed = time.monotonic() - start
+            assert res.status == "no_solution"
+            assert elapsed <= budget + 0.05, (budget, elapsed)
+
+
 # ---------------------------------------------------------------------------
-# One HiGHS instance per thread of a solve
+# One HiGHS instance per thread
 # ---------------------------------------------------------------------------
 
 
 def lp_bounds(model: LinearModel, monkeypatch) -> list:
-    """The column bounds of every LP an all-local solve of the model runs."""
+    """The column bounds of every LP a solve of the model runs."""
     real, seen = milp.linprog, []
 
     def recording(lp, lb, ub, time_limit):
@@ -926,7 +958,6 @@ def lp_bounds(model: LinearModel, monkeypatch) -> list:
 
     with monkeypatch.context() as mp:
         mp.setattr(milp, "linprog", recording)
-        one_cpu(mp)
         solve(model)
     return seen
 
@@ -974,8 +1005,8 @@ def assert_idle_and_empty(instance) -> None:
 
 
 def lp_trace(models, fresh: bool) -> list:
-    """(status, fun, bytes of x, instance) of every LP of an all-local solve
-    of each model in turn, each solve on a fresh instance or not."""
+    """(status, fun, bytes of x, instance) of every LP of a solve of each
+    model in turn, each solve on a fresh instance or not."""
     real, seen = milp.linprog, []
 
     def recording(lp, lb, ub, time_limit):
@@ -987,7 +1018,6 @@ def lp_trace(models, fresh: bool) -> list:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(milp, "linprog", recording)
-        one_cpu(mp)
         for model in models:
             if fresh:
                 mp.setattr(milp._IDLE, "highs", None)
@@ -995,41 +1025,10 @@ def lp_trace(models, fresh: bool) -> list:
     return seen
 
 
-@pytest.fixture(scope="module")
-def planner_models(toy_inputs, grid_inputs, toy_optimal, grid_optimal) -> list[LinearModel]:
-    """Differently sized models of both fixtures, interleaved: joint sizing,
-    one-state sizing with a prior, no-failure operate, and every transient
-    (total and concurrent) and legacy model, the fixtures taking turns."""
-    per_fixture = []
-    for (topology, demands, costs), (design, plans) in ((toy_inputs, toy_optimal),
-                                                        (grid_inputs, grid_optimal)):
-        failures = enumerate_failures(topology)
-        first = algorithms.design_greedy(topology, demands, costs, scenarios=failures[:1])
-        prior = PriorPlacement(first.tails, first.regens_reported, first.ports)
-        models = [
-            joint_model((topology, demands, costs)),
-            build_design_model(topology, demands, failures[1:2], costs, prior).model,
-            build_design_model(topology, demands, [FailureScenario.no_failure()],
-                               CostModel(0.0, 0.0, 0.0), fixed_design=design).model,
-        ]
-        with pytest.MonkeyPatch.context() as mp:
-            for module in (operation, algorithms):
-                mp.setattr(module, "solve", lambda model, *args: models.append(model) or
-                           solve(model, *args))
-            base = plans[FailureScenario.no_failure()]
-            for concurrent in (False, True):
-                operation.transient_reports(topology, demands, base, failures,
-                                            concurrent=concurrent)
-            algorithms.design_legacy(topology, demands, costs)
-        per_fixture.append(models)
-    toy, grid = per_fixture
-    return [m for pair in zip(toy, grid) for m in pair] + toy[len(grid):] + grid[len(toy):]
-
-
 class TestOneInstancePerThread:
-    def test_a_bound_sequence_on_one_instance_is_fresh_linprog(self, toy_inputs,
+    def test_a_bound_sequence_on_one_instance_is_fresh_linprog(self, grid_inputs,
                                                                monkeypatch):
-        model = joint_model(toy_inputs)
+        model = joint_model(grid_inputs)
         comp = milp._compile(model)
         bounds = lp_bounds(model, monkeypatch)
         no_links = comp.ub.copy()
@@ -1070,53 +1069,22 @@ class TestOneInstancePerThread:
     def test_a_solve_loads_the_model_once_per_thread(self, toy_inputs, monkeypatch):
         model = joint_model(toy_inputs)
         made = tracked_highs(monkeypatch)
-        with monkeypatch.context() as mp:
-            one_cpu(mp)
-            for _ in range(2):
-                assert solve(model).nodes > 10 and len(made) == 1
-            assert made[0]().loads == 2
-        if TWO_CPUS:  # and the sibling thread's instance per solve
-            for solves in (1, 2):
-                assert solve(model).nodes > 10 and len(made) == 1 + solves
-                assert made[0]().loads == 2 + solves and made[solves]() is None
+        for _ in range(2):
+            assert solve(model).nodes > 10 and len(made) == 1
+        assert made[0]().loads == 2
         assert_idle_and_empty(made[0]())
 
-    def test_a_small_model_that_branches_pairs_too(self, grid_inputs, grid_designs,
-                                                    monkeypatch):
-        # Pairing follows the CPUs alone, not how long the root LP takes: a
-        # one-scenario operate model, whose LPs take a millisecond or two,
-        # solves its second sibling on the sibling thread's instance.
-        if not TWO_CPUS:
-            pytest.skip("pairing needs two CPUs")
-        topology, demands, _ = grid_inputs
-        models = (build_design_model(topology, demands, [scenario], CostModel(0.0, 0.0, 0.0),
-                                     fixed_design=grid_designs["simple"]).model
-                  for scenario in enumerate_failures(topology))
-        with monkeypatch.context() as mp:
-            one_cpu(mp)
-            model = next(m for m in models if solve(m).nodes > 1)
-        made = tracked_highs(monkeypatch)
-        assert solve(model).nodes > 1 and len(made) == 2
-
-    @pytest.mark.parametrize("ending", ["returns", "sibling-raises", "interrupted"])
+    @pytest.mark.parametrize("ending", ["returns", "raises", "interrupted"])
     def test_no_loaded_instance_outlives_its_solve(self, ending, toy_inputs, monkeypatch):
-        if not TWO_CPUS:
-            pytest.skip("pairing needs two CPUs")
         model = joint_model(toy_inputs)
-        off_main = threading.current_thread
-
-        def sibling_fails(runs):  # the sibling thread's second LP
-            return (ending == "sibling-raises" and runs == 2
-                    and off_main() is not threading.main_thread())
-
-        made = tracked_highs(monkeypatch, sibling_fails)
-        caught = None
+        want = fingerprint(solve(model))
+        made = tracked_highs(monkeypatch, lambda runs: ending == "raises" and runs == 4)
         if ending == "returns":
             solve(model)
-        elif ending == "sibling-raises":
-            with pytest.raises(MemoryError, match="out of memory") as caught:
+        elif ending == "raises":
+            with pytest.raises(MemoryError, match="out of memory"):
                 solve(model)
-        else:  # Ctrl-C after the fourth LP on the calling thread
+        else:  # Ctrl-C after the fourth LP
             real, calls = milp.linprog, []
 
             def interrupted(*args):
@@ -1126,20 +1094,34 @@ class TestOneInstancePerThread:
                     raise KeyboardInterrupt
                 return result
 
-            monkeypatch.setattr(milp, "linprog", interrupted)
-            with pytest.raises(KeyboardInterrupt) as caught:
-                solve(model)
-        assert len(made) == 2 and not sibling_threads()
+            with monkeypatch.context() as mp:
+                mp.setattr(milp, "linprog", interrupted)
+                with pytest.raises(KeyboardInterrupt):
+                    solve(model)
+        assert len(made) == 1
         assert_idle_and_empty(made[0]())
-        if ending != "sibling-raises":  # whose traceback holds the sibling's LP
-            assert made[1]() is None  # with `caught` alive
-        del caught
-        gc.collect()
-        assert made[1]() is None
+        assert fingerprint(solve(model)) == want and len(made) == 1
+
+    def test_four_threads_solve_at_once(self, toy_inputs):
+        model = joint_model(toy_inputs)
+        want = fingerprint(solve(model))
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:  # each solve on an instance of its thread's own
+            threads = [threading.Thread(target=lambda: got.append(fingerprint(solve(model))))
+                       for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [want] * 4
 
     def test_a_solve_inside_a_solve_gets_its_own_instance(self, toy_inputs, monkeypatch):
         outer, inner = joint_model(toy_inputs), random_integer_model(3)
-        one_cpu(monkeypatch)
         want = fingerprint(solve(outer)), fingerprint(solve(inner))
         made = tracked_highs(monkeypatch)
         solve(inner)  # the thread now keeps an instance, which the outer solve takes
