@@ -3,8 +3,8 @@ fixed-lightpath baseline.
 
 All four size the same three resources (tails, regens, ports) against the
 same failure set, and each design is the cover of what its failure states use
-(``_covering``: elementwise maxima of tails, regens, ports and launch hops,
-priced once).  They differ in how much reconfigurability they assume:
+(``Design.covering``: elementwise maxima of tails, regens, ports and launch
+hops, priced once).  They differ in how much reconfigurability they assume:
 
 * ``design_optimal`` solves one model across every scenario jointly, sharing
   equipment freely between failure states; a state uses what its plan uses.
@@ -27,7 +27,7 @@ once per failure state it covers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .design import (
     Design,
@@ -60,24 +60,6 @@ def _scenario_list(
     topology: Topology, scenarios: Sequence[FailureScenario] | None
 ) -> list[FailureScenario]:
     return list(scenarios) if scenarios is not None else enumerate_failures(topology)
-
-
-def _covering(
-    topology: Topology,
-    costs: CostModel,
-    usages: Iterable[Sequence[Mapping[str, int]]],
-    statuses: Iterable[str],
-) -> Design:
-    """Tightest placement covering every (tails, regens, ports, launches)
-    usage, as ``OperationPlan.usage`` counts them: elementwise maxima, priced.
-    Every router and node gets a count, zero when unused."""
-    routers, nodes = [r.id for r in topology.routers], topology.all_nodes
-    counts = [dict.fromkeys(keys, 0) for keys in (routers, nodes, routers, nodes)]
-    for usage in usages:
-        for count, used in zip(counts, usage):
-            for key, units in used.items():
-                count[key] = max(count[key], units)
-    return Design.priced(costs, *counts, statuses)
 
 
 def _diagnose_infeasible(
@@ -125,7 +107,7 @@ def design_optimal(
     check_solve(result, None)
     rough = extract_design(dm, result)
     plans = {scen: operate(topology, demands, rough, scen, limit) for scen in scens}
-    design = _covering(
+    design = Design.covering(
         topology, costs, (plan.usage() for plan in plans.values()), [result.status]
     )
     return design, plans
@@ -145,7 +127,8 @@ def _per_scenario_design(
     With ``accumulate`` each solve gets everything owned so far as a free
     prior and a state uses what is owned after it (prior plus purchases), so
     the cover is the sum of purchases; otherwise each state uses its own
-    answer.  Launch hops are each answer's raw minus reported regens.
+    answer.  Launch hops are each answer's own, as ``DesignModel.usage``
+    reads them.
     """
     owned: tuple[dict[str, int], ...] = ({}, {}, {})
     usages, statuses = [], []
@@ -154,18 +137,15 @@ def _per_scenario_design(
         dm = build_design_model(topology, demands, [scen], costs, prior)
         result = solve(dm.model, time_limit)
         check_solve(result, scen)
-        part = extract_design(dm, result)
         statuses.append(result.status)
-        used = (part.tails, part.regens_reported, part.ports)
+        *used, launches = dm.usage(result.values)
         if accumulate:
             used = owned = tuple(
                 {key: have.get(key, 0) + units for key, units in bought.items()}
                 for have, bought in zip(owned, used)
             )
-        launches = {n: part.regens_raw[n] - units
-                    for n, units in part.regens_reported.items()}
         usages.append((*used, launches))
-    return _covering(topology, costs, usages, statuses)
+    return Design.covering(topology, costs, usages, statuses)
 
 
 def design_simple(
@@ -336,5 +316,5 @@ def design_legacy(
                 )
 
     tails, regens, ports, _ = legacy_plan(topology, owned).usage()
-    design = _covering(topology, costs, [(tails, regens, ports, {})], statuses)
+    design = Design.covering(topology, costs, [(tails, regens, ports, {})], statuses)
     return design, tuple(owned)

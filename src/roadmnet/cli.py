@@ -6,9 +6,10 @@ Three subcommands:
 * ``transient`` -- rate a saved design's immediate post-failure delivery
 * ``compare``   -- run all four placement algorithms side by side
 
-Exit codes: 0 success, 2 bad input or arguments, 3 the instance cannot be
-made survivable, 4 the solver gave no answer: it ran out of its time budget,
-or HiGHS failed on an LP relaxation ("solver failed: ...").  ``compare``
+Exit codes: 0 success, 2 bad input or arguments (prices so large that a
+model's terms overflow included), 3 the instance cannot be made survivable,
+4 the solver gave no answer: it ran out of its time budget, or HiGHS failed
+on an LP relaxation ("solver failed: ...").  ``compare``
 prints a row for every algorithm first and exits 4 if any gave no answer,
 else 3 if any found the instance infeasible.
 """
@@ -35,7 +36,7 @@ from .io import (
     plan_links,
     save_design,
 )
-from .milp import SolverError
+from .milp import ModelError, SolverError
 from .operation import LinkRecord, operate, transient_reports, write_transient_csv
 from .topology import (
     CostModel,
@@ -248,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InputFormatError, TopologyError, OSError) as exc:
+    except (InputFormatError, TopologyError, ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except tuple(_FAILURES) as exc:

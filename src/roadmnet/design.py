@@ -29,13 +29,13 @@ fixed-link baseline ``design_legacy`` and transient rating
 endpoint rows per demand, and one of arc-capacity rows.  A caller gives each
 arc's capacity, a column, a constant or both, and transient rating also each
 demand's served column.  Ids go into variable and row names through
-``_key``, so no two columns share a name.  Every placement, whichever
-algorithm produced it, is priced by ``Design.priced``.
+``_key``, so no two columns share a name.  ``Design.covering`` is the one
+place counts become a priced ``Design``, whichever algorithm produced them.
 
 The built ``DesignModel`` keeps the shared placement variables once and one
 ``ScenarioBlock`` per failure state holding that state's capacity, hop and
 flow variables, so every row of a scenario, and every reader of its solution
-(``source_side_usage``, ``operation.extract_plan``), touches only its own
+(``DesignModel.usage``, ``operation.extract_plan``), touches only its own
 block.  Every tail, port and regen budget row follows one rule: usage minus
 the purchase column is at most what is owned when sizing, and usage is at
 most what is owned when operating, where owned is the prior's count plus,
@@ -107,15 +107,6 @@ class PriorPlacement:
     regens: Mapping[str, int] = field(default_factory=dict)
     ports: Mapping[str, int] = field(default_factory=dict)
 
-    def tail(self, router_id: str) -> int:
-        return int(self.tails.get(router_id, 0))
-
-    def regen(self, node: str) -> int:
-        return int(self.regens.get(node, 0))
-
-    def port(self, router_id: str) -> int:
-        return int(self.ports.get(router_id, 0))
-
 
 @dataclass(frozen=True)
 class Design:
@@ -153,21 +144,28 @@ class Design:
         )
 
     @classmethod
-    def priced(
+    def covering(
         cls,
+        topology: Topology,
         costs: CostModel,
-        tails: dict[str, int],
-        regens: dict[str, int],
-        ports: dict[str, int],
-        bookkeeping: Mapping[str, int],
+        usages: Iterable[Sequence[Mapping[str, int]]],
         statuses: Iterable[str],
-    ) -> "Design":
-        """A placement with its costs rolled up.
+    ) -> Design:
+        """The tightest placement covering every (tails, regens, ports,
+        launches) usage, as ``OperationPlan.usage`` and ``DesignModel.usage``
+        give them: elementwise maxima, with every router and node counted,
+        zero when unused, and costs rolled up.
 
-        ``regens`` counts physical regenerators per node and ``bookkeeping``
-        the source-side launch hops per node, which only the raw totals
-        include.  The design is "optimal" when every solve behind it was.
+        Launch hops need no physical regen, so only the raw totals include
+        them.  The design is "optimal" when every solve behind it was.
         """
+        routers, nodes = [r.id for r in topology.routers], topology.all_nodes
+        counts = [dict.fromkeys(keys, 0) for keys in (routers, nodes, routers, nodes)]
+        for usage in usages:
+            for count, used in zip(counts, usage):
+                for key, units in used.items():
+                    count[key] = max(count[key], units)
+        tails, regens, ports, launches = counts
         reported = (
             costs.tail * sum(tails.values())
             + costs.regen * sum(regens.values())
@@ -175,10 +173,10 @@ class Design:
         )
         return cls(
             tails=tails,
-            regens_raw={n: v + bookkeeping.get(n, 0) for n, v in regens.items()},
+            regens_raw={n: v + launches[n] for n, v in regens.items()},
             regens_reported=regens,
             ports=ports,
-            total_cost_raw=reported + costs.regen * sum(bookkeeping.values()),
+            total_cost_raw=reported + costs.regen * sum(launches.values()),
             total_cost_reported=reported,
             solve_status=(
                 "optimal" if all(s == "optimal" for s in statuses) else "feasible"
@@ -222,6 +220,29 @@ class DesignModel:
     regen_vars: dict[str, str]
     port_vars: dict[str, str]
     blocks: list[ScenarioBlock]
+
+    def usage(self, values: Mapping[str, float]) -> tuple[dict[str, int], ...]:
+        """(tails, regens, ports, launches) of a solved sizing model, as
+        ``OperationPlan.usage`` gives them for a plan: tails, regens and
+        ports bought, read from the purchase columns, and launch hops per
+        node, the most of any failure state.  Each link unit launches once
+        from its source router's node, so a state's launch hops at node n
+        are the units of the links whose source router is homed at n.
+        """
+        bought = [
+            {key: iround(values[name], f"{what} {key}") for key, name in columns.items()}
+            for what, columns in (("tails", self.tail_vars), ("regens", self.regen_vars),
+                                  ("ports", self.port_vars))
+        ]
+        launches: dict[str, int] = {}
+        for blk in self.blocks:
+            per_node: dict[str, int] = defaultdict(int)
+            for a, b in blk.hops:
+                units = iround(values.get(blk.caps[(a, b)], 0.0), f"cap {a}-{b}")
+                per_node[self.topology.home(a)] += units
+            for n, used in per_node.items():
+                launches[n] = max(launches.get(n, 0), used)
+        return (*bought, launches)
 
 
 def _key(name: str) -> str:
@@ -424,18 +445,19 @@ def build_design_model(
                 dm.port_vars[r.id] = m.add_variable(f"P_{label[r.id]}", integer=True)
 
     # The budget rule of the module docstring.  Per resource: its purchase
-    # columns (none when operating), the fixed design's counts (none when
-    # sizing) and the prior's.
-    fixed = fixed_design or Design.priced(costs, {}, {}, {}, {}, ())
-    tails = (dm.tail_vars, fixed.tails, prior.tail)
-    ports = (dm.port_vars, fixed.ports, prior.port)
-    regens = (dm.regen_vars, fixed.regens_reported, prior.regen)
+    # columns (none when operating), then the counts owned: the fixed
+    # design's (none when sizing) and the prior's.
+    held = ((fixed_design.tails, fixed_design.ports, fixed_design.regens_reported)
+            if fixed_design else ({}, {}, {}))
+    tails, ports, regens = zip((dm.tail_vars, dm.port_vars, dm.regen_vars), held,
+                               (prior.tails, prior.ports, prior.regens))
 
     def add_budget(coeffs: dict[str, float], resource, key: str, name: str) -> None:
-        bought, counts, prior_count = resource
+        bought, fixed, prior_counts = resource
         if fixed_design is None:
             coeffs[bought[key]] = -1.0
-        m.add_constraint(coeffs, "<=", float(counts.get(key, 0) + prior_count(key)), name=name)
+        owned = fixed.get(key, 0) + prior_counts.get(key, 0)
+        m.add_constraint(coeffs, "<=", float(owned), name=name)
 
     for fi, scen in enumerate(scenarios):
         blk = ScenarioBlock(scen)
@@ -558,37 +580,10 @@ def iround(value: float, what: str) -> int:
     return int(r)
 
 
-def source_side_usage(dm: DesignModel, values: Mapping[str, float]) -> dict[str, int]:
-    """Worst-case bookkeeping hops per node across the model's scenarios.
-
-    Each link unit launches exactly once from its source node, so the
-    bookkeeping usage at node n under one scenario is the total capacity of
-    links whose source router is homed at n.
-    """
-    worst: dict[str, int] = {n: 0 for n in dm.topology.all_nodes}
-    for blk in dm.blocks:
-        per_node: dict[str, int] = defaultdict(int)
-        for a, b in blk.hops:
-            units = iround(values.get(blk.caps[(a, b)], 0.0), f"cap {a}-{b}")
-            per_node[dm.topology.home(a)] += units
-        for n, used in per_node.items():
-            worst[n] = max(worst[n], used)
-    return worst
-
-
 def extract_design(dm: DesignModel, result: SolveResult) -> Design:
-    """Read a solved placement model back into a Design."""
+    """Read a solved sizing model back into a Design: the cover of its usage."""
     if dm.fixed is not None:
         raise ValueError("extract_design needs a sizing model, not an operation model")
     if not result.ok:
         raise ValueError(f"cannot extract a design from status {result.status!r}")
-    vals = result.values
-    tails = {r.id: iround(vals[dm.tail_vars[r.id]], f"tails {r.id}") for r in dm.topology.routers}
-    reported = {n: iround(vals[dm.regen_vars[n]], f"regens {n}") for n in dm.topology.all_nodes}
-    ports = {
-        r.id: (iround(vals[dm.port_vars[r.id]], f"ports {r.id}") if r.id in dm.port_vars else 0)
-        for r in dm.topology.routers
-    }
-    return Design.priced(
-        dm.costs, tails, reported, ports, source_side_usage(dm, vals), [result.status]
-    )
+    return Design.covering(dm.topology, dm.costs, [dm.usage(result.values)], [result.status])

@@ -253,14 +253,24 @@ class DesignDocument:
 
 
 def parse_scenario_label(topology: Topology, label: str) -> FailureScenario:
-    """Inverse of FailureScenario.label(), validated against the topology."""
+    """Inverse of FailureScenario.label(), validated against the topology.
+
+    A ``span:`` label is matched against the topology's spans, so node ids
+    may hold ``~``; one that matches none is split on ``~``.
+    """
     if label == "no-failure":
         return FailureScenario.no_failure()
     if label.startswith("span:"):
-        parts = label[len("span:"):].split("~")
+        text = label[len("span:"):]
+        keys = [key for key in topology.span_by_key if "~".join(key) == text]
+        if len(keys) > 1:
+            raise InputFormatError(
+                f"span scenario label {label!r} names both {keys[0]} and {keys[1]}"
+            )
+        (parts,) = keys or [text.split("~")]
         if len(parts) != 2:
             raise InputFormatError(f"bad span scenario label {label!r}")
-        scen = FailureScenario.span_cut(parts[0], parts[1])
+        scen = FailureScenario.span_cut(*parts)
     elif label.startswith("router:"):
         scen = FailureScenario.router_down(label[len("router:"):])
     else:

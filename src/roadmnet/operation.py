@@ -102,7 +102,7 @@ class OperationPlan:
         return self.topology.home(a) == self.topology.home(b)
 
     def usage(self) -> tuple[dict[str, int], ...]:
-        """(tails, regens, ports, launches) used, as ``Design.priced`` takes them:
+        """(tails, regens, ports, launches) used, as ``Design.covering`` takes them:
         tails and ports per router, one a unit at each end of an external or
         intra-node link; physical regens per node across all chains; and launch
         hops per source node, which need no physical regen."""

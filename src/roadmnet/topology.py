@@ -171,7 +171,8 @@ class DemandMatrix:
     """Offered traffic between IP node pairs, in capacity units.
 
     One entry per ordered (src, dst) pair; units are finite, non-negative
-    multiples of the link capacity unit (0.8 means 80% of one unit).
+    multiples of the link capacity unit (0.8 means 80% of one unit), and so
+    is their total.
     """
 
     entries: tuple[tuple[str, str, float], ...]
@@ -189,6 +190,8 @@ class DemandMatrix:
             if (src, dst) in seen:
                 raise TopologyError(f"duplicate demand entry {src!r}->{dst!r}")
             seen.add((src, dst))
+        if not math.isfinite(self.total_offered):
+            raise TopologyError(f"total demand volume is {self.total_offered}")
 
     @cached_property
     def pairs(self) -> tuple[tuple[str, str, float], ...]:

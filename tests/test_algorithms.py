@@ -28,7 +28,6 @@ from roadmnet import (
     enumerate_failures,
     extract_design,
 )
-from roadmnet.design import source_side_usage
 from roadmnet.milp import solve
 
 from instances import MICRO_SEEDS, grid_network, micro_instance, toy_network
@@ -261,7 +260,7 @@ def _raise_counts(counts, usage):
 def _per_state_rollup(topology, demands, costs, *, accumulate):
     """Simple: the per-site max of one-state answers.  Greedy: the sum of
     purchases, each state solved with everything bought so far as a prior.
-    Launch hops are the per-node max of ``source_side_usage`` either way."""
+    Launch hops are the per-node max of ``DesignModel.usage``'s either way."""
     tails, regens, ports, launches = _zero_counts(topology)
     statuses = []
     for scen in enumerate_failures(topology):
@@ -274,8 +273,8 @@ def _per_state_rollup(topology, demands, costs, *, accumulate):
                                (ports, part.ports)):
             for key, units in bought.items():
                 counts[key] = counts[key] + units if accumulate else max(counts[key], units)
-        _raise_counts(launches, source_side_usage(dm, result.values))
-    return Design.priced(costs, tails, regens, ports, launches, statuses)
+        _raise_counts(launches, dm.usage(result.values)[3])
+    return Design.covering(topology, costs, [(tails, regens, ports, launches)], statuses)
 
 
 def _plans_rollup(topology, costs, plans, status):
@@ -299,7 +298,7 @@ def _plans_rollup(topology, costs, plans, status):
                     used[1][node] += 1
         for counts, usage in zip((tails, regens, ports, launches), used):
             _raise_counts(counts, usage)
-    return Design.priced(costs, tails, regens, ports, launches, [status])
+    return Design.covering(topology, costs, [(tails, regens, ports, launches)], [status])
 
 
 def _fleet_rollup(topology, costs, fleet, status):
@@ -311,7 +310,7 @@ def _fleet_rollup(topology, costs, fleet, status):
         ends[link.b] += link.units
         for node in link.regens:
             regens[node] += link.units
-    return Design.priced(costs, tails, regens, ports, {}, [status])
+    return Design.covering(topology, costs, [(tails, regens, ports, {})], [status])
 
 
 def _assert_rollups(topology, demands, costs):

@@ -14,7 +14,6 @@ from roadmnet.design import (
     build_design_model,
     extract_design,
     iround,
-    source_side_usage,
 )
 from roadmnet.milp import LinearModel, _compile, export_lp, solve, validate_solution
 from roadmnet.topology import (
@@ -22,6 +21,7 @@ from roadmnet.topology import (
     DemandMatrix,
     FailureScenario,
     Router,
+    Span,
     Topology,
     TopologyError,
     enumerate_failures,
@@ -161,15 +161,15 @@ def test_operating_with_prior_budgets_design_plus_prior(toy):
     prior = PriorPlacement(tails={"R1": 1, "R3": 2}, regens={"O2": 1, "O4": 3},
                            ports={"R2": 1, "R4": 2})
     dm = build_design_model(topology, demands, [NF], costs, prior, fixed_design=design)
-    budgets = {"tail": (design.tails, prior.tail), "port": (design.ports, prior.port),
-               "regen": (design.regens_reported, prior.regen)}
+    budgets = {"tail": (design.tails, prior.tails), "port": (design.ports, prior.ports),
+               "regen": (design.regens_reported, prior.regens)}
     seen = set()
     for con in dm.model.constraints:
         kind, *_, key = con.name.split("_")
         if kind in budgets:
-            counts, prior_count = budgets[kind]
+            counts, prior_counts = budgets[kind]
             assert con.sense == "<="
-            assert con.rhs == counts.get(key, 0) + prior_count(key), con.name
+            assert con.rhs == counts.get(key, 0) + prior_counts.get(key, 0), con.name
             assert all(not v.startswith(("T_", "R_", "P_")) for v, _ in con.coeffs)
             seen.add(kind)
     assert seen == set(budgets)
@@ -181,14 +181,18 @@ def test_iround_rejects_fractional_values():
         iround(1.5, "x")
 
 
-def test_source_side_usage_tracks_launch_hops(toy):
+def test_model_usage_tracks_launch_hops(toy):
     topology, demands, costs = toy
     dm = build_design_model(topology, demands, [NF], costs)
     result = solve(dm.model)
-    usage = source_side_usage(dm, result.values)
+    tails, regens, ports, launches = dm.usage(result.values)
     # One external link, sourced at the lower-id endpoint's home (N1).
-    assert usage.get("N1", 0) == 1
-    assert usage.get("N2", 0) == 0
+    assert launches.get("N1", 0) == 1
+    assert launches.get("N2", 0) == 0
+    # Purchases are read from the purchase columns, one count per column.
+    assert (set(tails), set(regens), set(ports)) == (
+        set(dm.tail_vars), set(dm.regen_vars), set(dm.port_vars))
+    assert sum(tails.values()) == 2 and sum(regens.values()) == 1
 
 
 def test_infeasible_single_router_endpoint():
@@ -283,23 +287,34 @@ def test_commodity_flow_endpoint_terms_empty_when_its_router_is_down():
     assert len(rows) == 2 + 2 + len(FLOW_ARCS)
 
 
-def test_priced_design_rolls_up_costs_and_status():
-    costs = CostModel(tail=2.0, regen=3.0, port=0.5)
-    design = Design.priced(
-        costs,
-        tails={"r1": 1, "r2": 2},
-        regens={"n1": 1, "n2": 0},
-        ports={"r1": 1, "r2": 0},
-        bookkeeping={"n1": 2, "n2": 1},
-        statuses=["optimal", "feasible"],
+def test_covering_design_rolls_up_costs_and_status():
+    topology = Topology(
+        ip_nodes=("n1", "n2"),
+        optical_nodes=("o1",),
+        routers=(Router("r1", "n1"), Router("r2", "n2"), Router("r3", "n2")),
+        spans=(Span("n1", "o1", 100.0), Span("o1", "n2", 100.0)),
     )
-    assert design.total_cost_reported == pytest.approx(2.0 * 3 + 3.0 * 1 + 0.5 * 1)
+    costs = CostModel(tail=2.0, regen=3.0, port=0.5)
+    design = Design.covering(
+        topology,
+        costs,
+        [({"r1": 1, "r2": 2}, {"o1": 1}, {"r2": 1}, {"n1": 2}),
+         ({"r1": 3}, {"o1": 0}, {"r3": 1}, {"n1": 1, "n2": 1})],
+        ["optimal", "feasible"],
+    )
+    # The elementwise maximum, every router and node counted.
+    assert design.tails == {"r1": 3, "r2": 2, "r3": 0}
+    assert design.regens_reported == {"n1": 0, "n2": 0, "o1": 1}
+    assert design.ports == {"r1": 0, "r2": 1, "r3": 1}
+    # Launch hops only reach the raw counts and the raw total.
+    assert design.regens_raw == {"n1": 2, "n2": 1, "o1": 1}
+    assert design.total_cost_reported == pytest.approx(2.0 * 5 + 3.0 * 1 + 0.5 * 2)
     assert design.total_cost_raw - design.total_cost_reported == pytest.approx(3.0 * 3)
-    assert design.regens_raw == {"n1": 3, "n2": 1}
-    assert design.regens_reported == {"n1": 1, "n2": 0}
     assert design.solve_status == "feasible"
-    again = Design.priced(costs, {}, {}, {}, {}, ["optimal", "optimal"])
+    again = Design.covering(topology, costs, [], ["optimal", "optimal"])
     assert again.solve_status == "optimal"
+    assert again.tails == again.ports == {"r1": 0, "r2": 0, "r3": 0}
+    assert again.regens_raw == again.regens_reported == {"n1": 0, "n2": 0, "o1": 0}
     assert again.total_cost_raw == again.total_cost_reported == 0.0
 
 

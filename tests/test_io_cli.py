@@ -28,7 +28,14 @@ from roadmnet.io import (
     save_design,
 )
 from roadmnet.milp import SolveResult
-from roadmnet.topology import FailureScenario, TopologyError, enumerate_failures
+from roadmnet.topology import (
+    FailureScenario,
+    Router,
+    Span,
+    Topology,
+    TopologyError,
+    enumerate_failures,
+)
 
 from conftest import fixture_path
 from instances import grid_network, input_payload, walk_from_spans
@@ -164,7 +171,8 @@ def test_semantic_errors_come_from_topology(tmp_path):
     [
         # Unchecked, these gave "cost 0" (exit 0), an OverflowError
         # traceback, "cost nan" (exit 0), a "time limit expired" exit 4 with
-        # no limit set, and "infeasible" exits 3.
+        # no limit set, "infeasible" exits 3 and, for a total that overflows,
+        # an OverflowError traceback.
         (lambda d: d["demands"][0].__setitem__("units", math.nan), "volume nan"),
         (lambda d: d["demands"][0].__setitem__("units", math.inf), "volume inf"),
         (lambda d: d["costs"].__setitem__("port", math.inf), "port cost is inf"),
@@ -172,9 +180,12 @@ def test_semantic_errors_come_from_topology(tmp_path):
         (lambda d: d["spans"][0].__setitem__("miles", math.nan), "mileage nan"),
         (lambda d: d["spans"][0].__setitem__("miles", math.inf), "mileage inf"),
         (lambda d: d.__setitem__("regen_dist", math.nan), "regen_dist must be positive"),
+        (lambda d: d.__setitem__("demands", [{"src": "N1", "dst": "N2", "units": 1e308},
+                                             {"src": "N2", "dst": "N1", "units": 1e308}]),
+         "total demand volume is inf"),
     ],
     ids=["units-nan", "units-inf", "port-inf", "tail-nan", "miles-nan", "miles-inf",
-         "regen-dist-nan"],
+         "regen-dist-nan", "total-inf"],
 )
 def test_non_finite_inputs_exit_2(tmp_path, capsys, mutate, needle):
     doc = _toy_input()
@@ -270,17 +281,43 @@ def test_unsupported_format_flag(tmp_path):
         load_design(str(path))
 
 
+def _renamed(topology, old, new):
+    """The topology with node ``old`` renamed ``new``."""
+    name = {old: new}.get
+    return dataclasses.replace(
+        topology,
+        optical_nodes=tuple(name(n, n) for n in topology.optical_nodes),
+        spans=tuple(Span(name(s.u, s.u), name(s.v, s.v), s.miles) for s in topology.spans),
+    )
+
+
 def test_parse_scenario_labels(toy_inputs):
-    topology, _, _ = toy_inputs
-    for scen in (NF, FailureScenario.span_cut("O1", "O2"),
-                 FailureScenario.router_down("R3")):
-        assert parse_scenario_label(topology, scen.label()) == scen
-    with pytest.raises(InputFormatError):
-        parse_scenario_label(topology, "span:O1")
-    with pytest.raises(InputFormatError):
-        parse_scenario_label(topology, "router:nope")
-    with pytest.raises(InputFormatError):
-        parse_scenario_label(topology, "meteor:N1")
+    toy, _, _ = toy_inputs
+    # Node ids may hold the label's "~": a span label is matched, not split.
+    tilde = _renamed(toy, "O1", "O~1")
+    for topology, o1 in ((toy, "O1"), (tilde, "O~1")):
+        for scen in (NF, FailureScenario.span_cut(o1, "O2"),
+                     FailureScenario.span_cut("N1", o1),
+                     FailureScenario.router_down("R3")):
+            assert parse_scenario_label(topology, scen.label()) == scen
+        with pytest.raises(InputFormatError, match="bad span scenario label"):
+            parse_scenario_label(topology, "span:O1")
+        with pytest.raises(InputFormatError, match="unknown span"):
+            parse_scenario_label(topology, "span:O3~O4")
+        with pytest.raises(InputFormatError):
+            parse_scenario_label(topology, "router:nope")
+        with pytest.raises(InputFormatError):
+            parse_scenario_label(topology, "meteor:N1")
+    # Spans a-b~c and a~b-c both print as "a~b~c".
+    both = Topology(
+        ip_nodes=("a", "c"), optical_nodes=("a~b", "b~c"),
+        routers=(Router("r1", "a"), Router("r2", "c")),
+        spans=(Span("a", "b~c", 10.0), Span("b~c", "c", 10.0),
+               Span("a~b", "a", 10.0), Span("a~b", "c", 10.0)),
+    )
+    with pytest.raises(InputFormatError, match=r"'span:a~b~c' names both "
+                                               r"\('a', 'b~c'\) and \('a~b', 'c'\)"):
+        parse_scenario_label(both, "span:a~b~c")
 
 
 @pytest.fixture(scope="module")
@@ -873,6 +910,18 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["transient", fixture_path("toy2x5"), "--design", str(doc)]) == 2
         assert capsys.readouterr().err == f"error: {field}: number out of range\n"
+
+    @pytest.mark.parametrize("command", [["compare"], ["design", "--algorithm", "legacy"]],
+                             ids=["compare", "legacy"])
+    def test_price_overflow(self, tmp_path, capsys, command):
+        doc = _toy_input()
+        doc["costs"]["tail"] = 1e308  # a legacy link costs two tails: inf
+        path = tmp_path / "dear.json"
+        path.write_text(json.dumps(doc))
+        assert main([command[0], str(path), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: objective term of ") and err.endswith(" is inf\n")
+        assert err.count("\n") == 1
 
     def test_unparsable_arguments(self, capsys):
         assert main([]) == 2
