@@ -7,16 +7,18 @@ Three subcommands:
 * ``compare``   -- run all four placement algorithms side by side
 
 Exit codes: 0 success, 2 bad input or arguments (prices so large that a
-model's terms overflow included), 3 the instance cannot be made survivable,
-4 the solver gave no answer: it ran out of its time budget, or HiGHS failed
-on an LP relaxation ("solver failed: ...").  ``compare``
-prints a row for every algorithm first and exits 4 if any gave no answer,
-else 3 if any found the instance infeasible.
+model's terms overflow included) or output that standard output cannot
+encode, 3 the instance cannot be made survivable, 4 the solver gave no
+answer: it ran out of its time budget, or HiGHS failed on an LP relaxation
+("solver failed: ...").  ``compare`` prints a row for every algorithm
+first and exits 4 if any gave no answer, else 3 if any found the instance
+infeasible.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
 import time
@@ -116,11 +118,13 @@ def _cmd_transient(args: argparse.Namespace) -> int:
         time_limit=args.time_limit,
     )
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             write_transient_csv(reports, fh)
         print(f"saved: {args.out}")
-    else:
-        write_transient_csv(reports, sys.stdout)
+    else:  # the whole text at once: one that stdout cannot encode writes nothing
+        text = io.StringIO()
+        write_transient_csv(reports, text)
+        sys.stdout.write(text.getvalue())
     return EXIT_OK
 
 
@@ -249,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InputFormatError, TopologyError, ModelError, OSError) as exc:
+    except (InputFormatError, TopologyError, ModelError, OSError, UnicodeEncodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except tuple(_FAILURES) as exc:

@@ -41,6 +41,13 @@ the purchase column is at most what is owned when sizing, and usage is at
 most what is owned when operating, where owned is the prior's count plus,
 when operating, the fixed design's.  External links (ended by tails) and
 intra-node links (ended by ports) are built alike, by one loop over the two.
+
+Every column and row goes in by position, through ``LinearModel._add_block``:
+when sizing, one block each of T, R and P purchase columns; then per failure
+state the X/W capacity columns with their symmetry and tail and port budget
+rows (the purchase columns taken from outside), one H block per external
+link, one block of regen budget rows, ``add_routing``'s blocks and, when
+strengthening, one block of ``mindeg`` rows.
 """
 
 from __future__ import annotations
@@ -413,16 +420,6 @@ def build_design_model(
     prior = prior or PriorPlacement()
 
     m = LinearModel("operation" if fixed_design else "design")
-    dm = DesignModel(
-        model=m,
-        topology=topology,
-        costs=costs,
-        fixed=fixed_design,
-        tail_vars={},
-        regen_vars={},
-        port_vars={},
-        blocks=[],
-    )
 
     # No minimal operation ever needs more units on one link than the total
     # offered volume, so capacities and hops live in a box of that size.
@@ -435,29 +432,35 @@ def build_design_model(
 
     # Every router and node id as it goes into a name.
     label = {x: _key(x) for x in (*topology.all_nodes, *(r.id for r in topology.routers))}
-    if fixed_design is None:
-        for r in topology.routers:
-            dm.tail_vars[r.id] = m.add_variable(f"T_{label[r.id]}", integer=True)
-        for n in topology.all_nodes:
-            dm.regen_vars[n] = m.add_variable(f"R_{label[n]}", integer=True)
-        for r in topology.routers:
-            if len(topology.routers_at[r.node]) >= 2:
-                dm.port_vars[r.id] = m.add_variable(f"P_{label[r.id]}", integer=True)
+    # The purchase columns, when sizing: one block each of T per router, R per
+    # node and P per router with a colocated peer.  Per resource, each key's
+    # column name (``named``) and column (``at``).
+    routers = [r.id for r in topology.routers]
+    multi = [r for r in routers if len(topology.routers_at[topology.home(r)]) >= 2]
+    named, at = [], []
+    for prefix, keys in (("T", routers), ("R", topology.all_nodes), ("P", multi)):
+        names = [f"{prefix}_{label[k]}" for k in keys] if fixed_design is None else []
+        first = m._add_block(names, 0.0, math.inf, True, (), (), ())
+        named.append(dict(zip(keys, names)))
+        at.append(dict(zip(keys, range(first, first + len(names)))))
+    dm = DesignModel(m, topology, costs, fixed_design, *named, blocks=[])
 
     # The budget rule of the module docstring.  Per resource: its purchase
     # columns (none when operating), then the counts owned: the fixed
-    # design's (none when sizing) and the prior's.
-    held = ((fixed_design.tails, fixed_design.ports, fixed_design.regens_reported)
+    # design's (none when sizing) and the prior's.  ``budget`` gives key's row
+    # over block positions ks; a purchase column joins ``outside``, whose
+    # positions start at ``base``.
+    held = ((fixed_design.tails, fixed_design.regens_reported, fixed_design.ports)
             if fixed_design else ({}, {}, {}))
-    tails, ports, regens = zip((dm.tail_vars, dm.port_vars, dm.regen_vars), held,
-                               (prior.tails, prior.ports, prior.regens))
+    tails, regens, ports = zip(at, held, (prior.tails, prior.regens, prior.ports))
 
-    def add_budget(coeffs: dict[str, float], resource, key: str, name: str) -> None:
+    def budget(ks: list[int], resource, key: str, outside: list[int], base: int):
         bought, fixed, prior_counts = resource
-        if fixed_design is None:
-            coeffs[bought[key]] = -1.0
-        owned = fixed.get(key, 0) + prior_counts.get(key, 0)
-        m.add_constraint(coeffs, "<=", float(owned), name=name)
+        vs = [1.0] * len(ks)
+        if key in bought:
+            ks, vs = ks + [base + len(outside)], vs + [-1.0]
+            outside.append(bought[key])
+        return ks, vs, "<=", float(fixed.get(key, 0) + prior_counts.get(key, 0))
 
     for fi, scen in enumerate(scenarios):
         blk = ScenarioBlock(scen)
@@ -472,32 +475,35 @@ def build_design_model(
         families = ((blk.caps, "X", "sym", "tail", tails, defaultdict(list)),
                     (blk.intra, "W", "symw", "port", ports, defaultdict(list)))
 
-        # Link capacity columns, one per ordered pair of live routers.
-        names = []
+        # Link capacity columns, one per ordered pair of live routers, and
+        # each one's position in the block.
+        names, pos = [], {}
         for a in alive:
             for b in alive:
                 if a.id != b.id:
                     cols, prefix, _, _, _, peers = families[a.node == b.node]
                     cols[(a.id, b.id)] = name = f"{prefix}_f{fi}_{label[a.id]}_{label[b.id]}"
+                    pos[(a.id, b.id)] = len(names)
                     names.append(name)
                     peers[a.id].append(b.id)
-        m._add_block(names, 0.0, box, True, (), (), ())
+        rows, row_names, outside = [], [], []
 
         # A link unit is usable in both directions: tie the two orientations.
         for cols, _, sym, _, _, _ in families:
             for a, b in cols:
                 if a < b:
-                    m.add_constraint({cols[(a, b)]: 1.0, cols[(b, a)]: -1.0}, "==", 0.0,
-                                     name=f"{sym}_f{fi}_{label[a]}_{label[b]}")
+                    rows.append(([pos[(a, b)], pos[(b, a)]], [1.0, -1.0], "==", 0.0))
+                    row_names.append(f"{sym}_f{fi}_{label[a]}_{label[b]}")
 
         # Every link unit takes one tail (external) or port (intra-node) at
         # each end router, per direction.
-        for cols, _, _, end, resource, peers in families:
+        for _, _, _, end, resource, peers in families:
             for r, others in peers.items():
-                add_budget({cols[(o, r)]: 1.0 for o in others},
-                           resource, r, f"{end}_in_f{fi}_{label[r]}")
-                add_budget({cols[(r, o)]: 1.0 for o in others},
-                           resource, r, f"{end}_out_f{fi}_{label[r]}")
+                for way, ks in (("in", [pos[(o, r)] for o in others]),
+                                ("out", [pos[(r, o)] for o in others])):
+                    rows.append(budget(ks, resource, r, outside, len(names)))
+                    row_names.append(f"{end}_{way}_f{fi}_{label[r]}")
+        start = m._add_block(names, 0.0, box, True, rows, outside, row_names)
 
         canonical = [(a, b) for a, b in blk.caps if a < b]
 
@@ -505,7 +511,7 @@ def build_design_model(
         # stamped from one block per pair of end nodes.  Hops leaving a
         # link's own source node are bookkeeping (fresh signal) and consume
         # no regen budget.
-        regen_use: dict[str, dict[str, float]] = defaultdict(dict)
+        regen_use: dict[str, list[int]] = defaultdict(list)
         shapes: dict[tuple[str, str], tuple] = {}
         for a, b in canonical:
             ends = (topology.home(a), topology.home(b))
@@ -514,16 +520,21 @@ def build_design_model(
             hops, hop_labels, regen, rows, kinds = shapes[ends]
             tag = f"_f{fi}_{label[a]}_{label[b]}"
             names = [f"H{tag}_{uv}" for uv in hop_labels]
-            m._add_block(names, 0.0, box, True, rows, (m._index[blk.caps[(a, b)]],),
-                         [f"{kind}{tag}{suffix}" for kind, suffix in kinds])
+            first = m._add_block(names, 0.0, box, True, rows, (start + pos[(a, b)],),
+                                 [f"{kind}{tag}{suffix}" for kind, suffix in kinds])
             blk.hops[(a, b)] = dict(zip(hops, names))
             for k in regen:
-                regen_use[hops[k][0]][names[k]] = 1.0
+                regen_use[hops[k][0]].append(first + k)
 
-        # Node regen budgets.
+        # Node regen budgets, one block of rows.
+        rows, row_names, outside = [], [], []
         for n in topology.all_nodes:
             if n in regen_use:
-                add_budget(regen_use[n], regens, n, f"regen_f{fi}_{label[n]}")
+                ks = list(range(len(outside), len(outside) + len(regen_use[n])))
+                outside += regen_use[n]
+                rows.append(budget(ks, regens, n, outside, 0))
+                row_names.append(f"regen_f{fi}_{label[n]}")
+        m._add_block((), 0.0, math.inf, False, rows, outside, row_names)
 
         # Multi-commodity flow over the per-scenario links.
         blk.flows = add_routing(
@@ -535,29 +546,18 @@ def build_design_model(
         if strengthen:
             # Capacity leaving a demand endpoint's routers is an integer at
             # least the volume it must carry, hence at least its ceiling.
+            rows, row_names = [], []
             for n in topology.ip_nodes:
                 need = max(out_dem.get(n, 0.0), in_dem.get(n, 0.0))
-                if need <= 0:
-                    continue
-                coeffs = {
-                    name: 1.0
-                    for (a, b), name in blk.caps.items()
-                    if topology.home(a) == n
-                }
-                if coeffs:
-                    m.add_constraint(
-                        coeffs,
-                        ">=",
-                        float(math.ceil(need - 1e-9)),
-                        name=f"mindeg_f{fi}_{label[n]}",
-                    )
+                ks = [k for k, (a, _) in enumerate(blk.caps) if topology.home(a) == n]
+                if need > 0 and ks:
+                    rows.append((ks, [1.0] * len(ks), ">=", float(math.ceil(need - 1e-9))))
+                    row_names.append(f"mindeg_f{fi}_{label[n]}")
+            m._add_block((), 0.0, math.inf, False, rows,
+                         [start + pos[ab] for ab in blk.caps], row_names)
 
     if fixed_design is None:
-        weighted = [
-            (costs.tail, dm.tail_vars.values()),
-            (costs.regen, dm.regen_vars.values()),
-            (costs.port, dm.port_vars.values()),
-        ]
+        weighted = [(c, n.values()) for c, n in zip((costs.tail, costs.regen, costs.port), named)]
     else:
         blocks = dm.blocks
         weighted = [

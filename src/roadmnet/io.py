@@ -10,7 +10,7 @@ identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Any, Callable, Iterator, Mapping
 
@@ -300,25 +300,9 @@ def design_payload(
     links: Mapping[str, tuple[LinkRecord, ...]] | None = None,
 ) -> dict:
     """The JSON-ready document for a design."""
-    scenarios = []
-    for label, records in (links or {}).items():
-        scenarios.append(
-            {
-                "scenario": label,
-                "links": [
-                    {
-                        "a": rec.a,
-                        "b": rec.b,
-                        "units": rec.units,
-                        "regen_chains": [list(ch) for ch in rec.regen_chains],
-                        "span_paths": [
-                            [list(k) for k in path] for path in rec.span_paths
-                        ],
-                    }
-                    for rec in records
-                ],
-            }
-        )
+    # asdict keeps LinkRecord's field order, and json writes its tuples as lists.
+    scenarios = [{"scenario": label, "links": [asdict(rec) for rec in records]}
+                 for label, records in (links or {}).items()]
     return {
         "format": DESIGN_FORMAT,
         "algorithm": algorithm,
@@ -351,9 +335,21 @@ def save_design(
         fh.write(text)
 
 
+def _as_count(value: Any, where: str) -> int:
+    if _as_int(value, where) < 0:
+        raise InputFormatError(f"{where}: expected a count >= 0")
+    return value
+
+
 def _int_counts(value: Any, where: str) -> dict[str, int]:
     counts = _as_object(value, where)
-    return {k: _as_int(v, f"{where}[{k!r}]") for k, v in counts.items()}
+    return {k: _as_count(v, f"{where}[{k!r}]") for k, v in counts.items()}
+
+
+def _as_status(value: Any, where: str) -> str:
+    if _as_str(value, where) not in ("optimal", "feasible"):
+        raise InputFormatError(f'{where}: expected "optimal" or "feasible"')
+    return value
 
 
 def _span_key(value: Any, where: str) -> SpanKey:
@@ -388,7 +384,7 @@ def load_design(path: str) -> DesignDocument:
         **{key: top(key, _int_counts) for key in _COUNTS},
         total_cost_raw=price("total_raw", _as_number),
         total_cost_reported=price("total_reported", _as_number),
-        solve_status=top("status", _as_str),
+        solve_status=top("status", _as_status),
     )
     links: dict[str, tuple[LinkRecord, ...]] = {}
     for i, scenario in enumerate(top("scenarios", _objects, [])):

@@ -1,7 +1,7 @@
 """Small deterministic mixed-integer linear programming toolkit.
 
-Models are assembled variable-by-variable in columns (each row's names are
-resolved to column indices as the row is added), compiled once with numpy
+Models are assembled in columns (a row comes by column position, or by
+names resolved to column indices as it is added), compiled once with numpy
 into one column-major matrix (a NaN or infinite coefficient, right-hand side
 or objective term is a :class:`ModelError` there), and solved by
 branch-and-bound: each LP relaxation goes straight to scipy's bundled HiGHS
@@ -146,13 +146,14 @@ class LinearModel:
     """A minimization MILP built incrementally.
 
     The model is stored in columns: per variable its lower and upper bound
-    and whether it is integer, indexed by name once in :meth:`add_variable`;
-    per row its column indices and coefficients (flat, with each row's
-    length), sense, right-hand side and name.  Each name in a row is resolved
-    to its column once, in :meth:`add_constraint`, so compiling a model for
-    :func:`solve` is array work without a name lookup.  The
-    :class:`Variable` and :class:`Constraint` records of :attr:`variables`
-    and :attr:`constraints` are built on demand.
+    and whether it is integer, indexed by name as it is added; per row its
+    column indices and coefficients (flat, with each row's length), sense,
+    right-hand side and name.  The package writes every row by column
+    position, through :meth:`_add_block`; :meth:`add_variable` and
+    :meth:`add_constraint`, which resolves a row's names once, are the
+    by-name entry points for callers.  So compiling a model for :func:`solve`
+    is array work without a name lookup.  The :class:`Variable` and
+    :class:`Constraint` records are built on demand.
 
     Each :func:`solve` compiles the model afresh and never mutates it.
     """
@@ -191,8 +192,7 @@ class LinearModel:
         rhs: float,
         name: str = "",
     ) -> str:
-        # Dicts first: the generic Mapping check costs ~10x more per row.
-        if isinstance(coeffs, dict) or isinstance(coeffs, Mapping):
+        if isinstance(coeffs, Mapping):
             items = list(coeffs.items())
         else:
             items = list(coeffs)
@@ -212,8 +212,8 @@ class LinearModel:
                        (float(rhs),), (name,))
         return name
 
-    # The one write path: add_variable, add_constraint and _add_block append
-    # through these two.
+    # The one write path: _add_block (every row the package writes) and the
+    # by-name add_variable and add_constraint append through these two.
 
     def _add_columns(self, names: Sequence[str], lb: float, ub: float, integer: bool) -> int:
         """Append a column per name, all alike; returns the first one's index."""

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -110,6 +111,10 @@ def test_costs_default_when_missing(tmp_path):
                      "{path}: missing key 'algorithm'", id="design-algorithm"),
         pytest.param(load_design, lambda d: d.__setitem__("status", ""),
                      "status: expected a non-empty string", id="design-status"),
+        pytest.param(load_design, lambda d: d.__setitem__("status", "banana"),
+                     'status: expected "optimal" or "feasible"', id="design-status-unknown"),
+        pytest.param(load_design, lambda d: d["tails"].__setitem__("R1", -5),
+                     "tails['R1']: expected a count >= 0", id="design-tails-negative"),
         pytest.param(load_design, lambda d: d.__setitem__("scenarios", {}),
                      "scenarios: expected a list", id="design-scenarios"),
         pytest.param(load_design, lambda d: d["scenarios"][1].pop("links"),
@@ -587,6 +592,37 @@ def test_cli_transient_stdout_when_no_out(tmp_path, capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert out.startswith("scenario_kind,")
+
+
+def _ascii_locale_transient(tmp_path, *out):
+    """``roadmnet transient`` in a subprocess under an ASCII locale, on the
+    toy fixture with optical node O1 renamed to a non-ASCII id."""
+    inputs, design_path = tmp_path / "wide.json", tmp_path / "wide-opt.json"
+    inputs.write_text(json.dumps(_toy_input()).replace('"O1"', '"O\u4e00"'), encoding="utf-8")
+    assert main(["design", str(inputs), "--out", str(design_path)]) == 0
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    env.pop("PYTHONIOENCODING", None)
+    return subprocess.run(
+        [sys.executable, "-m", "roadmnet", "transient", str(inputs),
+         "--design", str(design_path), *out],
+        capture_output=True, env=env,
+    )
+
+
+def test_cli_transient_writes_a_utf8_csv_under_an_ascii_locale(tmp_path, capsys):
+    csv_path = tmp_path / "tr.csv"
+    proc = _ascii_locale_transient(tmp_path, "--out", str(csv_path))
+    assert proc.returncode == 0, proc.stderr
+    rows = csv_path.read_bytes().decode("utf-8").splitlines()
+    assert "span,N1~O\u4e00,0.800000,0.000000,0.000000" in rows
+
+
+def test_cli_transient_stdout_it_cannot_encode_exits_2(tmp_path, capsys):
+    proc = _ascii_locale_transient(tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    (line,) = proc.stderr.decode("ascii").splitlines()
+    assert line.startswith("error: 'ascii' codec can't encode character")
 
 
 def test_cli_legacy_transient_rides_out_failures(tmp_path):
