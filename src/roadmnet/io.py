@@ -10,7 +10,7 @@ identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import Any, Callable, Iterator, Mapping
 
@@ -198,14 +198,23 @@ class DesignDocument:
     links: dict[str, tuple[LinkRecord, ...]]  # keyed by scenario label
 
     def plan(self, topology: Topology, label: str = "no-failure") -> OperationPlan:
-        """Rebuild an OperationPlan for one stored scenario (without flows)."""
+        """Rebuild an OperationPlan for one stored scenario (without flows), if
+        the counts name only the network's routers and nodes, and the design is
+        ``Design.covering`` of them and of the scenario's links' equipment."""
         if label not in self.links:
             raise InputFormatError(f"design document has no scenario {label!r}")
         scenario = parse_scenario_label(topology, label)
+        design, routers, nodes = self.design, topology.router_by_id, topology.all_nodes
+        for key, known in zip(_COUNTS, (routers, set(nodes), set(nodes), routers)):
+            unknown = [name for name in getattr(design, key) if name not in known]
+            if unknown:
+                kind = "router" if known is routers else "node"
+                raise InputFormatError(f"design document {key} names unknown {kind} "
+                                       f"{unknown[0]!r}; was it written for a different network?")
         seen: set[tuple[str, str]] = set()
         for rec in self.links[label]:
             for rid in (rec.a, rec.b):
-                if rid not in topology.router_by_id:
+                if rid not in routers:
                     raise InputFormatError(
                         f"design document names unknown router {rid!r}; "
                         "was it written for a different network?"
@@ -249,7 +258,23 @@ class DesignDocument:
                 if not all(site in on_path for site in chain):
                     raise InputFormatError(f"{link}: regen chain {list(chain)} "
                                            "does not lie on its span path in order")
-        return OperationPlan.from_links(topology, scenario, self.links[label], {})
+        plan = OperationPlan.from_links(topology, scenario, self.links[label], {})
+        raw, reported = design.regens_raw, design.regens_reported
+        counts = (design.tails, reported, design.ports,
+                  {n: raw.get(n, 0) - reported.get(n, 0) for n in nodes})  # launches
+        tails, regens, ports, _ = plan.usage()  # launch hops are bookkeeping only
+        want = Design.covering(topology, self.costs, [counts, (tails, regens, ports, {})],
+                               [design.solve_status])
+        for field in fields(Design):  # name the first total or count that differs
+            got, need = getattr(design, field.name), getattr(want, field.name)
+            if got != need:
+                where = field.name.replace("total_cost", "costs.total")
+                if isinstance(need, dict):  # it holds every key
+                    key = next(k for k, v in need.items() if got.get(k) != v)
+                    where, got, need = f"{where}[{key!r}]", got.get(key, "missing"), need[key]
+                raise InputFormatError(f"design document {where} is {got}, but covering "
+                                       f"its counts and {label} links takes {need}")
+        return plan
 
 
 def parse_scenario_label(topology: Topology, label: str) -> FailureScenario:

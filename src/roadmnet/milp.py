@@ -1,23 +1,23 @@
 """Small deterministic mixed-integer linear programming toolkit.
 
-Models are assembled in columns (a row comes by column position, or by
-names resolved to column indices as it is added), compiled once with numpy
-into one column-major matrix (a NaN or infinite coefficient, right-hand side
-or objective term is a :class:`ModelError` there), and solved by
-branch-and-bound: each LP relaxation goes straight to scipy's bundled HiGHS
-(:func:`linprog`, with ``scipy.optimize.linprog``'s options and checks) on
-the instance each thread keeps across solves (loaded once per solve, given
-only the changed column bounds, its solver state cleared per LP),
-branching follows a most-fractional rule with lowest-index tie-breaks, and
-open nodes are explored best-bound-first, newest first on ties, so identical
-models always produce identical results.  A child's LP is solved only when
-the child first reaches the top of the heap, where it waits under its
-parent's bound (a lower bound on its own).  No open node is below the one
-popped, so the search ends at the first integral node it pops, which is
-optimal: a bundled solve answers "optimal", "infeasible", "unbounded" or
-"no_solution", never "feasible".  A thin adapter onto
-:func:`scipy.optimize.milp` is kept around as an independent cross-check
-backend for tests; only it answers "feasible".
+Models are assembled in columns through one writer (a row comes by column
+position, or by names resolved to column indices first), compiled once with
+numpy into one column-major matrix (a NaN or infinite coefficient,
+right-hand side or objective term is a :class:`ModelError` there), and
+solved by branch-and-bound: each LP relaxation goes straight to scipy's
+bundled HiGHS (:func:`linprog`, with ``scipy.optimize.linprog``'s options
+and checks) on the instance each thread keeps across solves (loaded once per
+solve, given only the changed column bounds, its solver state cleared per
+LP), branching follows a most-fractional rule with lowest-index tie-breaks,
+and open nodes are explored best-bound-first, newest first on ties, so
+identical models always produce identical results.  A node's LP, the root's
+included, is solved only when the node first reaches the top of the heap,
+where it waits under a lower bound on its own (-inf for the root, its
+parent's bound for a child).  No open node is below the one popped, so the
+search ends at the first integral node it pops, which is optimal: a bundled
+solve answers "optimal", "infeasible", "unbounded" or "no_solution", never
+"feasible".  A thin adapter onto :func:`scipy.optimize.milp` is kept around
+as an independent cross-check backend for tests; only it answers "feasible".
 
 Every LP of a solve runs on the calling thread; a solve nested in another
 on one thread gets an instance of its own, and a solve clears its instance
@@ -148,12 +148,12 @@ class LinearModel:
     The model is stored in columns: per variable its lower and upper bound
     and whether it is integer, indexed by name as it is added; per row its
     column indices and coefficients (flat, with each row's length), sense,
-    right-hand side and name.  The package writes every row by column
-    position, through :meth:`_add_block`; :meth:`add_variable` and
-    :meth:`add_constraint`, which resolves a row's names once, are the
-    by-name entry points for callers.  So compiling a model for :func:`solve`
-    is array work without a name lookup.  The :class:`Variable` and
-    :class:`Constraint` records are built on demand.
+    right-hand side and name.  :meth:`_add_block` is the one writer: the
+    package writes every column and row by position through it, and the
+    by-name entry points :meth:`add_variable` and :meth:`add_constraint`
+    (which resolves a row's names once) hand it theirs.  So compiling a model
+    for :func:`solve` is array work without a name lookup.  The
+    :class:`Variable` and :class:`Constraint` records are built on demand.
 
     Each :func:`solve` compiles the model afresh and never mutates it.
     """
@@ -182,7 +182,7 @@ class LinearModel:
         *,
         integer: bool = False,
     ) -> str:
-        self._add_columns((name,), lb, ub, integer)
+        self._add_block((name,), lb, ub, integer, (), (), ())
         return name
 
     def add_constraint(
@@ -208,15 +208,19 @@ class LinearModel:
                 raise ModelError(f"constraint {name!r} references unknown variable {var!r}")
             merged[col] = merged.get(col, 0.0) + float(coef)
         name = name or f"c{len(self._row_names)}"
-        self._add_rows(list(merged), list(merged.values()), (len(merged),), (sense,),
-                       (float(rhs),), (name,))
+        row = (range(len(merged)), list(merged.values()), sense, float(rhs))
+        self._add_block((), 0.0, 0.0, False, (row,), list(merged), (name,))
         return name
 
-    # The one write path: _add_block (every row the package writes) and the
-    # by-name add_variable and add_constraint append through these two.
-
-    def _add_columns(self, names: Sequence[str], lb: float, ub: float, integer: bool) -> int:
-        """Append a column per name, all alike; returns the first one's index."""
+    def _add_block(self, names: Sequence[str], lb: float, ub: float, integer: bool,
+                   rows: Sequence[tuple[Sequence[int], Sequence[float], str, float]],
+                   outside: Sequence[int], row_names: Sequence[str]) -> int:
+        """Append a column per name, all alike, and rows (positions, float
+        coefficients, sense, rhs) over them: position k is the k-th new
+        column, and position ``len(names) + i`` the existing column
+        ``outside[i]``.  A row may be empty, unlike in
+        :meth:`add_constraint`: it constrains 0 by its sense and rhs.
+        Returns the first new column's index."""
         start, index = len(self._lb), self._index
         fresh = dict(zip(names, range(start, start + len(names))))
         if len(fresh) < len(names) or not index.keys().isdisjoint(fresh):
@@ -230,35 +234,15 @@ class LinearModel:
         self._lb += [float(lb)] * len(fresh)
         self._ub += [float(ub)] * len(fresh)
         self._integer += [bool(integer)] * len(fresh)
-        return start
-
-    def _add_rows(self, cols: list[int], vals: list[float], lengths: Sequence[int],
-                  senses: Sequence[str], rhs: Sequence[float], names: Sequence[str]) -> None:
-        """Append rows: their columns and float coefficients one row after
-        another, and each row's length, sense, rhs and name."""
-        self._cols += cols
-        self._vals += vals
-        self._row_len += lengths
-        self._senses += [_SENSE_CODE[sense] for sense in senses]
-        self._rhs += rhs
-        self._row_names += names
-
-    def _add_block(self, names: Sequence[str], lb: float, ub: float, integer: bool,
-                   rows: Sequence[tuple[Sequence[int], Sequence[float], str, float]],
-                   outside: Sequence[int], row_names: Sequence[str]) -> int:
-        """Append a column per name, all alike, and rows (positions, float
-        coefficients, sense, rhs) over them: position k is the k-th new
-        column, and position ``len(names) + i`` the existing column
-        ``outside[i]``.  A row may be empty, unlike in
-        :meth:`add_constraint`: it constrains 0 by its sense and rhs.
-        Returns the first new column's index."""
-        start = self._add_columns(names, lb, ub, integer)
         if rows:
             at = [*range(start, start + len(names)), *outside].__getitem__
             positions, vals, senses, rhs = zip(*rows)
-            self._add_rows([at(k) for ks in positions for k in ks],
-                           [x for xs in vals for x in xs], list(map(len, positions)),
-                           senses, rhs, row_names)
+            self._cols += [at(k) for ks in positions for k in ks]
+            self._vals += [x for xs in vals for x in xs]
+            self._row_len += map(len, positions)
+            self._senses += [_SENSE_CODE[sense] for sense in senses]
+            self._rhs += rhs
+            self._row_names += row_names
         return start
 
     def set_objective(self, coeffs: Mapping[str, float]) -> None:
@@ -493,48 +477,34 @@ def solve(model: LinearModel, time_limit: float | None = None) -> SolveResult:
     "optimal", "infeasible", "unbounded" or "no_solution", never "feasible".
     With ``time_limit`` (seconds from the call, compiling the model included)
     a search that reaches the deadline before an integral node reports
-    "no_solution" with the proven best_bound so far.
+    "no_solution" with the proven best_bound so far; one whose deadline has
+    passed before the root's LP runs no LP and reports -inf, with 0 nodes.
     """
-    deadline = None if time_limit is None else time.monotonic() + time_limit
+    deadline = math.inf if time_limit is None else time.monotonic() + time_limit
     comp = _compile(model)
-
-    def remaining() -> float | None:
-        return None if deadline is None else deadline - time.monotonic()
-
     if len(comp.c) == 0:
         return SolveResult("optimal", {}, 0.0, 0.0, nodes=0)
     lp = _Loaded(comp)
     try:
-        return _branch_and_bound(model, comp, lp, remaining)
+        return _branch_and_bound(model, comp, lp, deadline)
     finally:
         lp.release()
 
 
 def _branch_and_bound(model: LinearModel, comp: _Compiled, lp: _Loaded,
-                      remaining) -> SolveResult:
-    root = linprog(lp, comp.lb, comp.ub, remaining())
-    if root.status == 2:
-        return SolveResult("infeasible", {}, None, math.inf, nodes=1)
-    if root.status == 3:
-        return SolveResult("unbounded", {}, None, -math.inf, nodes=1)
-    if root.status == 1:  # the LP hit its own time/iteration limit
-        return SolveResult("no_solution", {}, None, -math.inf, nodes=1)
-    if root.status != 0:
-        raise SolverError(f"LP backend failed with status {root.status}")
-
-    nodes = 1
-    counter = 0
+                      deadline: float) -> SolveResult:
+    nodes = counter = 0
     # Heap of open nodes: (bound, -insertion counter, LP solution, lb, ub).
     # Best bound first; among equal bounds the newest node wins, so the search
     # dives depth-first along a flat bound plateau instead of sweeping it
-    # breadth-first, which reaches an integral node far sooner.  A child waits
-    # unsolved (solution None) under its parent's bound, which is at most its
-    # own; its LP is solved when it first reaches the top, and it goes back
-    # under its own bound with the same counter.  So the first solved node
-    # popped is the one a search that solves every child at once would pop.
-    # No open node is below the popped one, so the first integral node popped
-    # is optimal.
-    heap = [(float(root.fun), -counter, root.x, comp.lb, comp.ub)]
+    # breadth-first, which reaches an integral node far sooner.  A node waits
+    # unsolved (solution None) under a lower bound on its LP: the root under
+    # -inf, a child under its parent's bound.  Its LP is solved when it first
+    # reaches the top, and it goes back under its own bound with the same
+    # counter.  So the first solved node popped is the one a search that
+    # solves every child at once would pop.  No open node is below the popped
+    # one, so the first integral node popped is optimal.
+    heap = [(-math.inf, 0, None, comp.lb, comp.ub)]
 
     def no_solution(bound: float) -> SolveResult:
         """Stopped before an integral node, the popped one's bound open."""
@@ -543,14 +513,16 @@ def _branch_and_bound(model: LinearModel, comp: _Compiled, lp: _Loaded,
 
     while heap:
         bound, order, x, lb, ub = heappop(heap)
-        rem = remaining()
-        if rem is not None and rem <= 0:
+        rem = deadline - time.monotonic()
+        if rem <= 0:
             return no_solution(bound)
         if x is None:
             res = linprog(lp, lb, ub, rem)
             nodes += 1
             if res.status == 2:
                 continue
+            if res.status == 3:  # only the root: a child's LP is bounded by its parent's
+                return SolveResult("unbounded", {}, None, -math.inf, nodes=nodes)
             if res.status == 1:  # LP hit its own time/iteration limit
                 return no_solution(bound)
             if res.status != 0:

@@ -379,6 +379,78 @@ def test_malformed_link_records_rejected(tmp_path, toy_inputs, toy_document,
         load_design(str(path)).plan(topology)
 
 
+def _costs(doc, **totals):
+    doc["costs"].update(totals)
+
+
+# The toy optimal design has one tail at each of R1-R4, regens at O2 and O4,
+# a launch at N1 and no ports: 6.0 reported, 7.0 raw.  Its no-failure state
+# is the one link R1-R4, launched at N1 and regenerated at O2.  A state's
+# launch hops need no equipment, so only its tails, regens and ports count.
+OTHER = "; was it written for a different network?"
+COVER = ", but covering its counts and no-failure links takes"
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        pytest.param(lambda d: (_costs(d, total_reported=-5, total_raw=-7),
+                                d.update(tails={"R99": 3})),
+                     f"tails names unknown router 'R99'{OTHER}", id="tails-unknown"),
+        pytest.param(lambda d: d["regens_raw"].update(X9=0),
+                     f"regens_raw names unknown node 'X9'{OTHER}", id="regens_raw-unknown"),
+        pytest.param(lambda d: d["ports"].update(N1=0),
+                     f"ports names unknown router 'N1'{OTHER}", id="ports-unknown"),
+        pytest.param(lambda d: d["regens_reported"].update(R1=0),
+                     f"regens_reported names unknown node 'R1'{OTHER}",
+                     id="regens_reported-unknown"),
+        pytest.param(lambda d: _costs(d, total_reported=-5),
+                     f"costs.total_reported is -5.0{COVER} 6.0", id="total_reported"),
+        pytest.param(lambda d: _costs(d, total_raw=-7),
+                     f"costs.total_raw is -7.0{COVER} 7.0", id="total_raw"),
+        pytest.param(lambda d: d["tails"].update(R1=2),
+                     f"costs.total_raw is 7.0{COVER} 8.0", id="tails-unpriced"),
+        pytest.param(lambda d: d["tails"].pop("R2"),
+                     f"tails['R2'] is missing{COVER} 0", id="tails-missing"),
+        pytest.param(lambda d: d["regens_raw"].update(O2=0),
+                     f"regens_raw['O2'] is 0{COVER} 1", id="launches-negative"),
+        # Counts that price to the totals but fall short of the links.
+        pytest.param(lambda d: (d["tails"].update(R4=0),
+                                _costs(d, total_reported=5.0, total_raw=6.0)),
+                     f"tails['R4'] is 0{COVER} 1", id="links-tails"),
+        pytest.param(lambda d: (d["regens_raw"].update(O2=0), d["regens_reported"].update(O2=0),
+                                _costs(d, total_reported=5.0, total_raw=6.0)),
+                     f"regens_raw['O2'] is 0{COVER} 1", id="links-regens"),
+        pytest.param(lambda d: _intra(_no_failure_links(d)),
+                     f"ports['R1'] is 0{COVER} 1", id="links-ports"),
+    ],
+)
+def test_counts_that_do_not_cover_the_document_rejected(tmp_path, toy_inputs, toy_document,
+                                                        mutate, message):
+    topology, _, _ = toy_inputs
+    doc = json.loads(json.dumps(toy_document))
+    mutate(doc)
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputFormatError) as info:
+        load_design(str(path)).plan(topology)
+    assert str(info.value) == f"design document {message}"
+
+
+def test_transient_rejects_counts_and_totals_that_disagree(tmp_path, capsys, toy_document):
+    # Such a document used to load and rate, with exit code 0.
+    doc = json.loads(json.dumps(toy_document))
+    _costs(doc, total_reported=-5, total_raw=-7)
+    doc["tails"] = {"R99": 3}
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(doc))
+    assert main(["transient", fixture_path("toy2x5"), "--design", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: design document tails names unknown router 'R99'; "
+                            "was it written for a different network?\n")
+
+
 def test_negative_price_in_document_is_a_format_error(tmp_path, toy_document):
     doc = json.loads(json.dumps(toy_document))
     doc["costs"]["regen"] = -1
@@ -402,6 +474,7 @@ def test_intra_node_record_without_optics_accepted(tmp_path, toy_inputs,
     topology, _, _ = toy_inputs
     doc = json.loads(json.dumps(toy_document))
     _intra(_no_failure_links(doc))
+    doc["ports"].update(R1=1, R2=1)  # the port link's ends, at port price 0
     path = tmp_path / "design.json"
     path.write_text(json.dumps(doc))
     plan = load_design(str(path)).plan(topology)
@@ -415,6 +488,7 @@ def test_transient_rates_an_intra_node_link(tmp_path, toy_inputs, toy_document):
     topology, demands, _ = toy_inputs
     doc = json.loads(json.dumps(toy_document))
     _intra(_no_failure_links(doc))
+    doc["ports"].update(R1=1, R2=1)  # the port link's ends, at port price 0
     path = tmp_path / "design.json"
     path.write_text(json.dumps(doc))
     plan = load_design(str(path)).plan(topology)
@@ -732,6 +806,19 @@ def test_cli_design_document_matches_golden_hash(tmp_path, capsys, fixture, algo
     ]) == 0
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == GOLDEN_DOCUMENTS[(fixture, algorithm)]
+
+
+@pytest.mark.parametrize("fixture,algorithm", sorted(GOLDEN_DOCUMENTS))
+def test_every_written_document_plans_each_state(tmp_path, fixture, algorithm):
+    # Each algorithm's design covers its own counts and every stored state's links.
+    path = tmp_path / "design.json"
+    assert main(["design", fixture_path(fixture), "--algorithm", algorithm,
+                 "--out", str(path)]) == 0
+    topology, _, _ = load_inputs(fixture_path(fixture))
+    document = load_design(str(path))
+    assert document.links
+    for label in document.links:
+        document.plan(topology, label)
 
 
 def test_cli_compare(tmp_path, capsys):

@@ -211,6 +211,49 @@ class TestSolve:
             assert limited.best_bound <= full.objective_value + 1e-6
 
 
+def searched_to(res: milp.SolveResult) -> tuple:
+    return res.status, res.values, res.objective_value, res.best_bound, res.nodes
+
+
+def lp_answering(status: int):
+    """A stand-in for milp.linprog whose every LP ends with ``status``."""
+    return lambda lp, lb, ub, time_limit: milp._LPResult(status, None, None)
+
+
+class TestRootIsTheFirstNode:
+    """The root's LP is solved in the search loop, like a child's."""
+
+    def test_an_infeasible_root(self):
+        m = LinearModel()
+        m.add_variable("x", ub=1, integer=True)
+        m.add_constraint({"x": 1}, ">=", 2)
+        assert searched_to(solve(m)) == ("infeasible", {}, None, math.inf, 1)
+
+    def test_an_unbounded_root(self):
+        m = LinearModel()
+        m.add_variable("x", integer=True)
+        m.set_objective({"x": -1})
+        assert searched_to(solve(m)) == ("unbounded", {}, None, -math.inf, 1)
+
+    def test_a_root_at_its_own_lp_limit(self, monkeypatch):
+        monkeypatch.setattr(milp, "linprog", lp_answering(1))
+        assert searched_to(solve(knapsackish())) == ("no_solution", {}, None, -math.inf, 1)
+
+    def test_a_failed_root_raises(self, monkeypatch):
+        monkeypatch.setattr(milp, "linprog", lp_answering(4))
+        with pytest.raises(milp.SolverError, match="status 4"):
+            solve(knapsackish())
+
+    def test_a_passed_deadline_runs_no_lp(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("an LP ran past the deadline")
+
+        monkeypatch.setattr(milp, "linprog", refused)
+        for model in (knapsackish(), random_integer_model(7)):
+            res = solve(model, time_limit=0.0)
+            assert searched_to(res) == ("no_solution", {}, None, -math.inf, 0)
+
+
 class TestRandomizedAgreement:
     @pytest.mark.parametrize("seed", range(40, 65))
     def test_three_way_agreement(self, seed):
@@ -1269,7 +1312,6 @@ def mirrored_models():
     mirrors: dict[int, tuple[LinearModel, RowModel]] = {}
     compiled: dict[int, tuple[LinearModel, RowModel]] = {}
     read_back = []
-    real_var, real_con = LinearModel.add_variable, LinearModel.add_constraint
     real_block = LinearModel._add_block
     real_obj, real_compile, real_values = (LinearModel.set_objective, milp._compile,
                                            milp._values_of)
@@ -1277,19 +1319,7 @@ def mirrored_models():
     def mirror(model) -> RowModel:
         return mirrors.setdefault(id(model), (model, RowModel()))[1]
 
-    def add_variable(self, *args, **kwargs):
-        name = real_var(self, *args, **kwargs)
-        mirror(self).add_variable(*args, **kwargs)
-        return name
-
-    def add_constraint(self, coeffs, *args, **kwargs):
-        if not hasattr(coeffs, "items"):
-            coeffs = list(coeffs)  # read twice below
-        name = real_con(self, coeffs, *args, **kwargs)
-        mirror(self).add_constraint(coeffs, *args, **kwargs)
-        return name
-
-    # The design builder also adds whole blocks of columns and rows; the
+    # Every column and row goes in through _add_block, by-name ones too; the
     # mirror gets them one variable and one named row at a time, each
     # outside column by the name the mirror holds at its position.
     def add_block(self, names, lb, ub, integer, rows, outside, row_names):
@@ -1317,8 +1347,6 @@ def mirrored_models():
         return values
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(LinearModel, "add_variable", add_variable)
-        mp.setattr(LinearModel, "add_constraint", add_constraint)
         mp.setattr(LinearModel, "_add_block", add_block)
         mp.setattr(LinearModel, "set_objective", set_objective)
         mp.setattr(milp, "_compile", compile_recording)

@@ -3,7 +3,9 @@
 Each demand is one block of flow columns and rows and the arc-capacity rows
 one more; no row or column goes in by name, and nothing is handed in as a
 callable.  ``build_design_model`` writes the rest of a placement model the
-same way, and no module but ``milp`` adds a row by name.
+same way, and no module but ``milp`` adds a row by name.  In ``milp``,
+``LinearModel._add_block`` is the model's one writer, and the search solves
+every LP, the root's included, at one call site.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from roadmnet import (
 )
 from roadmnet.design import add_routing
 
-BY_NAME = {"add_constraint", "add_variable", "_add_columns", "_add_rows"}
+BY_NAME = {"add_constraint", "add_variable"}
+# Calls that change a list or dict in place.
+MUTATORS = {"append", "extend", "insert", "update", "setdefault", "pop", "clear"}
 
 
 def _module(name: str) -> ast.Module:
@@ -34,9 +38,9 @@ def _module(name: str) -> ast.Module:
     return ast.parse(source, name)
 
 
-def _function(name: str) -> ast.FunctionDef:
-    return next(node for node in _module("design.py").body
-                if isinstance(node, ast.FunctionDef) and node.name == name)
+def _function(name: str, module: str = "design.py") -> ast.FunctionDef | ast.ClassDef:
+    return next(node for node in _module(module).body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)
 
 
 def _calls(node: ast.AST) -> list[str]:
@@ -106,3 +110,55 @@ def test_every_command_builds_without_a_by_name_row(monkeypatch, toy_inputs):
     for concurrent in (False, True):
         reports = transient_reports(topology, demands, base, failures, concurrent=concurrent)
         assert len(reports) == len(failures)
+
+
+def _writes(method: ast.FunctionDef, storage: set[str]) -> bool:
+    """Whether the method assigns, extends or mutates one of ``storage``'s
+    attributes of ``self``, directly or through a local name bound to one."""
+    def stored(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Attribute) and ast.unparse(node.value) == "self"
+                and node.attr in storage)
+
+    aliases = set()
+    for node in ast.walk(method):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = ([(target, node.value)] if not isinstance(target, ast.Tuple)
+                         else zip(target.elts, getattr(node.value, "elts", ())))
+                aliases |= {t.id for t, v in pairs if isinstance(t, ast.Name) and stored(v)}
+
+    def held(node: ast.AST) -> bool:
+        return stored(node) or isinstance(node, ast.Name) and node.id in aliases
+
+    for node in ast.walk(method):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                   else [])
+        for target in targets:
+            if stored(target) or isinstance(target, ast.Subscript) and held(target.value):
+                return True
+            if isinstance(node, ast.AugAssign) and held(target):
+                return True
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MUTATORS and held(node.func.value)):
+            return True
+    return False
+
+
+def test_only_add_block_writes_a_linear_model():
+    cls = _function("LinearModel", "milp.py")
+    methods = [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+    init = next(method for method in methods if method.name == "__init__")
+    # The column index and the storage lists; set_objective replaces _objective.
+    storage = {node.target.attr for node in ast.walk(init)
+               if isinstance(node, ast.AnnAssign)} - {"_objective"}
+    assert len(storage) == 10 and "_index" in storage and "_row_names" in storage
+    writers = {method.name for method in methods if _writes(method, storage)}
+    assert writers == {"__init__", "_add_block"}
+
+
+def test_the_search_solves_every_lp_at_one_site():
+    func = _function("_branch_and_bound", "milp.py")
+    sites = [call for call in ast.walk(func)
+             if isinstance(call, ast.Call) and ast.unparse(call.func) == "linprog"]
+    assert len(sites) == 1
