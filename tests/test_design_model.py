@@ -389,8 +389,9 @@ MODEL_FINGERPRINTS = {
 }
 
 
-@pytest.mark.parametrize("fixture,kind", sorted(MODEL_FINGERPRINTS))
-def test_model_bytes_match_fingerprint(request, fixture, kind):
+def built_model(request, fixture: str, kind: str) -> LinearModel:
+    """The ``sizing``, ``plain``, ``prior`` or ``operate`` model of a fixture,
+    as MODEL_FINGERPRINTS describes them."""
     toy = fixture == "toy2x5"
     topology, demands, costs = request.getfixturevalue("toy_inputs" if toy else "grid_inputs")
     failures = enumerate_failures(topology)
@@ -407,7 +408,13 @@ def test_model_bytes_match_fingerprint(request, fixture, kind):
         dm = build_design_model(
             topology, demands, [NF], CostModel(0.0, 0.0, 0.0), fixed_design=design
         )
-    assert model_fingerprint(dm.model) == MODEL_FINGERPRINTS[(fixture, kind)]
+    return dm.model
+
+
+@pytest.mark.parametrize("fixture,kind", sorted(MODEL_FINGERPRINTS))
+def test_model_bytes_match_fingerprint(request, fixture, kind):
+    model = built_model(request, fixture, kind)
+    assert model_fingerprint(model) == MODEL_FINGERPRINTS[(fixture, kind)]
 
 
 def compiled_fingerprint(models) -> str:
@@ -428,9 +435,18 @@ def compiled_fingerprint(models) -> str:
 
 # compiled_fingerprint of every model that transient rating solves, over each
 # enumerated failure from the optimal design's no-failure plan, maximizing the
-# total ("transient") or the common fraction ("concurrent"), and of every
-# model design_legacy solves ("legacy"), per shipped fixture.
+# total ("transient") or the common fraction ("concurrent"), of every model
+# design_legacy solves ("legacy"), and of each of MODEL_FINGERPRINTS' four
+# models on its own, per shipped fixture.
 COMPILED_FINGERPRINTS = {
+    ("toy2x5", "sizing"): "1f23de00bec3c5a2ef23be2632b891cbc50d1da4ca5ba6c9322bb898bf45649c",
+    ("toy2x5", "plain"): "65e66f6a2bb9e55778355e2468f24dde0e029671f89cc4b09b3959d43ef0251d",
+    ("toy2x5", "prior"): "3d846593e900453dd42615e4adeabee9892dcc78d33ac318f22d400059f237e4",
+    ("toy2x5", "operate"): "bc9ac2e30649fd3edb877de516e90cae3868e576ddceecb9dfdbf989c88733e3",
+    ("grid3x3_600", "sizing"): "ec96ea2d4c513230ab65d1ab01bde3deede916c7e6372a1aaed9d25ca2ad1dcb",
+    ("grid3x3_600", "plain"): "dde5693078ff23640b3a408c8bc0e48f2d57647b5ea4317234b1be786e446840",
+    ("grid3x3_600", "prior"): "4c3c3ea620af33ce0dc470bd3bdce51a0e5229e09c3f9a5d6bd567c804728782",
+    ("grid3x3_600", "operate"): "bbbd939d8eb3d5f4d0c104e814f4141358ae615b489c7b9037ff6b715a2c9c15",
     ("toy2x5", "transient"): "902f881f13b048099b237b350ccc03bd27f1938d72289dfb92ed97e520585bbc",
     ("toy2x5", "concurrent"): "8378d3bc0acd69294cd016c9aa89cab6d23b12d62d5c944518f7ff2196bc318f",
     ("toy2x5", "legacy"): "1299d91d218afdbe8a03ae71f443a343044e5068bdad67d65ba8a730ccb1c90e",
@@ -442,6 +458,15 @@ COMPILED_FINGERPRINTS = {
 
 @pytest.mark.parametrize("fixture,kind", sorted(COMPILED_FINGERPRINTS))
 def test_solved_arrays_match_fingerprint(request, monkeypatch, fixture, kind):
+    if kind in ("sizing", "plain", "prior", "operate"):
+        models = [built_model(request, fixture, kind)]
+    else:
+        models = solved_models(request, monkeypatch, fixture, kind)
+    assert compiled_fingerprint(models) == COMPILED_FINGERPRINTS[(fixture, kind)]
+
+
+def solved_models(request, monkeypatch, fixture: str, kind: str) -> list[LinearModel]:
+    """Every model transient rating or design_legacy solves, in order."""
     toy = fixture == "toy2x5"
     topology, demands, costs = request.getfixturevalue("toy_inputs" if toy else "grid_inputs")
     failures = enumerate_failures(topology)
@@ -460,4 +485,4 @@ def test_solved_arrays_match_fingerprint(request, monkeypatch, fixture, kind):
         operation.transient_reports(topology, demands, plan, failures,
                                     concurrent=kind == "concurrent")
     assert len(models) == len(failures)
-    assert compiled_fingerprint(models) == COMPILED_FINGERPRINTS[(fixture, kind)]
+    return models
