@@ -26,6 +26,7 @@ once per failure state it covers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -289,8 +290,9 @@ def design_legacy(
 
         m = LinearModel(f"legacy_{scen.label()}")
         buy_vars: dict[tuple[str, str], str] = {}
-        for key in sorted(candidates):
-            buy_vars[key] = m.add_variable(f"buy_{_key(key[0])}_{_key(key[1])}", integer=True)
+        for key in sorted(candidates):  # each link bought at its price
+            buy_vars[key] = name = f"buy_{_key(key[0])}_{_key(key[1])}"
+            m._add_block((name,), 0.0, math.inf, True, (), (), (), candidates[key][0])
         # Each direction of a link fits its surviving units plus those bought
         # (``surviving`` holds both directions, ``candidates`` the sorted one).
         arcs: dict[tuple[str, str], tuple[str | None, float]] = {}
@@ -300,9 +302,6 @@ def design_legacy(
             capacity = (buy_vars.get((u, v)), float(surviving.get((u, v), 0)))
             arcs[(u, v)] = arcs[(v, u)] = capacity
         add_routing(m, "f0", arcs, alive, demands)
-        m.set_objective(
-            {name: candidates[key][0] for key, name in buy_vars.items()}
-        )
         result = solve(m, per_scenario_time_limit)
         check_solve(result, scen)
         statuses.append(result.status)

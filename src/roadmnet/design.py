@@ -42,12 +42,14 @@ most what is owned when operating, where owned is the prior's count plus,
 when operating, the fixed design's.  External links (ended by tails) and
 intra-node links (ended by ports) are built alike, by one loop over the two.
 
-Every column and row goes in by position, through ``LinearModel._add_block``:
-when sizing, one block each of T, R and P purchase columns; then per failure
-state the X/W capacity columns with their symmetry and tail and port budget
-rows (the purchase columns taken from outside), one H block per external
-link, one block of regen budget rows, ``add_routing``'s blocks and, when
-strengthening, one block of ``mindeg`` rows.
+Every column and row goes in by position, through ``LinearModel._add_block``,
+each column with its cost: when sizing, one block each of T, R and P purchase
+columns at their unit prices; then per failure state the X/W capacity
+columns with their symmetry and tail and port budget rows (the purchase
+columns taken from outside), one H block per external link, one block of
+regen budget rows, ``add_routing``'s blocks and, when strengthening, one
+block of ``mindeg`` rows.  When operating, X/W, H and flow columns cost 1,
+``OPERATE_HOP_WEIGHT`` and ``OPERATE_FLOW_WEIGHT``; otherwise nothing.
 """
 
 from __future__ import annotations
@@ -312,6 +314,7 @@ def add_routing(
     alive: Sequence[Router],
     demands: DemandMatrix,
     served: Mapping[tuple[str, str], tuple[str, float]] | None = None,
+    cost: float = 0.0,
 ) -> dict[tuple[str, str], dict[tuple[str, str], str]]:
     """Route every demand over ``arcs``; returns each demand's arc -> flow map.
 
@@ -319,10 +322,10 @@ def add_routing(
     constant)``: the arc's total flow fits the column (None: no column) plus
     the constant.  ``tag``, the failure state (``f{index}``), goes into every
     variable and row name.  Each demand (s, t), in order, is one block: a
-    variable ``Y_{tag}_{s}_{t}_{a}_{b}`` per arc, a conservation row at every
-    live router homed away from both endpoints that an arc touches, then the
-    source row (net outflow of node s's live routers) and the destination row
-    (net inflow of node t's).  Each endpoint row asks for the demand's
+    variable ``Y_{tag}_{s}_{t}_{a}_{b}`` per arc, each costing ``cost``, a
+    conservation row at every live router homed away from both endpoints that
+    an arc touches, then the source row (net outflow of node s's live
+    routers) and the destination row (net inflow of node t's).  Each endpoint row asks for the demand's
     volume; with ``served``, which maps each demand to ``(column, weight)``,
     it asks instead for weight times that column.  The arc-capacity rows
     follow the last demand as one more block.
@@ -367,7 +370,7 @@ def add_routing(
                                               (dst + ks, into + vs, "==", rhs)]
         row_names = [f"balance_Y_{pair}_{r}" for r, _ in transit]
         row_names += [f"flow_src_{pair}", f"flow_dst_{pair}"]
-        starts.append(m._add_block(names, 0.0, math.inf, False, rows, outside, row_names))
+        starts.append(m._add_block(names, 0.0, math.inf, False, rows, outside, row_names, cost))
         routes[(s, t)] = dict(zip(arcs, names))
     if starts:  # each arc's flow under every demand, then its capacity column
         n, rows = len(arcs), []
@@ -432,15 +435,19 @@ def build_design_model(
 
     # Every router and node id as it goes into a name.
     label = {x: _key(x) for x in (*topology.all_nodes, *(r.id for r in topology.routers))}
+    # Costs of the X/W, H and flow columns (see the module docstring).
+    operating = (1.0, OPERATE_HOP_WEIGHT, OPERATE_FLOW_WEIGHT)
+    link_cost, hop_cost, flow_cost = operating if fixed_design else (0.0, 0.0, 0.0)
     # The purchase columns, when sizing: one block each of T per router, R per
     # node and P per router with a colocated peer.  Per resource, each key's
     # column name (``named``) and column (``at``).
     routers = [r.id for r in topology.routers]
     multi = [r for r in routers if len(topology.routers_at[topology.home(r)]) >= 2]
     named, at = [], []
-    for prefix, keys in (("T", routers), ("R", topology.all_nodes), ("P", multi)):
+    for prefix, keys, price in (("T", routers, costs.tail),
+                                ("R", topology.all_nodes, costs.regen), ("P", multi, costs.port)):
         names = [f"{prefix}_{label[k]}" for k in keys] if fixed_design is None else []
-        first = m._add_block(names, 0.0, math.inf, True, (), (), ())
+        first = m._add_block(names, 0.0, math.inf, True, (), (), (), price)
         named.append(dict(zip(keys, names)))
         at.append(dict(zip(keys, range(first, first + len(names)))))
     dm = DesignModel(m, topology, costs, fixed_design, *named, blocks=[])
@@ -503,7 +510,7 @@ def build_design_model(
                                 ("out", [pos[(r, o)] for o in others])):
                     rows.append(budget(ks, resource, r, outside, len(names)))
                     row_names.append(f"{end}_{way}_f{fi}_{label[r]}")
-        start = m._add_block(names, 0.0, box, True, rows, outside, row_names)
+        start = m._add_block(names, 0.0, box, True, rows, outside, row_names, link_cost)
 
         canonical = [(a, b) for a, b in blk.caps if a < b]
 
@@ -521,7 +528,7 @@ def build_design_model(
             tag = f"_f{fi}_{label[a]}_{label[b]}"
             names = [f"H{tag}_{uv}" for uv in hop_labels]
             first = m._add_block(names, 0.0, box, True, rows, (start + pos[(a, b)],),
-                                 [f"{kind}{tag}{suffix}" for kind, suffix in kinds])
+                                 [f"{kind}{tag}{suffix}" for kind, suffix in kinds], hop_cost)
             blk.hops[(a, b)] = dict(zip(hops, names))
             for k in regen:
                 regen_use[hops[k][0]].append(first + k)
@@ -540,7 +547,7 @@ def build_design_model(
         blk.flows = add_routing(
             m, f"f{fi}",
             {ab: (name, 0.0) for ab, name in (*blk.caps.items(), *blk.intra.items())},
-            alive, demands,
+            alive, demands, cost=flow_cost,
         )
 
         if strengthen:
@@ -555,20 +562,6 @@ def build_design_model(
                     row_names.append(f"mindeg_f{fi}_{label[n]}")
             m._add_block((), 0.0, math.inf, False, rows,
                          [start + pos[ab] for ab in blk.caps], row_names)
-
-    if fixed_design is None:
-        weighted = [(c, n.values()) for c, n in zip((costs.tail, costs.regen, costs.port), named)]
-    else:
-        blocks = dm.blocks
-        weighted = [
-            (1.0, [n for blk in blocks for n in blk.caps.values()]),
-            (1.0, [n for blk in blocks for n in blk.intra.values()]),
-            (OPERATE_HOP_WEIGHT,
-             [n for blk in blocks for hops in blk.hops.values() for n in hops.values()]),
-            (OPERATE_FLOW_WEIGHT,
-             [n for blk in blocks for fl in blk.flows.values() for n in fl.values()]),
-        ]
-    m.set_objective({name: w for w, names in weighted for name in names})
     return dm
 
 

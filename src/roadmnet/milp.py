@@ -1,7 +1,8 @@
 """Small deterministic mixed-integer linear programming toolkit.
 
-Models are assembled in columns through one writer (a row comes by column
-position, or by names resolved to column indices first), compiled once with
+Models are assembled in columns through one writer (each column with its
+objective coefficient; a row comes by column position, or by names resolved
+to column indices first), compiled once with
 numpy into one column-major matrix (a NaN or infinite coefficient,
 right-hand side or objective term is a :class:`ModelError` there), and
 solved by branch-and-bound: each LP relaxation goes straight to scipy's
@@ -145,15 +146,17 @@ class SolveResult:
 class LinearModel:
     """A minimization MILP built incrementally.
 
-    The model is stored in columns: per variable its lower and upper bound
-    and whether it is integer, indexed by name as it is added; per row its
-    column indices and coefficients (flat, with each row's length), sense,
-    right-hand side and name.  :meth:`_add_block` is the one writer: the
-    package writes every column and row by position through it, and the
-    by-name entry points :meth:`add_variable` and :meth:`add_constraint`
-    (which resolves a row's names once) hand it theirs.  So compiling a model
-    for :func:`solve` is array work without a name lookup.  The
-    :class:`Variable` and :class:`Constraint` records are built on demand.
+    The model is stored in columns: per variable its lower and upper bound,
+    whether it is integer and its cost (objective coefficient), indexed by
+    name as it is added; per row its column indices and coefficients (flat,
+    with each row's length), sense, right-hand side and name.
+    :meth:`_add_block` is the one writer: the package writes every column,
+    its cost included, and every row by position through it, and the by-name
+    entry points :meth:`add_variable` and :meth:`add_constraint` (which
+    resolves a row's names once) hand it theirs; :meth:`set_objective`
+    replaces every cost by name.  So compiling a model for :func:`solve` is
+    array work without a name lookup.  The :class:`Variable` and
+    :class:`Constraint` records are built on demand.
 
     Each :func:`solve` compiles the model afresh and never mutates it.
     """
@@ -170,7 +173,7 @@ class LinearModel:
         self._senses: list[int] = []  # an index into _SENSES
         self._rhs: list[float] = []
         self._row_names: list[str] = []
-        self._objective: dict[str, float] = {}
+        self._cost: list[float] = []  # each column's objective coefficient
 
     # -- construction ----------------------------------------------------
 
@@ -214,12 +217,13 @@ class LinearModel:
 
     def _add_block(self, names: Sequence[str], lb: float, ub: float, integer: bool,
                    rows: Sequence[tuple[Sequence[int], Sequence[float], str, float]],
-                   outside: Sequence[int], row_names: Sequence[str]) -> int:
-        """Append a column per name, all alike, and rows (positions, float
-        coefficients, sense, rhs) over them: position k is the k-th new
-        column, and position ``len(names) + i`` the existing column
-        ``outside[i]``.  A row may be empty, unlike in
-        :meth:`add_constraint`: it constrains 0 by its sense and rhs.
+                   outside: Sequence[int], row_names: Sequence[str], cost: float = 0.0) -> int:
+        """Append a column per name, all alike (bounds, integrality and
+        ``cost``), and rows (positions, float coefficients, sense, rhs) over
+        them: position k is the k-th new column, and position
+        ``len(names) + i`` the existing column ``outside[i]``.  A row may be
+        empty, unlike in :meth:`add_constraint`: it constrains 0 by its sense
+        and rhs.
         Returns the first new column's index."""
         start, index = len(self._lb), self._index
         fresh = dict(zip(names, range(start, start + len(names))))
@@ -234,6 +238,7 @@ class LinearModel:
         self._lb += [float(lb)] * len(fresh)
         self._ub += [float(ub)] * len(fresh)
         self._integer += [bool(integer)] * len(fresh)
+        self._cost += [float(cost)] * len(fresh)
         if rows:
             at = [*range(start, start + len(names)), *outside].__getitem__
             positions, vals, senses, rhs = zip(*rows)
@@ -246,11 +251,13 @@ class LinearModel:
         return start
 
     def set_objective(self, coeffs: Mapping[str, float]) -> None:
-        """Minimization objective; unmentioned variables get coefficient 0."""
-        for var in coeffs:
+        """Replace every column's cost by name; unmentioned variables get 0."""
+        cost = [0.0] * len(self._cost)
+        for var, coef in coeffs.items():
             if var not in self._index:
                 raise ModelError(f"objective references unknown variable {var!r}")
-        self._objective = {v: float(c) for v, c in coeffs.items()}
+            cost[self._index[var]] = float(coef)
+        self._cost = cost
 
     # -- introspection ---------------------------------------------------
 
@@ -271,7 +278,8 @@ class LinearModel:
 
     @property
     def objective(self) -> dict[str, float]:
-        return dict(self._objective)
+        """The nonzero objective coefficients by name, in column order."""
+        return {var: coef for var, coef in zip(self._index, self._cost) if coef}
 
 
 _SENSES = ("<=", ">=", "==")
@@ -304,10 +312,7 @@ class _Compiled:
 
 def _compile(model: LinearModel) -> _Compiled:
     n, m = len(model._lb), len(model._row_len)
-    c = np.zeros(n)
-    if model._objective:
-        c[[model._index[var] for var in model._objective]] = list(model._objective.values())
-
+    c = np.array(model._cost, dtype=float)
     senses = np.array(model._senses, dtype=np.int8)
     sign = np.where(senses == 1, -1.0, 1.0)  # ">=" becomes "<=" after negation
     is_eq = senses == 2
@@ -624,8 +629,7 @@ def export_lp(model: LinearModel) -> str:
     variables = model.variables
     # An empty objective or row is written as 0 times the first variable.
     zero = [(variables[0].name, 0.0)] if variables else []
-    obj = [(v, c) for v, c in model._objective.items() if c != 0.0]
-    lines.append(" obj: " + render(obj or zero))
+    lines.append(" obj: " + render(list(model.objective.items()) or zero))
     lines.append("Subject To")
     sense_txt = {"<=": "<=", ">=": ">=", "==": "="}
     for con in model.constraints:

@@ -318,19 +318,19 @@ def evaluate_transient(
 
     m = LinearModel("transient")
     # A demand's net flow is its volume times the common served fraction,
-    # or its own delivered volume d_{s}_{t}.
+    # or its own delivered volume d_{s}_{t}, each priced to maximize delivery.
     if concurrent:
-        tvar = m.add_variable("served_fraction", ub=1.0)
-        objective = {tvar: -offered}
-        served = {(s, t): (tvar, volume) for s, t, volume in demands.pairs}
+        m._add_block(("served_fraction",), 0.0, 1.0, False, (), (), (), -offered)
+        served = {(s, t): ("served_fraction", volume) for s, t, volume in demands.pairs}
     else:
-        served = {(s, t): (m.add_variable(f"d_{_key(s)}_{_key(t)}", ub=volume), 1.0)
-                  for s, t, volume in demands.pairs}
-        objective = {d: -1.0 for d, _ in served.values()}
+        served = {}
+        for s, t, volume in demands.pairs:
+            name = f"d_{_key(s)}_{_key(t)}"
+            m._add_block((name,), 0.0, volume, False, (), (), (), -1.0)
+            served[(s, t)] = (name, 1.0)
 
     arcs = {arc: (None, float(caps[arc])) for arc in sorted(caps)}
     add_routing(m, "f0", arcs, alive_routers(topology, scenario), demands, served)
-    m.set_objective(objective)
     result = solve(m, time_limit)
     check_solve(result, scenario, "transient routing")
     delivered = -result.objective_value

@@ -324,9 +324,9 @@ def test_covering_design_rolls_up_costs_and_status():
 # order, bounds and coefficient order all feed the digest.
 GOLDEN_MODELS = {
     ("toy2x5", "sizing"): "c6b18b4c35909866b85618161ea4d56405c9f70ae848228363d93797a9f1c986",
-    ("toy2x5", "operate"): "54f1d98466fc377fb6791e6dd50b34f56bc1634add9d3a16798266b36716fda6",
+    ("toy2x5", "operate"): "188ed15d02e3733caab8829fd38ac8018f76d0d8c7d034aa0fcfd6df456c8a76",
     ("grid3x3_600", "sizing"): "09fd07b4274e9ed37a125df2e42ff4327f43006ba94be471e9f8d65cd69d3259",
-    ("grid3x3_600", "operate"): "f28925132449d9153a6ee23f01ea006e502ed9145a22f883e8ba9f69323632be",
+    ("grid3x3_600", "operate"): "b27414c9d0597685a94a5a677e2a786bb4be4c6b903bd7fb3291105f17f3e354",
 }
 
 
@@ -361,7 +361,7 @@ def model_fingerprint(m: LinearModel) -> str:
     parts = [
         m.name, list(m._index.items()), hexed(m._lb), hexed(m._ub), m._integer,
         m._cols, hexed(m._vals), m._row_len, m._senses, hexed(m._rhs),
-        m._row_names, [(name, float(c).hex()) for name, c in m._objective.items()],
+        m._row_names, hexed(m._cost),
     ]
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
@@ -378,14 +378,14 @@ def greedy_second_prior(topology, demands, costs) -> PriorPlacement:
 # first scenario bought as a prior ("prior") and the no-failure operating
 # model of the optimal design ("operate"), per shipped fixture.
 MODEL_FINGERPRINTS = {
-    ("toy2x5", "sizing"): "68744d5dcaed04cd01d109c4f6335e12b6e17ba57155195cf9c104d68cecfb3b",
-    ("toy2x5", "plain"): "5b4ca911ba13e7f9301e1407b441ae63ca965d3d2b5515ffb15c42e7254735b2",
-    ("toy2x5", "prior"): "d382dea720fd24dcce5508c23d4a973ffab403cde4b2e75694a5aefda70685c5",
-    ("toy2x5", "operate"): "d62fdb169a9cd2c8698e48a1d99ffadddbb39dae951dbf18f2a102f0d2ed6e5e",
-    ("grid3x3_600", "sizing"): "84dc426ea147ad71eb32e487225768a74cf9e5ea2540174b45cc9c82dd4c0555",
-    ("grid3x3_600", "plain"): "1ca19e3e87a4f3b89e5fe31c5ed5b9aae81b9a7864cbda60707032083afdde8f",
-    ("grid3x3_600", "prior"): "a865d565b0fb620479f971a3c9fbcac237fd6017921ab213cc3e81f74ec36165",
-    ("grid3x3_600", "operate"): "89157b2f918882a4d7508be8db3822f081fe2a8df10c3029e3d8abe6862e65a8",
+    ("toy2x5", "sizing"): "7e6cb36f168d05c009c9a1f35db9c2bf524a4f26326a9170b7f89fe913376e23",
+    ("toy2x5", "plain"): "cc0d8994e770fbb32aa17478baf3f92b7b53ac004767575d5823e5b76c747d84",
+    ("toy2x5", "prior"): "3634d371ed516d5f7033b95d68d0299be19eca30c3c38801593c662213b2c59d",
+    ("toy2x5", "operate"): "24a08fb3026c5fcdda9654805935dabc5842524f707903cc292deed4f6c0f08e",
+    ("grid3x3_600", "sizing"): "b85c448f8fea3c466e85de72c434acf3cfb5bfd53fa0f73172e35a2147af6315",
+    ("grid3x3_600", "plain"): "eceaaab23a04265cbfcb9db1b78082e21ceb68414e479137f0d89ae152eada64",
+    ("grid3x3_600", "prior"): "c733f4ccc27c7ff977f65f8bd407ffe233e48e738b9953755e0c673da20be75c",
+    ("grid3x3_600", "operate"): "78d2eba53c213ce80a6f493c210d3f13ce0ae807884ae38c85419b31a70d4450",
 }
 
 

@@ -1321,13 +1321,15 @@ def mirrored_models():
 
     # Every column and row goes in through _add_block, by-name ones too; the
     # mirror gets them one variable and one named row at a time, each
-    # outside column by the name the mirror holds at its position.
-    def add_block(self, names, lb, ub, integer, rows, outside, row_names):
-        start = real_block(self, names, lb, ub, integer, rows, outside, row_names)
+    # outside column by the name the mirror holds at its position, and each
+    # new column's cost as one more objective term.
+    def add_block(self, names, lb, ub, integer, rows, outside, row_names, cost=0.0):
+        start = real_block(self, names, lb, ub, integer, rows, outside, row_names, cost)
         known = mirror(self).vars
         columns = [*names, *(known[j].name for j in outside)]
         for name in names:
             mirror(self).add_variable(name, lb, ub, integer=integer)
+        mirror(self).objective.update(dict.fromkeys(names, float(cost)))
         for (positions, vals, sense, rhs), name in zip(rows, row_names):
             terms = [(columns[k], v) for k, v in zip(positions, vals)]
             mirror(self).add_constraint(terms, sense, rhs, name)

@@ -3,9 +3,10 @@
 Each demand is one block of flow columns and rows and the arc-capacity rows
 one more; no row or column goes in by name, and nothing is handed in as a
 callable.  ``build_design_model`` writes the rest of a placement model the
-same way, and no module but ``milp`` adds a row by name.  In ``milp``,
-``LinearModel._add_block`` is the model's one writer, and the search solves
-every LP, the root's included, at one call site.
+same way, costs included, and no module but ``milp`` adds a column, a row or
+an objective by name.  In ``milp``, ``LinearModel._add_block`` is the
+model's one writer (``set_objective`` also replaces the costs), and the
+search solves every LP, the root's included, at one call site.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from roadmnet import (
 )
 from roadmnet.design import add_routing
 
-BY_NAME = {"add_constraint", "add_variable"}
+BY_NAME = {"add_constraint", "add_variable", "set_objective"}
 # Calls that change a list or dict in place.
 MUTATORS = {"append", "extend", "insert", "update", "setdefault", "pop", "clear"}
 
@@ -87,20 +88,21 @@ def test_build_design_model_writes_only_blocks():
     assert "_index" not in reads
 
 
-def test_only_milp_adds_a_row_by_name():
+def test_only_milp_writes_a_model_by_name():
     modules = sorted(entry.name for entry in resources.files("roadmnet").iterdir()
                      if entry.name.endswith(".py"))
-    assert "design.py" in modules
-    callers = [name for name in modules if "add_constraint" in _calls(_module(name))]
-    assert not set(callers) - {"milp.py"}, callers
+    assert {"design.py", "algorithms.py", "operation.py"} <= set(modules)
+    callers = {name: sorted(BY_NAME & set(_calls(_module(name)))) for name in modules}
+    assert {name for name, calls in callers.items() if calls} <= {"milp.py"}, callers
 
 
-def test_every_command_builds_without_a_by_name_row(monkeypatch, toy_inputs):
+def test_every_command_builds_without_a_by_name_write(monkeypatch, toy_inputs):
     """All four algorithms, ``operate`` and both transient modes."""
     def refuse(self, *args, **kwargs):
-        raise AssertionError("a row went in by name")
+        raise AssertionError("a model was written by name")
 
-    monkeypatch.setattr(LinearModel, "add_constraint", refuse)
+    for method in BY_NAME:
+        monkeypatch.setattr(LinearModel, method, refuse)
     topology, demands, costs = toy_inputs
     design, _ = design_optimal(topology, demands, costs)
     for algorithm in (design_simple, design_greedy, design_legacy):
@@ -149,12 +151,14 @@ def test_only_add_block_writes_a_linear_model():
     cls = _function("LinearModel", "milp.py")
     methods = [node for node in cls.body if isinstance(node, ast.FunctionDef)]
     init = next(method for method in methods if method.name == "__init__")
-    # The column index and the storage lists; set_objective replaces _objective.
-    storage = {node.target.attr for node in ast.walk(init)
-               if isinstance(node, ast.AnnAssign)} - {"_objective"}
-    assert len(storage) == 10 and "_index" in storage and "_row_names" in storage
-    writers = {method.name for method in methods if _writes(method, storage)}
-    assert writers == {"__init__", "_add_block"}
+    # The column index and the storage lists.
+    storage = {node.target.attr for node in ast.walk(init) if isinstance(node, ast.AnnAssign)}
+    assert len(storage) == 11 and {"_index", "_row_names", "_cost"} <= storage
+    # set_objective replaces the costs, and nothing else.
+    for attr in sorted(storage):
+        writers = {method.name for method in methods if _writes(method, {attr})}
+        want = {"__init__", "_add_block"} | ({"set_objective"} if attr == "_cost" else set())
+        assert writers == want, attr
 
 
 def test_the_search_solves_every_lp_at_one_site():
