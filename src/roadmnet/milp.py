@@ -488,12 +488,21 @@ def solve(model: LinearModel, time_limit: float | None = None) -> SolveResult:
     deadline = math.inf if time_limit is None else time.monotonic() + time_limit
     comp = _compile(model)
     if len(comp.c) == 0:
-        return SolveResult("optimal", {}, 0.0, 0.0, nodes=0)
+        return _without_columns(comp)
     lp = _Loaded(comp)
     try:
         return _branch_and_bound(model, comp, lp, deadline)
     finally:
         lp.release()
+
+
+def _without_columns(comp: _Compiled) -> SolveResult:
+    """The answer for a model with no columns, which HiGHS cannot load: each
+    row constrains 0, so it is optimal at 0 if every row holds there within
+    FEAS_TOL (as :func:`validate_solution` checks), else infeasible."""
+    if (comp.row_lower > FEAS_TOL).any() or (comp.row_upper < -FEAS_TOL).any():
+        return SolveResult("infeasible", {}, None, math.inf)
+    return SolveResult("optimal", {}, 0.0, 0.0)
 
 
 def _branch_and_bound(model: LinearModel, comp: _Compiled, lp: _Loaded,
@@ -671,7 +680,7 @@ def solve_with_scipy_milp(
     comp = _compile(model)
     n = len(comp.c)
     if n == 0:
-        return SolveResult("optimal", {}, 0.0, 0.0)
+        return _without_columns(comp)
     constraints = []
     if comp.a.shape[0]:
         constraints.append(LinearConstraint(comp.a, comp.row_lower, comp.row_upper))

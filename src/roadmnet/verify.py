@@ -536,7 +536,8 @@ def enumerate_milp_minimum(
 ) -> tuple[float | None, dict[str, float] | None]:
     """Exhaustive minimum of a pure-integer, box-bounded model.
 
-    Returns (None, None) when no assignment is feasible.  Refuses models with
+    Returns (None, None) when no assignment is feasible (a model without
+    variables has one, the empty assignment).  Refuses models with
     continuous variables, unbounded integers, or too many states to sweep.
     Assignments are swept in chunks so memory stays flat regardless of the
     state count.
@@ -547,14 +548,12 @@ def enumerate_milp_minimum(
             raise ValueError(f"variable {var.name!r} is continuous")
         if math.isinf(var.lb) or math.isinf(var.ub):
             raise ValueError(f"variable {var.name!r} is unbounded")
-    if len(variables) == 0:
-        return 0.0, {}
     # An integer variable takes the integers within its bounds.  Count them
     # in Python ints before any int64 array exists, so a range too wide to
     # sweep is refused instead of overflowing int64 or wrapping negative.
     lows = [math.ceil(v.lb) for v in variables]
     sizes = [math.floor(v.ub) - low + 1 for v, low in zip(variables, lows)]
-    if min(sizes) < 1:
+    if any(size < 1 for size in sizes):
         return None, None
     total = math.prod(sizes)
     if total > max_states:

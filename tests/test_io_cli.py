@@ -18,7 +18,7 @@ from scipy.optimize import OptimizeResult
 from roadmnet import algorithms, cli, milp, operation
 from roadmnet import io as roadmnet_io
 from roadmnet.cli import ALGORITHMS, main
-from roadmnet.design import InfeasibleDesignError, NoIncumbentError
+from roadmnet.design import Design, InfeasibleDesignError, NoIncumbentError
 from roadmnet.io import (
     InputFormatError,
     design_payload,
@@ -969,6 +969,44 @@ def test_cli_compare_no_answer_outranks_infeasible(tmp_path, capsys, monkeypatch
     assert err == ("no answer within budget: optimal (time limit expired with no "
                    "placement found (joint model)); infeasible: legacy (no placement "
                    "can serve span:A~O)\n")
+
+
+def two_node_input() -> dict:
+    """Routers a at A and b at B on one 500-mile span, 0.5 units A to B.
+
+    Cutting the span or downing either router leaves no column to serve the
+    demand: each such failure state's model is one row ``0 = 0.5``.
+    """
+    return {
+        "ip_nodes": ["A", "B"],
+        "optical_nodes": [],
+        "routers": [{"id": "a", "home": "A"}, {"id": "b", "home": "B"}],
+        "spans": [{"u": "A", "v": "B", "miles": 500}],
+        "regen_dist": 1000,
+        "demands": [{"src": "A", "dst": "B", "units": 0.5}],
+    }
+
+
+def test_a_model_without_columns_is_infeasible_everywhere(tmp_path, capsys):
+    # Legacy once exited 0 here with "cost 2", and operate returned an
+    # empty plan under router:a: a model without columns was "optimal".
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(two_node_input()))
+    topology, demands, costs = load_inputs(str(path))
+    for name in ALGORITHMS:
+        with pytest.raises(InfeasibleDesignError, match="no placement can serve span:A~B"):
+            getattr(algorithms, f"design_{name}")(topology, demands, costs)
+    design = Design.covering(topology, costs, [({"a": 1, "b": 1}, {}, {}, {})], ["optimal"])
+    assert operation.operate(topology, demands, design, FailureScenario.no_failure())
+    with pytest.raises(InfeasibleDesignError, match="no operation plan can serve router:a"):
+        operation.operate(topology, demands, design, FailureScenario.router_down("a"))
+    capsys.readouterr()
+    assert main(["design", str(path), "--algorithm", "legacy",
+                 "--out", str(tmp_path / "d.json")]) == 3
+    assert capsys.readouterr().err == "infeasible: no placement can serve span:A~B\n"
+    assert main(["compare", str(path)]) == 3
+    table = capsys.readouterr().out.splitlines()[1:5]
+    assert [line.split()[:2] for line in table] == [[name, "infeasible"] for name in ALGORITHMS]
 
 
 class TestExitCodes:

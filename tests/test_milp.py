@@ -380,6 +380,27 @@ class TestExport:
         h.run()
         assert h.getModelStatus() == milp.highs.HighsModelStatus.kInfeasible
 
+    @pytest.mark.parametrize("sense,holds,fails", [("<=", [0.0, 0.5], [-0.5]),
+                                                   (">=", [0.0, -0.5], [0.5]),
+                                                   ("==", [0.0], [0.5, -0.5])])
+    def test_a_model_without_columns_answers_by_its_rows(self, sense, holds, fails):
+        # Each row constrains 0; HiGHS cannot load such a model, and every
+        # backend once called it optimal whatever its rows said.
+        for rhs in holds + fails:
+            m = LinearModel("columnless")
+            m._add_block((), 0.0, 0.0, False, [([], [], "==", 0.0), ([], [], sense, rhs)],
+                         (), ["even", "flow_src"])
+            feasible = rhs in holds
+            assert bool(validate_solution(m, {})) is not feasible
+            for result in (solve(m), solve_with_scipy_milp(m)):
+                if feasible:
+                    assert (result.status, result.values, result.objective_value) == (
+                        "optimal", {}, 0.0)
+                else:
+                    assert (result.status, result.values, result.objective_value) == (
+                        "infeasible", {}, None)
+            assert enumerate_milp_minimum(m) == ((0.0, {}) if feasible else (None, None))
+
     @pytest.mark.parametrize("fixture", ["toy2x5", "grid3x3_600"])
     def test_fixture_models_read_back_alike(self, tmp_path, request, fixture):
         topology, demands, costs = load_inputs(fixture_path(fixture))
