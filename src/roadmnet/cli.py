@@ -6,8 +6,8 @@ Three subcommands:
 * ``transient`` -- rate a saved design's immediate post-failure delivery
 * ``compare``   -- run all four placement algorithms side by side
 
-Exit codes: 0 success, 2 bad input or arguments (prices so large that a
-model's terms overflow included) or output that standard output cannot
+Exit codes: 0 success, 2 bad input or arguments (prices so large that an
+objective term reaches 1e17 included) or output that standard output cannot
 encode, 3 the instance cannot be made survivable, 4 the solver gave no
 answer: it ran out of its time budget, or HiGHS failed on an LP relaxation
 ("solver failed: ...").  ``compare`` prints a row for every algorithm

@@ -2,23 +2,24 @@
 
 Models are assembled in columns through one writer (each column with its
 objective coefficient; a row comes by column position, or by names resolved
-to column indices first), compiled once with
-numpy into one column-major matrix (a NaN or infinite coefficient,
-right-hand side or objective term is a :class:`ModelError` there), and
-solved by branch-and-bound: each LP relaxation goes straight to scipy's
-bundled HiGHS (:func:`linprog`, with ``scipy.optimize.linprog``'s options
-and checks) on the instance each thread keeps across solves (loaded once per
-solve, given only the changed column bounds, its solver state cleared per
-LP), branching follows a most-fractional rule with lowest-index tie-breaks,
-and open nodes are explored best-bound-first, newest first on ties, so
-identical models always produce identical results.  A node's LP, the root's
-included, is solved only when the node first reaches the top of the heap,
-where it waits under a lower bound on its own (-inf for the root, its
-parent's bound for a child).  No open node is below the one popped, so the
-search ends at the first integral node it pops, which is optimal: a bundled
-solve answers "optimal", "infeasible", "unbounded" or "no_solution", never
-"feasible".  A thin adapter onto :func:`scipy.optimize.milp` is kept around
-as an independent cross-check backend for tests; only it answers "feasible".
+to column indices first), compiled once with numpy into one column-major
+matrix (a NaN or infinite coefficient, right-hand side or objective term is
+a :class:`ModelError` there, as is an objective term of magnitude 1e17 or
+more), and solved by branch-and-bound: each LP relaxation goes straight to
+scipy's bundled HiGHS (:func:`linprog`, with ``scipy.optimize.linprog``'s
+options and checks) on the instance each thread keeps across solves (loaded
+once per solve, given only the changed column bounds, its solver state
+cleared per LP), branching follows a most-fractional rule with lowest-index
+tie-breaks, and open nodes are explored best-bound-first, newest first on
+ties, so identical models always produce identical results.  A node's LP,
+the root's included, is solved only when the node first reaches the top of
+the heap, where it waits under a lower bound on its own (-inf for the root,
+its parent's bound for a child).  No open node is below the one popped, so
+the search ends at the first integral node it pops, which is optimal: a
+bundled solve answers "optimal", "infeasible", "unbounded" or "no_solution",
+never "feasible".  A thin adapter onto :func:`scipy.optimize.milp` is kept
+around as an independent cross-check backend for tests; only it answers
+"feasible".
 
 Every LP of a solve runs on the calling thread; a solve nested in another
 on one thread gets an instance of its own, and a solve clears its instance
@@ -82,6 +83,12 @@ highs = _load_bindings()
 
 INT_TOL = 1e-6
 FEAS_TOL = 1e-6
+# The least objective term magnitude refused, about ten times below where
+# HiGHS began to fail (kSolveError) on the shipped fixtures with their other
+# prices kept: the toy's one-scenario sizing LP from a tail price of ~9.7e17,
+# design_legacy on both from a link term of 1e18.  Terms far apart in
+# magnitude can fail below it.
+_MAX_TERM = 1e17
 
 
 class ModelError(ValueError):
@@ -345,11 +352,20 @@ def _compile(model: LinearModel) -> _Compiled:
 
 
 def _check_finite(model: LinearModel, c, vals, rhs, cols, nz_row) -> None:
-    """Raise ModelError naming the first NaN or infinite objective term,
+    """Raise ModelError naming the first objective term that is NaN or of
+    magnitude ``_MAX_TERM`` or more (inf if HiGHS would read it as infinite,
+    at ``infinite_cost``, 1e20, or more), or else the first NaN or infinite
     coefficient or right-hand side."""
-    if not np.isfinite(c).all():
-        j = int(np.argmax(~np.isfinite(c)))
-        raise ModelError(f"objective term of {list(model._index)[j]!r} is {c[j]}")
+    refused = ~(np.abs(c) < _MAX_TERM)  # NaN compares false
+    if refused.any():
+        j = int(np.argmax(refused))
+        term, name = float(c[j]), list(model._index)[j]
+        if abs(term) >= _LP_OPTIONS.infinite_cost:
+            term = math.copysign(math.inf, term)
+        if not math.isfinite(term):
+            raise ModelError(f"objective term of {name!r} is {term}")
+        raise ModelError(f"objective term of {name!r} is {term:g}, "
+                         f"not below the limit {_MAX_TERM:g} in magnitude")
     if not np.isfinite(vals).all():
         k = int(np.argmax(~np.isfinite(vals)))
         raise ModelError(f"constraint {model._row_names[nz_row[k]]!r} has coefficient "

@@ -1084,6 +1084,19 @@ class TestExitCodes:
         assert err.startswith("error: objective term of ") and err.endswith(" is inf\n")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_huge_price(self, tmp_path, capsys, algorithm):
+        # Unchecked, HiGHS failed on such a model: "solver failed", exit 4.
+        doc = _toy_input()
+        doc["costs"]["tail"] = 1e19
+        path = tmp_path / "dear.json"
+        path.write_text(json.dumps(doc))
+        assert main(["design", str(path), "--algorithm", algorithm,
+                     "--out", str(tmp_path / "d.json")]) == 2
+        err = capsys.readouterr().err
+        term = "'buy_R1_R3' is 2e+19" if algorithm == "legacy" else "'T_R1' is 1e+19"
+        assert err == f"error: objective term of {term}, not below the limit 1e+17 in magnitude\n"
+
     def test_unparsable_arguments(self, capsys):
         assert main([]) == 2
         assert main(["design"]) == 2

@@ -1534,6 +1534,32 @@ class TestNonFiniteModelData:
         with pytest.raises(ModelError, match=f"objective term of 'y' is {bad}"):
             solve(m)
 
+    @pytest.mark.parametrize("bad,shown", [(1e17, "1e+17"), (-1e17, "-1e+17"),
+                                           (1e19, "1e+19")])
+    def test_huge_objective_term(self, bad, shown):
+        # Unchecked, HiGHS failed on the shipped fixtures from terms near 1e18.
+        m = self.two_variables()
+        m.add_constraint({"x": 1, "y": 1}, ">=", 3)
+        m.set_objective({"x": 1, "y": bad})
+        with pytest.raises(ModelError) as err:
+            solve(m)
+        assert str(err.value) == (f"objective term of 'y' is {shown}, "
+                                  "not below the limit 1e+17 in magnitude")
+
+    def test_terms_just_below_the_limit_compile(self):
+        m = self.two_variables()
+        m.set_objective({"x": math.nextafter(1e17, 0), "y": math.nextafter(-1e17, 0)})
+        assert milp._compile(m).c.tolist() == [math.nextafter(1e17, 0),
+                                               math.nextafter(-1e17, 0)]
+
+    @pytest.mark.parametrize("bad,shown", [(1e20, "inf"), (-1e308, "-inf")])
+    def test_objective_term_highs_reads_as_infinite(self, bad, shown):
+        m = self.two_variables()
+        m.set_objective({"x": 1, "y": bad})
+        with pytest.raises(ModelError) as err:
+            solve(m)
+        assert str(err.value) == f"objective term of 'y' is {shown}"
+
     @pytest.mark.parametrize("bounds", [{"lb": math.nan}, {"ub": math.nan},
                                         {"lb": math.nan, "ub": math.nan}])
     def test_nan_bound(self, bounds):
