@@ -325,10 +325,10 @@ def add_routing(
     variable ``Y_{tag}_{s}_{t}_{a}_{b}`` per arc, each costing ``cost``, a
     conservation row at every live router homed away from both endpoints that
     an arc touches, then the source row (net outflow of node s's live
-    routers) and the destination row (net inflow of node t's).  Each endpoint row asks for the demand's
-    volume; with ``served``, which maps each demand to ``(column, weight)``,
-    it asks instead for weight times that column.  The arc-capacity rows
-    follow the last demand as one more block.
+    routers) and the destination row (net inflow of node t's).  Each endpoint
+    row asks for the demand's volume; with ``served``, which maps each demand
+    to ``(column, weight)``, it asks instead for weight times that column.
+    The arc-capacity rows follow the last demand as one more block.
 
     An arc between two routers of one node nets out of that node's endpoint
     rows, so it has no term there.  An endpoint no other node's arc reaches

@@ -84,10 +84,9 @@ highs = _load_bindings()
 INT_TOL = 1e-6
 FEAS_TOL = 1e-6
 # The least objective term magnitude refused, about ten times below where
-# HiGHS began to fail (kSolveError) on the shipped fixtures with their other
-# prices kept: the toy's one-scenario sizing LP from a tail price of ~9.7e17,
-# design_legacy on both from a link term of 1e18.  Terms far apart in
-# magnitude can fail below it.
+# HiGHS began to fail (kSolveError) on the shipped fixtures, other prices kept:
+# the toy's sizing LP from a tail price of ~9.7e17, design_legacy from a link
+# term of 1e18.  Terms far apart in magnitude can fail below it.
 _MAX_TERM = 1e17
 
 
@@ -230,8 +229,7 @@ class LinearModel:
         them: position k is the k-th new column, and position
         ``len(names) + i`` the existing column ``outside[i]``.  A row may be
         empty, unlike in :meth:`add_constraint`: it constrains 0 by its sense
-        and rhs.
-        Returns the first new column's index."""
+        and rhs.  Returns the first new column's index."""
         start, index = len(self._lb), self._index
         fresh = dict(zip(names, range(start, start + len(names))))
         if len(fresh) < len(names) or not index.keys().isdisjoint(fresh):
@@ -360,12 +358,10 @@ def _check_finite(model: LinearModel, c, vals, rhs, cols, nz_row) -> None:
     if refused.any():
         j = int(np.argmax(refused))
         term, name = float(c[j]), list(model._index)[j]
-        if abs(term) >= _LP_OPTIONS.infinite_cost:
-            term = math.copysign(math.inf, term)
-        if not math.isfinite(term):
-            raise ModelError(f"objective term of {name!r} is {term}")
-        raise ModelError(f"objective term of {name!r} is {term:g}, "
-                         f"not below the limit {_MAX_TERM:g} in magnitude")
+        if abs(term) < _LP_OPTIONS.infinite_cost:
+            raise ModelError(f"objective term of {name!r} is {term:g}, "
+                             f"not below the limit {_MAX_TERM:g} in magnitude")
+        raise ModelError(f"objective term of {name!r} is {term * math.inf}")  # inf or NaN
     if not np.isfinite(vals).all():
         k = int(np.argmax(~np.isfinite(vals)))
         raise ModelError(f"constraint {model._row_names[nz_row[k]]!r} has coefficient "

@@ -392,13 +392,9 @@ class TestExport:
                          (), ["even", "flow_src"])
             feasible = rhs in holds
             assert bool(validate_solution(m, {})) is not feasible
+            want = ("optimal", {}, 0.0) if feasible else ("infeasible", {}, None)
             for result in (solve(m), solve_with_scipy_milp(m)):
-                if feasible:
-                    assert (result.status, result.values, result.objective_value) == (
-                        "optimal", {}, 0.0)
-                else:
-                    assert (result.status, result.values, result.objective_value) == (
-                        "infeasible", {}, None)
+                assert (result.status, result.values, result.objective_value) == want
             assert enumerate_milp_minimum(m) == ((0.0, {}) if feasible else (None, None))
 
     @pytest.mark.parametrize("fixture", ["toy2x5", "grid3x3_600"])

@@ -88,7 +88,7 @@ def test_build_design_model_writes_only_blocks():
     assert "_index" not in reads
 
 
-def test_only_milp_writes_a_model_by_name():
+def test_only_milp_adds_a_row_by_name():
     modules = sorted(entry.name for entry in resources.files("roadmnet").iterdir()
                      if entry.name.endswith(".py"))
     assert {"design.py", "algorithms.py", "operation.py"} <= set(modules)
@@ -96,7 +96,7 @@ def test_only_milp_writes_a_model_by_name():
     assert {name for name, calls in callers.items() if calls} <= {"milp.py"}, callers
 
 
-def test_every_command_builds_without_a_by_name_write(monkeypatch, toy_inputs):
+def test_every_command_builds_without_a_by_name_row(monkeypatch, toy_inputs):
     """All four algorithms, ``operate`` and both transient modes."""
     def refuse(self, *args, **kwargs):
         raise AssertionError("a model was written by name")
